@@ -280,6 +280,15 @@ def test_ring_allreduce_step_pump(benchmark):
     assert benchmark(run) == n_ops * steps_per_op
 
 
+def test_ps_receive_push(benchmark):
+    """``ParameterServer.receive_push`` under BSP: 16 workers, sliced
+    gradients, one straggler a gradient behind (``ci_smoke``'s
+    ``ps.pushes_per_s`` workload) — per-key release with pulls waiting."""
+    from ci_smoke import PS_PUSHES, ps_push_workload
+
+    assert benchmark(ps_push_workload) == PS_PUSHES
+
+
 def test_fastforward_detect_overhead(benchmark):
     """Per-boundary fingerprint cost when steady state is never reached.
 

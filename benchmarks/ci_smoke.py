@@ -11,9 +11,10 @@ micro-benchmarks, and compares a handful of key scalars against
   baseline within a tight relative tolerance — the simulator is a seeded
   discrete-event system, so any drift here is a real behavioural change.
 * **Timing scalars** (engine events/second over a plain chain and a
-  cancellation-heavy churn, scalar TCP-model calls/second, and
-  engine-driven link transfers/second) only enforce a loose floor — CI
-  runners are noisy, so we only fail on order-of-magnitude regressions.
+  cancellation-heavy churn, scalar TCP-model calls/second, engine-driven
+  link transfers/second, and parameter-server pushes/second) only
+  enforce a loose floor — CI runners are noisy, so we only fail on
+  order-of-magnitude regressions.
 
 The fleet-shape timing scalars (64-worker star pump, 8-shard pump,
 50%-cancel replan churn, 64-worker hierarchical collective) live in
@@ -117,6 +118,57 @@ CHAOS_COLLECTIVE_WORKERS = 4
 #: trainers on one engine).
 FLEET_SMOKE_JOBS = 6
 FLEET_SMOKE_ITERATIONS = 3
+
+#: PS aggregation microbenchmark (``ps.pushes_per_s``): 16 workers push
+#: every gradient in slices under BSP, with the last worker one gradient
+#: behind the rest — each of its pushes releases one slice's 16 pulls
+#: from a gradient with up to 60 pulls waiting.
+PS_WORKERS = 16
+PS_GRADS = 24
+PS_SLICES = 4
+PS_ITERATIONS = 3
+PS_PUSHES = PS_WORKERS * PS_GRADS * PS_SLICES * PS_ITERATIONS
+
+
+def ps_push_workload() -> int:
+    """Drive one BSP :class:`ParameterServer` through ``PS_PUSHES``
+    single-segment pushes; returns the pull count released."""
+    import numpy as np
+
+    from repro.cluster.ps import ParameterServer
+    from repro.sched.base import Segment, TransferUnit
+    from repro.sim.engine import Engine
+
+    released = [0]
+
+    class Sink:
+        def enqueue_pull(self, pull) -> None:
+            released[0] += 1
+
+        def enqueue_pulls(self, pulls) -> None:
+            released[0] += len(pulls)
+
+    size = 1e6
+    piece = size / PS_SLICES
+    engine = Engine()
+    ps = ParameterServer(engine, PS_WORKERS, np.full(PS_GRADS, size))
+    ps.attach_workers([Sink() for _ in range(PS_WORKERS)])
+    straggler = PS_WORKERS - 1
+
+    def push_grad(worker: int, iteration: int, grad: int) -> None:
+        for s in range(PS_SLICES):
+            segment = Segment(grad=grad, offset=s * piece, nbytes=piece)
+            ps.receive_push(worker, iteration, TransferUnit(segments=(segment,)))
+
+    for iteration in range(PS_ITERATIONS):
+        for grad in range(PS_GRADS):
+            for worker in range(straggler):
+                push_grad(worker, iteration, grad)
+            if grad:
+                push_grad(straggler, iteration, grad - 1)
+        push_grad(straggler, iteration, PS_GRADS - 1)
+        engine.run()
+    return released[0]
 
 
 def _fleet_smoke_spec():
@@ -686,6 +738,12 @@ def measure(
     transfers()  # warmup
     best = min(_timed(transfers) for _ in range(3))
     timing["sim.transfers_per_s"] = n_transfers / best
+
+    # PS aggregation: BSP receive_push with per-key pull release.
+    released = ps_push_workload()  # warmup (also validates every release)
+    assert released == PS_PUSHES, released
+    best = min(_timed(ps_push_workload) for _ in range(3))
+    timing["ps.pushes_per_s"] = PS_PUSHES / best
 
     # Multi-shard pump: the same end-to-end per-message cost over 4
     # concurrent shard links (the ShardedTopology data path) — each link

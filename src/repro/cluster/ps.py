@@ -17,17 +17,29 @@ synchronization model:
   waits until every worker has *completed pushing that gradient* for
   iteration ``k - staleness - 1`` — i.e. the fastest worker's clock
   (completed iterations) may exceed the slowest by at most ``staleness``.
+
+Both waiting rules have the form ``watermark >= need``: under BSP the
+watermark is ``min(received)`` of the pull's ``(iteration, grad)`` key and
+``need`` the pull's end offset; under SSP it is ``min(progress)`` of the
+gradient and ``need`` the oldest iteration every worker must have
+completed.  Waiting pulls therefore sit in one min-heap per watermark key
+ordered by ``(need, arrival seq)``: a push computes each touched key's
+watermark once and pops exactly the pulls it releases, so its cost scales
+with the releases, not with the pulls still waiting.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import defaultdict
+from operator import itemgetter
 
 import numpy as np
 
 from repro.cluster.messages import PullUnit
 from repro.errors import ConfigurationError, SimulationError
-from repro.sched.base import Segment, TransferUnit
+from repro.sched.base import TransferUnit
 from repro.sim.engine import Engine
 
 __all__ = ["ParameterServer", "SYNC_MODES"]
@@ -35,6 +47,9 @@ __all__ = ["ParameterServer", "SYNC_MODES"]
 _TOL = 1e-9
 
 SYNC_MODES = ("bsp", "asp", "ssp")
+
+#: Sort key of a waiting-heap entry ``(need, seq, pull)`` by arrival.
+_SEQ = itemgetter(1)
 
 
 class ParameterServer:
@@ -100,8 +115,14 @@ class ParameterServer:
         self._received: dict[tuple[int, int], list[float]] = {}
         # grad -> per-worker latest iteration fully pushed (-1 = none).
         self._progress: dict[int, list[int]] = {}
-        # grad -> pull units waiting for release.
-        self._waiting: dict[int, list[PullUnit]] = defaultdict(list)
+        # Watermark key -> min-heap of waiting ``(need, seq, pull)``; the
+        # key is ``(iteration, grad)`` under BSP and ``grad`` under SSP
+        # (ASP pulls never wait).  Empty heaps are deleted, so ``len``
+        # counts the keys with waiting pulls.
+        self._waiting: dict = {}
+        # Arrival order of waiting pulls: releases within a key go out in
+        # it, exactly as a per-gradient list scan would.
+        self._pull_seq = itertools.count()
         # Pending release run: consecutive releases for one (worker,
         # delay) pair inside a single receive_push coalesce into ONE
         # engine wakeup (the worker's batched enqueue entry), instead of
@@ -192,8 +213,15 @@ class ParameterServer:
 
     def receive_push(self, worker: int, iteration: int, unit: TransferUnit) -> None:
         """A push message from ``worker`` arrived: credit bytes, respond
-        per key."""
-        if self.sync_mode == "bsp" and iteration > self._max_push_iteration:
+        per key.
+
+        Release order: the pusher's own pulls first, in segment order,
+        each as soon as its segment is credited; then, per touched
+        gradient in ``touched`` set order, the waiting pulls the new
+        watermark covers, in arrival order.
+        """
+        bsp = self.sync_mode == "bsp"
+        if bsp and iteration > self._max_push_iteration:
             # Under BSP a push for iteration k implies every worker fully
             # pushed (and was released for) iteration k-1: the pusher's
             # forward pass gated on its k-1 pulls, which gate on full
@@ -206,67 +234,91 @@ class ParameterServer:
                 stale = [key for key in self._received if key[0] <= cutoff]
                 for key in stale:
                     del self._received[key]
+        all_received = self._received
+        waiting = self._waiting
+        journal = self._ff_journal
+        now = self.engine.now
         touched: set[int] = set()
+        # BSP: grad -> the (iteration, grad) watermark after this push's
+        # last segment of it — what the release sweep below compares to.
+        marks: dict[int, float] = {}
         for seg in unit.segments:
-            key = (iteration, seg.grad)
-            received = self._received.get(key)
+            grad = seg.grad
+            offset = seg.offset
+            nbytes = seg.nbytes
+            key = (iteration, grad)
+            received = all_received.get(key)
             if received is None:
-                received = [0.0] * self.n_workers
-                self._received[key] = received
-            size = self._sizes_list[seg.grad]
-            if abs(received[worker] - seg.offset) > max(_TOL, 1e-6 * seg.nbytes):
+                received = all_received[key] = [0.0] * self.n_workers
+            size = self._sizes_list[grad]
+            got = received[worker]
+            if abs(got - offset) > max(_TOL, 1e-6 * nbytes):
                 raise SimulationError(
-                    f"worker {worker} pushed gradient {seg.grad} (iter {iteration}) "
-                    f"at offset {seg.offset}, expected {received[worker]}"
+                    f"worker {worker} pushed gradient {grad} (iter {iteration}) "
+                    f"at offset {offset}, expected {got}"
                 )
-            received[worker] += seg.nbytes
-            if received[worker] > size * (1 + 1e-9) + _TOL:
+            got += nbytes
+            received[worker] = got
+            if got > size * (1 + 1e-9) + _TOL:
                 raise SimulationError(
-                    f"worker {worker} over-pushed gradient {seg.grad}: "
-                    f"{received[worker]} of {size} bytes"
+                    f"worker {worker} over-pushed gradient {grad}: "
+                    f"{got} of {size} bytes"
                 )
-            if received[worker] >= size - _TOL:
-                progress = self._progress.get(seg.grad)
+            if got >= size - _TOL:
+                progress = self._progress.get(grad)
                 if progress is None:
                     progress = [-1] * self.n_workers
-                    self._progress[seg.grad] = progress
+                    self._progress[grad] = progress
                 if iteration > progress[worker]:
                     progress[worker] = iteration
-            self.total_push_bytes += seg.nbytes
-            journal = self._ff_journal
+            self.total_push_bytes += nbytes
             if journal is not None:
-                journal.append(("ps", self, seg.nbytes))
-            touched.add(seg.grad)
+                journal.append(("ps", self, nbytes))
+            touched.add(grad)
 
             pull = PullUnit(
-                worker=worker,
-                iteration=iteration,
-                segment=seg,
-                created=self.engine.now,
+                worker=worker, iteration=iteration, segment=seg, created=now
             )
-            if self._releasable(pull):
-                self._release(pull)
+            if bsp:
+                mark = marks[grad] = min(received)
+                need = offset + nbytes - _TOL
             else:
-                self._waiting[seg.grad].append(pull)
+                # ASP/SSP: the worker's own bytes are in (they arrived
+                # with this very push), so only the staleness bound can
+                # hold SSP back; ASP's -1 bound is always met.
+                mark = self._slowest(grad)
+                need = self._ssp_need(iteration)
+                key = grad
+            if mark >= need:
+                self._release(pull, mark)
+            else:
+                heap = waiting.get(key)
+                if heap is None:
+                    heap = waiting[key] = []
+                heapq.heappush(heap, (need, next(self._pull_seq), pull))
                 self._n_waiting += 1
 
         # Newly credited bytes may unblock waiting pulls for these keys
-        # (other workers under BSP; stale followers under SSP).
+        # (other workers under BSP; stale followers under SSP).  Under
+        # BSP only this push's (iteration, grad) keys changed; every other
+        # key's pulls were already tested against its final watermark.
         for grad in touched:
-            waiting = self._waiting.get(grad)
-            if not waiting:
+            key = (iteration, grad) if bsp else grad
+            heap = waiting.get(key)
+            if heap is None:
                 continue
-            still_waiting = []
-            for pull in waiting:
-                if self._releasable(pull):
-                    self._release(pull)
-                    self._n_waiting -= 1
-                else:
-                    still_waiting.append(pull)
-            if still_waiting:
-                self._waiting[grad] = still_waiting
-            else:
-                del self._waiting[grad]
+            mark = marks[grad] if bsp else self._slowest(grad)
+            if heap[0][0] > mark:
+                continue
+            ready = [heapq.heappop(heap)]
+            while heap and heap[0][0] <= mark:
+                ready.append(heapq.heappop(heap))
+            if not heap:
+                del waiting[key]
+            self._n_waiting -= len(ready)
+            ready.sort(key=_SEQ)
+            for _, _, pull in ready:
+                self._release(pull, mark)
         self._flush_releases()
 
         trace = self.engine.trace
@@ -280,35 +332,27 @@ class ParameterServer:
             )
 
     # ------------------------------------------------------------------
-    def _range_covered(self, iteration: int, seg: Segment) -> bool:
-        received = self._received.get((iteration, seg.grad))
-        if received is None:
-            return False
-        return min(received) >= seg.offset + seg.nbytes - _TOL
+    def _slowest(self, grad: int) -> int:
+        """Latest iteration of ``grad`` every worker fully pushed (-1 = none)."""
+        progress = self._progress.get(grad)
+        return min(progress) if progress is not None else -1
 
-    def _releasable(self, pull: PullUnit) -> bool:
-        seg = pull.segment
-        if self.sync_mode == "bsp":
-            return self._range_covered(pull.iteration, seg)
-        # ASP/SSP: the worker's own bytes are in (they arrived with this
-        # very push), so only the staleness bound can hold SSP back.
+    def _ssp_need(self, iteration: int) -> int:
+        """Slowest completed iteration a non-BSP pull of ``iteration`` needs.
+
+        Clock convention: a worker that completed iteration i has clock
+        i+1; iteration k may proceed when the slowest clock >= k - s.
+        ASP returns -1, which :meth:`_slowest` always meets.
+        """
         if self.sync_mode == "asp":
-            return True
-        # Clock convention: a worker that completed iteration i has clock
-        # i+1; iteration k may proceed when the slowest clock >= k - s.
-        bound = pull.iteration - self.staleness - 1
-        if bound < 0:
-            return True
-        progress = self._progress.get(seg.grad)
-        if progress is None:
-            return False
-        return min(progress) >= bound
+            return -1
+        return iteration - self.staleness - 1
 
-    def _release(self, pull: PullUnit) -> None:
+    def _release(self, pull: PullUnit, mark: float) -> None:
+        """Respond to ``pull``; ``mark`` is its key's watermark (under
+        ASP/SSP the slowest completed iteration, sampled as staleness)."""
         if self.sync_mode != "bsp":
-            progress = self._progress.get(pull.segment.grad)
-            slowest = min(progress) if progress is not None else -1
-            self.staleness_samples.append(max(0, pull.iteration - 1 - slowest))
+            self.staleness_samples.append(max(0, pull.iteration - 1 - mark))
         trace = self.engine.trace
         if trace.enabled:
             trace.instant(
@@ -376,7 +420,11 @@ class ParameterServer:
         ``total_push_bytes`` is deliberately absent: it is a monotone
         accumulator, replayed op-for-op from the cycle journal so its
         floating-point rounding matches the unrolled run bit for bit.
+        Fast-forward only runs under BSP, so waiting keys are
+        ``(iteration, grad)``; each heap canonicalises to its pulls in
+        arrival order (the only order releases observe).
         """
+        assert self.sync_mode == "bsp", "fast-forward requires BSP"
         received = tuple(
             sorted(
                 ((ctx.rel_iter(it), grad), tuple(counts))
@@ -391,8 +439,11 @@ class ParameterServer:
         )
         waiting = tuple(
             sorted(
-                (grad, tuple(ctx.pull(u) for u in units))
-                for grad, units in self._waiting.items()
+                (
+                    (ctx.rel_iter(it), grad),
+                    tuple(ctx.pull(u) for _, _, u in sorted(heap, key=_SEQ)),
+                )
+                for (it, grad), heap in self._waiting.items()
             )
         )
         max_push = self._max_push_iteration
@@ -402,7 +453,8 @@ class ParameterServer:
 
     def ff_shift(self, shift) -> None:
         """Translate iteration labels and pull timestamps by the skipped
-        cycles.  Byte counts are label-relative already."""
+        cycles.  Byte counts — and so the BSP waiting heaps' byte
+        ``need`` keys — are label-relative already."""
         assert self._release_run is None, "release run pending across boundary"
         diter = shift.diter
         if self._max_push_iteration >= 0:
@@ -415,10 +467,7 @@ class ParameterServer:
             for w, it in enumerate(its):
                 if it >= 0:
                     its[w] = it + diter
-        self._waiting = defaultdict(
-            list,
-            {
-                grad: [shift.pull(u) for u in units]
-                for grad, units in self._waiting.items()
-            },
-        )
+        self._waiting = {
+            (it + diter, grad): [(need, seq, shift.pull(u)) for need, seq, u in heap]
+            for (it, grad), heap in self._waiting.items()
+        }

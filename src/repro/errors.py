@@ -16,6 +16,7 @@ __all__ = [
     "ConfigurationError",
     "SchedulingError",
     "SimulationError",
+    "EventBudgetExhausted",
     "ProfileError",
     "TracingError",
 ]
@@ -41,6 +42,12 @@ class SchedulingError(ReproError):
 
 class SimulationError(ReproError, RuntimeError):
     """The discrete-event simulation reached an inconsistent state."""
+
+
+class EventBudgetExhausted(SimulationError):
+    """``Engine.run`` fired its ``max_events`` budget with events still
+    queued.  The queue is intact, so an owner whose budget grew during
+    the run (a fleet spawning jobs) can re-read it and resume."""
 
 
 class ProfileError(ReproError):

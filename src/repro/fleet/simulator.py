@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.cluster.trainer import Trainer
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, EventBudgetExhausted, SimulationError
 from repro.fleet.cluster import HostPool
 from repro.fleet.job import FINISHED, FleetJob, JobHandle
 from repro.fleet.scheduler import FleetScheduler
@@ -147,7 +147,13 @@ class FleetSimulator:
 
     # ------------------------------------------------------------------
     def run(self, max_events: int | None = None) -> FleetResult:
-        """Pump the shared engine until every job finishes."""
+        """Pump the shared engine until every job finishes.
+
+        Without ``max_events`` the budget is the bookkeeping floor plus
+        every placed job's :meth:`Trainer.event_budget`.  Jobs placed
+        mid-pump raise it, so an exhausted pump re-reads the budget and
+        resumes; only a budget that stopped growing is an error.
+        """
         engine = self.engine
         n_jobs = len(self.handles)
         while True:
@@ -166,7 +172,10 @@ class FleetSimulator:
                     f"fleet exceeded its event budget ({budget} events, "
                     f"{done}/{n_jobs} jobs finished) — likely livelock"
                 )
-            engine.run(max_events=limit)
+            try:
+                engine.run(max_events=limit)
+            except EventBudgetExhausted:
+                continue
         records = tuple(
             handle.record(self.skip)
             for handle in sorted(self.handles, key=lambda h: h.job.name)

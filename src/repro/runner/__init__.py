@@ -9,7 +9,7 @@ those sweeps fast and rerunnable:
 * a strategy registry resolving scheduler factories by name in worker
   processes (:mod:`repro.runner.registry`);
 * stable content fingerprints over config + strategy + fault plan + seed
-  + version (:mod:`repro.runner.fingerprint`);
+  + version + package source digest (:mod:`repro.runner.fingerprint`);
 * a content-addressed on-disk result cache (:mod:`repro.runner.cache`);
 * :func:`run_grid`, the deterministic fan-out executor gluing them
   together (:mod:`repro.runner.executor`).

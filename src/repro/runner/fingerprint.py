@@ -4,10 +4,11 @@ The result cache is keyed by a SHA-256 over a *canonical* JSON encoding
 of the spec: every field of the :class:`~repro.config.TrainingConfig`
 (recursively, including the fault plan, device, TCP path, bandwidth
 schedules, and aggregation policy), the strategy name and its builder
-kwargs, the warmup ``skip``, and the package version.  Two specs collide
-iff they describe the same simulation under the same code version — the
-simulator is seed-deterministic, so equal fingerprints imply equal
-results.
+kwargs, the warmup ``skip``, the package version, and a digest of the
+package source (:func:`source_digest`).  Two specs collide iff they
+describe the same simulation under the same code — the simulator is
+seed-deterministic, so equal fingerprints imply equal results, and an
+edited source tree never reads entries written by older code.
 
 Canonicalization rules:
 
@@ -25,9 +26,11 @@ Canonicalization rules:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "fleet_fingerprint",
     "fleet_key_payload",
     "engine_env_payload",
+    "source_digest",
     "ENGINE_ENV_VARS",
 ]
 
@@ -58,6 +62,24 @@ ENGINE_ENV_VARS = (NO_FASTFORWARD_ENV,)
 def engine_env_payload() -> dict[str, bool]:
     """The engine-relevant environment as a stable payload fragment."""
     return {name: bool(os.environ.get(name)) for name in ENGINE_ENV_VARS}
+
+
+@functools.cache
+def source_digest() -> str:
+    """Hex SHA-256 over every ``.py`` file of the installed package.
+
+    Each file contributes its package-relative path and its bytes, in
+    sorted path order.  Computed on the first cache key a process builds
+    and reused after that, so uncached runs never read the tree.
+    """
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def _type_tag(obj: Any) -> str:
@@ -122,6 +144,7 @@ def key_payload(spec: RunSpec) -> dict[str, Any]:
     """The full canonical identity of ``spec`` (pre-hash, for debugging)."""
     return {
         "version": repro.__version__,
+        "source": source_digest(),
         "env": engine_env_payload(),
         "config": canonical(spec.config),
         "strategy": spec.strategy,
@@ -144,6 +167,7 @@ def fleet_key_payload(spec: Any) -> dict[str, Any]:
     return {
         "kind": "fleet",
         "version": repro.__version__,
+        "source": source_digest(),
         "env": engine_env_payload(),
         "spec": canonical(spec),
     }

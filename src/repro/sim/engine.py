@@ -66,7 +66,7 @@ import heapq
 from math import inf
 from typing import Any, Callable
 
-from repro.errors import SimulationError
+from repro.errors import EventBudgetExhausted, SimulationError
 from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = ["Event", "Engine"]
@@ -414,7 +414,7 @@ class Engine:
                             break
                         if budget == 0:
                             pos -= 1
-                            raise SimulationError(
+                            raise EventBudgetExhausted(
                                 f"event budget exhausted at t={self._now:.6f} "
                                 f"({self._events_processed} events fired); "
                                 "the simulation is likely livelocked"

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan, WorkerCrash
 from repro.fleet import FleetSimulator, FleetSpec, build_fleet_jobs, run_fleet
 from repro.fleet.job import FleetJob
@@ -157,3 +157,21 @@ class TestDeterminism:
         fifo = run_fleet(dataclasses.replace(spec, policy="fifo"))
         fair = run_fleet(dataclasses.replace(spec, policy="fair"))
         assert fifo.records == fair.records
+
+
+class TestEventBudget:
+    def test_budget_grows_with_jobs_placed_mid_pump(self):
+        # `repro fleet --n-jobs 16 --iterations 40 --workers 4`: every job
+        # is placed inside the first engine pump, whose limit was the
+        # 200k-event floor in force before any job existed.
+        result = run_fleet(FleetSpec(n_jobs=16, n_iterations=40, n_workers=4))
+        assert len(result.records) == 16
+        assert result.events_processed > 200_000
+
+    def test_explicit_budget_still_bounds_the_fleet(self):
+        simulator = FleetSimulator(
+            build_fleet_jobs(_spec()),
+            core_bandwidth=8 * Gbps, n_hosts=2, slots_per_host=2,
+        )
+        with pytest.raises(SimulationError, match="fleet exceeded its event budget"):
+            simulator.run(max_events=1_000)

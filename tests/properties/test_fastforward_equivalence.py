@@ -5,7 +5,9 @@ engaged fast-forward run is **bit-identical** to the unrolled run — not
 statistically close, identical.  These tests pit the two paths against
 each other across seeds, scheduling strategies, and all four backends
 (single-PS star, sharded PS tier, ring allreduce, hierarchical
-allreduce) and compare every observable artifact: the end time, every
+allreduce), plus a star with a straggling worker whose BSP pulls wait
+at the PS across iteration boundaries, and compare every observable
+artifact: the end time, every
 iteration row, every GPU interval, every gradient record, every link
 transfer record and byte counter, and the derived summary metrics.
 
@@ -20,10 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.trainer import run_training
+from repro.sim.fastforward import FastForwardDetector
 from repro.workloads.presets import EXTENDED_FACTORIES, paper_config
 
 STRATEGIES = ("mxnet-fifo", "p3", "prophet", "mg-wfbp")
-BACKENDS = ("star", "sharded", "ring", "hierarchical")
+#: ``straggler`` is the star with worker 1 computing 1.5x slower, so the
+#: fast worker's pushes leave BSP pulls waiting at the PS across
+#: iteration boundaries.
+BACKENDS = ("star", "sharded", "ring", "hierarchical", "straggler")
 
 QUANTUM = 2.0**-24
 
@@ -71,6 +77,8 @@ def ff_config(backend: str, strategy: str, seed: int, *, fastforward: bool):
         overrides.update(
             backend="allreduce", collective="hierarchical", collective_group_size=2
         )
+    elif backend == "straggler":
+        overrides["worker_compute_scale"] = {1: 1.5}
     config = paper_config(
         "resnet18",
         32,
@@ -110,3 +118,23 @@ def test_fastforward_engages_on_every_backend():
         assert stats["period"] >= 1
         assert stats["iterations_skipped"] == stats["period"] * stats["cycles_skipped"]
         assert stats["iterations_skipped"] >= 1, (backend, stats)
+
+
+def test_fastforward_translates_waiting_bsp_pulls(monkeypatch):
+    """P3 on the straggler star engages with a BSP pull still waiting at
+    the PS, so the PS's waiting heaps are fingerprinted and shifted —
+    and the result stays bit-identical to the unrolled run."""
+    waiting = []
+    engage = FastForwardDetector._engage
+
+    def spy(self, k, now):
+        waiting.append(sum(ps.pending_pulls for ps in self._servers))
+        return engage(self, k, now)
+
+    monkeypatch.setattr(FastForwardDetector, "_engage", spy)
+    factory = EXTENDED_FACTORIES["p3"]
+    fast = run_training(ff_config("straggler", "p3", 0, fastforward=True), factory)
+    slow = run_training(ff_config("straggler", "p3", 0, fastforward=False), factory)
+    assert fast.fastforward_stats["engaged"]
+    assert waiting and waiting[0] > 0
+    assert canon_result(fast) == canon_result(slow)

@@ -8,6 +8,8 @@ the package itself exist there.
 
 from __future__ import annotations
 
+from importlib import import_module
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -16,6 +18,8 @@ from repro.quantities import Gbps
 from repro.runner import ResultCache, RunSpec, fingerprint, resolve_jobs, run_grid
 from repro.runner.executor import JOBS_ENV
 from repro.workloads.presets import paper_config
+
+fingerprint_module = import_module("repro.runner.fingerprint")
 
 
 def _config(seed: int = 0, **overrides):
@@ -65,7 +69,23 @@ def test_cache_hit_returns_identical_result(tmp_path):
     assert warm == cold
 
 
-def test_cache_false_bypasses_store(tmp_path):
+def test_changed_source_digest_misses_the_cache(tmp_path, monkeypatch):
+    spec = RunSpec(config=_config(), strategy="mxnet-fifo")
+    store = ResultCache(tmp_path)
+    run_grid([spec], cache=store)
+    run_grid([spec], cache=store)
+    assert (store.hits, store.misses) == (1, 1)
+
+    monkeypatch.setattr(fingerprint_module, "source_digest", lambda: "edited")
+    run_grid([spec], cache=store)
+    assert (store.hits, store.misses) == (1, 2)
+
+
+def test_cache_false_bypasses_store(tmp_path, monkeypatch):
+    def unexpected():
+        raise AssertionError("uncached runs must not digest the source")
+
+    monkeypatch.setattr(fingerprint_module, "source_digest", unexpected)
     spec = RunSpec(config=_config(), strategy="mxnet-fifo")
     run_grid([spec], cache=False, cache_dir=tmp_path)
     assert not list(tmp_path.rglob("*.json"))

@@ -9,6 +9,7 @@ corresponds to a real staleness bug the cache would otherwise serve.
 from __future__ import annotations
 
 from dataclasses import replace
+from importlib import import_module
 
 import pytest
 
@@ -18,6 +19,9 @@ from repro.net.link import BandwidthSchedule
 from repro.quantities import Gbps, MB
 from repro.runner import RunSpec, canonical, fingerprint
 from repro.workloads.presets import paper_config
+
+# ``repro.runner.fingerprint`` the attribute is the function; this is the module.
+fingerprint_module = import_module("repro.runner.fingerprint")
 
 
 @pytest.fixture
@@ -90,6 +94,21 @@ def test_version_invalidates(spec, monkeypatch):
     fp = fingerprint(spec)
     monkeypatch.setattr(repro, "__version__", "0.0.0-test")
     assert fingerprint(spec) != fp
+
+
+def test_source_digest_tracks_every_source_file(tmp_path, monkeypatch):
+    import repro
+
+    pkg = tmp_path / "repro"
+    (pkg / "sim").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("x = 1\n")
+    (pkg / "sim" / "engine.py").write_text("y = 2\n")
+    monkeypatch.setattr(repro, "__file__", str(pkg / "__init__.py"))
+    digest = fingerprint_module.source_digest.__wrapped__  # bypass the memo
+    before = digest()
+    assert digest() == before
+    (pkg / "sim" / "engine.py").write_text("y = 3\n")
+    assert digest() != before
 
 
 def test_bandwidth_schedule_fingerprints(spec):
