@@ -9,11 +9,21 @@ every sync mode, honor P3-style slicing, and label per-shard trace rows.
 
 from dataclasses import replace
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from repro.cluster.trainer import run_training
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.faults.plan import (
+    FaultPlan,
+    LinkFlap,
+    MessageDrops,
+    PSStall,
+    ServerCrash,
+    WorkerCrash,
+)
 from repro.quantities import Gbps
 from repro.workloads.presets import EXTENDED_FACTORIES, paper_config
 
@@ -51,6 +61,131 @@ def test_single_shard_matches_fig8_scalars(workload):
         rate_single = run_training(config, factory).training_rate()
         rate_sharded = run_training(config, factory, force_sharded=True).training_rate()
         assert rate_single == rate_sharded
+
+
+_times = st.floats(0.05, 2.5)
+
+
+@st.composite
+def _fault_plans(draw):
+    """A non-empty plan over every fault kind the star accepts."""
+    plan = FaultPlan(
+        crashes=draw(
+            st.lists(
+                st.builds(
+                    WorkerCrash,
+                    worker=st.integers(0, 1),
+                    at=_times,
+                    restart_after=st.floats(0.01, 0.5),
+                ),
+                max_size=2,
+                unique_by=lambda c: c.worker,
+            )
+        ),
+        flaps=draw(
+            st.lists(
+                st.builds(
+                    LinkFlap,
+                    start=_times,
+                    duration=st.floats(0.01, 0.5),
+                    factor=st.floats(0.05, 1.0),
+                    worker=st.sampled_from([None, 0, 1]),
+                ),
+                max_size=2,
+            )
+        ),
+        drops=draw(
+            st.lists(
+                st.builds(
+                    MessageDrops,
+                    push=st.floats(0.0, 0.2),
+                    pull=st.floats(0.0, 0.2),
+                    ack=st.floats(0.0, 0.2),
+                    worker=st.sampled_from([None, 0, 1]),
+                ),
+                max_size=1,
+            )
+        ),
+        ps_stalls=draw(
+            st.lists(
+                st.builds(
+                    PSStall,
+                    at=_times,
+                    duration=st.floats(0.01, 0.3),
+                    server=st.sampled_from([None, 0]),
+                ),
+                max_size=1,
+            )
+        ),
+        server_crashes=draw(
+            st.lists(
+                st.builds(
+                    ServerCrash,
+                    server=st.just(0),
+                    at=_times,
+                    failover_after=st.floats(0.01, 0.3),
+                ),
+                max_size=1,
+            )
+        ),
+    )
+    if plan.is_empty:
+        plan = replace(plan, drops=(MessageDrops(push=0.05),))
+    return plan
+
+
+def _uplink_records(result, n_workers):
+    return [
+        [(r.start, r.end, r.nbytes, r.tag) for r in result.topology.uplink(w).records]
+        for w in range(n_workers)
+    ]
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    jitter=st.sampled_from([0.0, 0.01, 0.05]),
+    strategy=st.sampled_from(tuple(EXTENDED_FACTORIES)),
+    duplex=st.booleans(),
+    sync_mode=st.sampled_from(["bsp", "asp", "ssp"]),
+    plan=st.none() | _fault_plans(),
+)
+def test_single_shard_faults_bit_identical_to_star(
+    tiny_config, seed, jitter, strategy, duplex, sync_mode, plan
+):
+    config = replace(
+        tiny_config,
+        seed=seed,
+        jitter_std=jitter,
+        n_iterations=4,
+        duplex=duplex,
+        sync_mode=sync_mode,
+        faults=plan,
+    )
+    factory = EXTENDED_FACTORIES[strategy]
+    try:
+        single = run_training(config, factory)
+    except SimulationError as exc:
+        # Some shapes wedge (duplex + credit flow control after a lost
+        # push); the one-shard build must fail the same way.
+        with pytest.raises(SimulationError) as info:
+            run_training(config, factory, force_sharded=True)
+        assert str(info.value) == str(exc)
+        return
+    sharded = run_training(config, factory, force_sharded=True)
+    for w in range(config.n_workers):
+        assert [r.fwd_start for r in single.recorder.worker_iterations(w)] == [
+            r.fwd_start for r in sharded.recorder.worker_iterations(w)
+        ]
+    assert single.end_time == sharded.end_time
+    assert single.fault_stats == sharded.fault_stats
+    assert _uplink_records(single, config.n_workers) == _uplink_records(
+        sharded, config.n_workers
+    )
 
 
 # ----------------------------------------------------------------------
