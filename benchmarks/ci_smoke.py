@@ -31,7 +31,10 @@ The multi-tenant fleet scalars live in ``--suite fleet`` (the
 fleet-smoke CI job): a mixed-strategy 6-job fleet on an oversubscribed
 shared core gates its goodput, p99 iteration time, Jain fairness, and
 mean queueing delay deterministically, plus a ``fleet.jobs_per_s``
-timing floor for end-to-end fleet throughput.
+timing floor for end-to-end fleet throughput.  The same suite runs the
+256-job mixed-strategy fleet at the scale the fleet simulator claims, on
+``run_fleet``'s default event budget, and gates its makespan, goodput,
+and Jain fairness (``fleet256.*``).
 
 Timing floors can be loosened per-runner via the ``REPRO_TIMING_SLACK``
 environment variable (default ``1.0``): the effective floor is
@@ -119,6 +122,12 @@ CHAOS_COLLECTIVE_WORKERS = 4
 FLEET_SMOKE_JOBS = 6
 FLEET_SMOKE_ITERATIONS = 3
 
+#: The 256-job mixed-strategy fleet (fair share, ``FleetSpec`` defaults
+#: otherwise).  It runs past the first 200,000 events, so it only
+#: completes while the event budget grows with the jobs spawned.
+FLEET256_JOBS = 256
+FLEET256_KEYS = ("makespan_s", "goodput_samples_per_s", "jain_fairness")
+
 #: PS aggregation microbenchmark (``ps.pushes_per_s``): 16 workers push
 #: every gradient in slices under BSP, with the last worker one gradient
 #: behind the rest — each of its pushes releases one slice's 16 pulls
@@ -194,7 +203,7 @@ def _fleet_smoke_spec():
 
 def _measure_fleet() -> tuple[dict[str, float], dict[str, float]]:
     """Multi-tenant fleet scalars: deterministic metrics + fleet timing."""
-    from repro.fleet import run_fleet
+    from repro.fleet import FleetSpec, run_fleet
 
     spec = _fleet_smoke_spec()
     durations = []
@@ -210,6 +219,15 @@ def _measure_fleet() -> tuple[dict[str, float], dict[str, float]]:
         "fleet.mean_queueing_delay_s": summary["mean_queueing_delay_s"],
     }
     timing = {"fleet.jobs_per_s": FLEET_SMOKE_JOBS / min(durations[1:])}
+    big = run_fleet(
+        FleetSpec(
+            n_jobs=FLEET256_JOBS,
+            policy="fair",
+            strategies=("prophet", "mxnet-fifo", "mg-wfbp"),
+        )
+    ).summary()
+    for key in FLEET256_KEYS:
+        deterministic[f"fleet256.{key}"] = big[key]
     return deterministic, timing
 
 

@@ -14,10 +14,9 @@ single :class:`~repro.sched.base.CommScheduler` instance for the job and
 the collective executor (the :class:`~repro.net.transport.Transport`).
 :class:`CollectiveWorker` reuses the entire compute path of
 :class:`~repro.cluster.worker.Worker` (forward gating, bucket flushes,
-iteration bookkeeping — the same inheritance trick as
-:class:`~repro.cluster.sharded.ShardedWorker`) but overrides the four
-scheduler fan-out hooks to *report* to the controller instead of driving
-a private scheduler:
+iteration bookkeeping, and the compute-state initializer) with no PS
+ports, and overrides the scheduler fan-out hooks to *report* to the
+controller instead of driving a private scheduler:
 
 * ``begin_iteration(k)`` fires on the scheduler when the **last** worker
   enters backward ``k`` (the negotiated backward start);
@@ -63,12 +62,10 @@ from typing import Callable
 import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
-from repro.cluster.messages import PullUnit
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
-from repro.models.gradients import gradient_table
 from repro.net.transport import Transport
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
@@ -457,59 +454,20 @@ class CollectiveWorker(Worker):
         on_done: Callable[[int], None] | None = None,
         faults=None,
     ):
-        # Deliberately does NOT call Worker.__init__ (same pattern as
-        # ShardedWorker): the base constructor wires a private channel,
-        # scheduler and PS, none of which exist here.  Only the compute-
-        # path state the inherited methods read is set up.
-        self.engine = engine
-        self.worker_id = worker_id
-        self._quantum = engine._quantum
-        self._inv_quantum = engine._inv_quantum
-        self.compute = compute
-        self.gen_schedule = gen_schedule
+        self._init_compute(
+            engine,
+            worker_id,
+            compute,
+            gen_schedule,
+            recorder,
+            n_iterations,
+            jitter_rng,
+            jitter_std,
+            compute_scale,
+            on_done,
+            faults,
+        )
         self.controller = controller
-        self.recorder = recorder
-        self.n_iterations = n_iterations
-        self._jitter_rng = jitter_rng
-        self._jitter_std = jitter_std
-        self._compute_scale = compute_scale
-        self._on_done = on_done
-
-        grads = gradient_table(compute.model)
-        self._n_grads = len(grads)
-        self._layer_of = [g.layer_index for g in grads]
-        self._layer_tensor_counts = [0] * len(compute.model.layers)
-        for g in grads:
-            self._layer_tensor_counts[g.layer_index] += 1
-        self._total_tensor_count = sum(self._layer_tensor_counts)
-        self._sizes = [float(s) for s in gen_schedule.sizes]
-
-        self._iter = -1
-        self._comm_iter = -1
-        self._factor = 1.0
-        self._fwd_layer = 0
-        self._fwd_chunk_pending = False
-        self._fwd_start_times: list[float] = []
-        self._layer_pending = [0] * len(self._layer_tensor_counts)
-        self._pending_updates = 0
-        self._pulled = [0.0] * self._n_grads
-        self._pushed = [0.0] * self._n_grads
-        self._ready_time: list[float | None] = [None] * self._n_grads
-        self._iter_rec = None
-        self._compute_done = False
-        self._done = False
-        # ``None`` keeps the inherited ``_schedule_at``/``_schedule_after``
-        # on the ``is None`` fast path; with an injector wired the
-        # compute-event guards enable crash suspension.
-        self._faults = faults
-        self._suspended = False
-        self._deferred: list = []
-
-        # Base-class aliases for shared helpers and debuggers.
-        self.scheduler = controller.scheduler
-        self.channel = None
-        self.downlink = None
-        self.ps = None
 
     # ------------------------------------------------------------------
     # Scheduler fan-out hooks (see Worker): report to the controller
@@ -526,10 +484,6 @@ class CollectiveWorker(Worker):
     def _pump_all(self) -> None:
         self.controller.pump()
 
-    def _clear_pull_attempts(self) -> None:
-        """No per-pull retry state: collective ops carry pushes and pulls
-        in one operation, retried at the chunk level by the executor."""
-
     # ------------------------------------------------------------------
     # Operation-completion credit (called by the controller)
     # ------------------------------------------------------------------
@@ -541,46 +495,18 @@ class CollectiveWorker(Worker):
                 f"worker {self.worker_id} credited for iteration {iteration} "
                 f"while communicating iteration {self._comm_iter}"
             )
-        forward_was_blocked = (
-            self._fwd_layer < len(self.compute.fwd_times)
-            and not self._fwd_chunk_pending
-        )
+        forward_was_blocked = self._forward_blocked()
         for seg in unit.segments:
             self._pushed[seg.grad] += seg.nbytes
             self._pulled[seg.grad] += seg.nbytes
             if self._pulled[seg.grad] >= self._sizes[seg.grad] - _TOL:
                 self.recorder.mark_push_end(self.worker_id, iteration, seg.grad, now)
-                self.recorder.mark_pull_end(self.worker_id, iteration, seg.grad, now)
-                layer = self._layer_of[seg.grad]
-                self._layer_pending[layer] -= 1
-                self._pending_updates -= 1
-                if self._layer_pending[layer] < 0:
-                    raise SimulationError(
-                        f"worker {self.worker_id}: layer {layer} over-updated"
-                    )
-        if forward_was_blocked and self._iter == self._comm_iter + 1:
-            self._advance_forward()
-        self._check_done()
+                self._tensor_updated(seg.grad, iteration, now)
+        self._updates_applied(forward_was_blocked)
 
     # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
+    # Fault handling: a crashed rank leaves the ring for good
     # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        # No private pull queue: the controller snapshots the shared
-        # communication state, only the compute pipeline lives here.
-        return self._ff_compute_state(ctx)
-
-    def ff_shift(self, shift) -> None:
-        self._ff_shift_compute(shift)
-
-    # ------------------------------------------------------------------
-    # Entry points that must not be reached in collective mode
-    # ------------------------------------------------------------------
-    def enqueue_pull(self, pull: PullUnit) -> None:  # pragma: no cover
-        raise SimulationError(
-            "CollectiveWorker has no parameter server to pull from"
-        )
-
     def crash(self) -> None:
         """A crashed rank leaves the collective permanently.
 

@@ -156,7 +156,8 @@ class ParameterServer:
         self._down = False
 
     def attach_workers(self, workers: list) -> None:
-        """Late-bind the worker objects (they need the PS at construction)."""
+        """Late-bind each worker's port towards this PS (ports need the PS
+        at construction)."""
         if len(workers) != self.n_workers:
             raise SimulationError(
                 f"expected {self.n_workers} workers, got {len(workers)}"

@@ -21,7 +21,6 @@ from repro.cluster.collective import (
 )
 from repro.cluster.ps import ParameterServer
 from repro.cluster.result import TrainingResult
-from repro.cluster.sharded import ShardedWorker
 from repro.cluster.sharding import (
     assign_shards,
     restrict_generation_schedule,
@@ -53,11 +52,6 @@ __all__ = ["Trainer", "run_training"]
 class Trainer:
     """One simulated training run.
 
-    ``force_sharded`` routes even an ``n_servers=1`` config through the
-    sharded build path (one shard).  It exists for equivalence testing —
-    the sharded machinery with a single shard must reproduce the
-    single-PS results — and is not part of the public configuration.
-
     ``engine`` attaches the trainer to an externally owned engine instead
     of creating its own — the fleet simulator places many jobs on one
     shared engine this way.  An attached trainer is *driven*, not run:
@@ -71,7 +65,6 @@ class Trainer:
         self,
         config: TrainingConfig,
         scheduler_factory: SchedulerFactory,
-        force_sharded: bool = False,
         *,
         engine: Engine | None = None,
         name: str = "",
@@ -123,10 +116,8 @@ class Trainer:
         self._done_count = 0
         if config.backend == "allreduce":
             self._build_collective(scheduler_factory)
-        elif config.n_servers > 1 or force_sharded:
-            self._build_sharded(scheduler_factory)
         else:
-            self._build_single(scheduler_factory)
+            self._build_ps(scheduler_factory)
         if config.time_quantum is not None:
             # Strategy-side durations (Prophet's flush offsets) join the
             # engine's delay grid, keeping iteration cycles exactly
@@ -201,105 +192,24 @@ class Trainer:
                 rng=spawn_rng(self.config.seed, "faults"),
             )
 
-    def _build_single(self, scheduler_factory: SchedulerFactory) -> None:
-        """The paper's topology: one PS, one duplex channel per worker."""
-        config = self.config
-        self.topology = StarTopology(
-            self.engine,
-            n_workers=config.n_workers,
-            bandwidth=config.bandwidth,
-            tcp=config.tcp,
-            worker_bandwidth=config.worker_bandwidth,
-            ps_bandwidth=config.ps_bandwidth,
-            seed=config.seed,
-            noise_std=config.bandwidth_noise_std,
-        )
-        self._make_injector()
-        self.ps = ParameterServer(
-            self.engine,
-            n_workers=config.n_workers,
-            sizes=self.gen_schedule.sizes,
-            update_fixed=config.ps_update_fixed,
-            update_per_byte=config.ps_update_per_byte,
-            sync_mode=config.sync_mode,
-            staleness=config.ssp_staleness,
-            faults=self.injector,
-        )
-        self.servers = [self.ps]
+    def _build_ps(self, scheduler_factory: SchedulerFactory) -> None:
+        """The PS tier: the paper's star (``n_servers=1``) or the
+        BytePS-style tier of ``n_servers`` key-sharded PSs.
 
-        compute_scale = dict(config.worker_compute_scale or {})
-        for w in range(config.n_workers):
-            channel = self.topology.uplink(w)
-            monitor = BandwidthMonitor(
-                self.engine, channel, interval=config.monitor_interval
-            )
-            self.monitors.append(monitor)
-            # Each worker's oracle profile reflects *its own* compute pace
-            # (the real profiler runs per worker) — a compute straggler's
-            # generation times are proportionally later.
-            scale = compute_scale.get(w, 1.0)
-            worker_profile = (
-                self.oracle_profile
-                if scale == 1.0
-                else JobProfile(
-                    c=self.oracle_profile.c * scale,
-                    sizes=self.oracle_profile.sizes,
-                    iterations=0,
-                )
-            )
-            ctx = WorkerContext(
-                worker_id=w,
-                monitor=monitor,
-                oracle_profile=worker_profile,
-                tcp=config.tcp,
-                rng=spawn_rng(config.seed, "sched", w),
-                engine=self.engine,
-            )
-            scheduler = scheduler_factory(ctx)
-            self.schedulers.append(scheduler)
-            worker = Worker(
-                engine=self.engine,
-                worker_id=w,
-                compute=self.compute,
-                gen_schedule=self.gen_schedule,
-                scheduler=scheduler,
-                channel=channel,
-                downlink=self.topology.downlink(w) if config.duplex else None,
-                ps=self.ps,
-                recorder=self.recorder,
-                n_iterations=config.n_iterations,
-                jitter_rng=spawn_rng(config.seed, "jitter", w),
-                jitter_std=config.jitter_std,
-                compute_scale=compute_scale.get(w, 1.0),
-                on_done=self._worker_done,
-                stall_timeout=config.sched.stall_timeout,
-                faults=self.injector,
-            )
-            self.workers.append(worker)
-        self.ps.attach_workers(self.workers)
-        if self.injector is not None:
-            self.injector.install(
-                self.workers,
-                {w: self.topology.uplink(w) for w in range(config.n_workers)},
-                servers=self.servers,
-            )
-
-    # ------------------------------------------------------------------
-    def _build_sharded(self, scheduler_factory: SchedulerFactory) -> None:
-        """The BytePS-style tier: ``n_servers`` key-sharded PSs.
-
-        Per worker and shard: a dedicated duplex link pair, a bandwidth
-        monitor on the shard uplink, and an independent scheduler instance
-        over the shard's locally re-indexed generation schedule (its own
-        RNG stream, ``("sched", worker, shard)``).  Each shard PS holds
-        the shard's piece sizes and attaches the workers' shard ports.
+        Per worker and server: a dedicated duplex link pair, a bandwidth
+        monitor on the uplink, and an independent scheduler instance over
+        the server's locally re-indexed generation schedule (its own RNG
+        stream, ``("sched", worker, shard)``).  Each PS holds its shard's
+        piece sizes and attaches the workers' ports.  The star is the
+        one-port case with its own identity: PS ``ps``, RNG stream
+        ``("sched", worker)``, the worker's undivided gradients (slicing
+        only applies to a sharded tier), and worker-level trace tracks.
         """
         config = self.config
         n_shards = config.n_servers
-        self.topology = ShardedTopology(
-            self.engine,
+        star = n_shards == 1
+        links = dict(
             n_workers=config.n_workers,
-            n_servers=n_shards,
             bandwidth=config.bandwidth,
             tcp=config.tcp,
             worker_bandwidth=config.worker_bandwidth,
@@ -307,73 +217,79 @@ class Trainer:
             seed=config.seed,
             noise_std=config.bandwidth_noise_std,
         )
+        if star:
+            self.topology = StarTopology(self.engine, **links)
+            self.assignment = assign_shards(self.gen_schedule.sizes, 1)
+            templates = [self.gen_schedule]
+            profiles = [self.oracle_profile]
+        else:
+            self.topology = ShardedTopology(self.engine, n_servers=n_shards, **links)
+            self.assignment = assign_shards(
+                self.gen_schedule.sizes, n_shards, config.shard_slice_bytes
+            )
+            templates = [
+                restrict_generation_schedule(self.gen_schedule, self.assignment, s)
+                for s in range(n_shards)
+            ]
+            profiles = [JobProfile.from_generation_schedule(t) for t in templates]
         self._make_injector()
-        self.assignment = assign_shards(
-            self.gen_schedule.sizes, n_shards, config.shard_slice_bytes
-        )
-        shard_templates = [
-            restrict_generation_schedule(self.gen_schedule, self.assignment, s)
-            for s in range(n_shards)
-        ]
         self.servers = [
             ParameterServer(
                 self.engine,
                 n_workers=config.n_workers,
-                sizes=shard_templates[s].sizes,
+                sizes=templates[s].sizes,
                 update_fixed=config.ps_update_fixed,
                 update_per_byte=config.ps_update_per_byte,
                 sync_mode=config.sync_mode,
                 staleness=config.ssp_staleness,
                 faults=self.injector,
-                name=f"ps{s}",
-                server_index=s,
+                name="ps" if star else f"ps{s}",
+                server_index=None if star else s,
             )
             for s in range(n_shards)
         ]
         self.ps = self.servers[0]
-        shard_profiles = [
-            JobProfile.from_generation_schedule(t) for t in shard_templates
-        ]
 
         compute_scale = dict(config.worker_compute_scale or {})
         for w in range(config.n_workers):
+            # Each worker's oracle profile reflects *its own* compute pace
+            # (the real profiler runs per worker) — a compute straggler's
+            # generation times are proportionally later.
             scale = compute_scale.get(w, 1.0)
+            uplinks = self.topology.worker_uplinks(w)
             schedulers: list = []
             for s in range(n_shards):
                 monitor = BandwidthMonitor(
-                    self.engine,
-                    self.topology.uplink(w, s),
-                    interval=config.monitor_interval,
+                    self.engine, uplinks[s], interval=config.monitor_interval
                 )
                 self.monitors.append(monitor)
-                profile = shard_profiles[s]
+                profile = profiles[s]
                 if scale != 1.0:
                     profile = JobProfile(
                         c=profile.c * scale, sizes=profile.sizes, iterations=0
                     )
+                stream = ("sched", w) if star else ("sched", w, s)
                 ctx = WorkerContext(
                     worker_id=w,
                     monitor=monitor,
                     oracle_profile=profile,
                     tcp=config.tcp,
-                    rng=spawn_rng(config.seed, "sched", w, s),
+                    rng=spawn_rng(config.seed, *stream),
                     engine=self.engine,
                 )
                 schedulers.append(scheduler_factory(ctx))
             self.schedulers.extend(schedulers)
-            worker = ShardedWorker(
+            worker = Worker(
                 engine=self.engine,
                 worker_id=w,
                 compute=self.compute,
                 gen_schedule=self.gen_schedule,
                 assignment=self.assignment,
-                shard_schedules=shard_templates,
+                shard_schedules=templates,
                 schedulers=schedulers,
-                channels=[self.topology.uplink(w, s) for s in range(n_shards)],
+                channels=uplinks,
                 downlinks=(
-                    [self.topology.downlink(w, s) for s in range(n_shards)]
-                    if config.duplex
-                    else None
+                    self.topology.worker_downlinks(w) if config.duplex else None
                 ),
                 servers=self.servers,
                 recorder=self.recorder,
@@ -386,17 +302,15 @@ class Trainer:
                 faults=self.injector,
             )
             self.workers.append(worker)
-        for s in range(n_shards):
-            self.servers[s].attach_workers(
-                [worker.port(s) for worker in self.workers]
-            )
+        for s, ps in enumerate(self.servers):
+            ps.attach_workers([worker.port(s) for worker in self.workers])
         if self.injector is not None:
-            # A flapped worker degrades on every shard uplink at once (its
-            # NIC, not one flow, is what the fault models).
+            # A flapped worker degrades on every uplink at once (its NIC,
+            # not one flow, is what the fault models).
             self.injector.install(
                 self.workers,
                 {
-                    w: [self.topology.uplink(w, s) for s in range(n_shards)]
+                    w: self.topology.worker_uplinks(w)
                     for w in range(config.n_workers)
                 },
                 servers=self.servers,
@@ -593,9 +507,7 @@ class Trainer:
 
 
 def run_training(
-    config: TrainingConfig,
-    scheduler_factory: SchedulerFactory,
-    force_sharded: bool = False,
+    config: TrainingConfig, scheduler_factory: SchedulerFactory
 ) -> TrainingResult:
     """Convenience one-shot: build a :class:`Trainer` and run it."""
-    return Trainer(config, scheduler_factory, force_sharded=force_sharded).run()
+    return Trainer(config, scheduler_factory).run()

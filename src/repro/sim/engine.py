@@ -232,8 +232,9 @@ class Engine:
         #: Set by the fleet simulator when several jobs share this engine.
         #: Whole-engine transformations (steady-state fast-forward shifts
         #: every queued event) are unsound with co-tenants, so eligibility
-        #: checks consult this flag; per-job components namespace their
-        #: trace tracks and event tags themselves.
+        #: checks consult this flag.  Jobs do not namespace their trace
+        #: tracks or transfer tags: in a traced fleet every job writes to
+        #: the same ``worker0/comm``, ``ps`` and link tracks.
         self.multi_tenant = False
 
     @property
