@@ -90,15 +90,16 @@ class ShardAssignment:
         return tuple(tuple(bucket) for bucket in buckets)
 
     @cached_property
-    def _by_grad(self) -> dict[int, tuple[ShardPiece, ...]]:
-        out: dict[int, list[ShardPiece]] = {}
+    def by_grad(self) -> tuple[tuple[ShardPiece, ...], ...]:
+        """Pieces of each gradient, in slice order, indexed by gradient."""
+        out: list[list[ShardPiece]] = [[] for _ in range(self.pieces[-1].grad + 1)]
         for piece in self.pieces:
-            out.setdefault(piece.grad, []).append(piece)
-        return {g: tuple(ps) for g, ps in out.items()}
+            out[piece.grad].append(piece)
+        return tuple(tuple(ps) for ps in out)
 
     def pieces_of(self, grad: int) -> tuple[ShardPiece, ...]:
         """All pieces of one gradient, in slice order."""
-        return self._by_grad[grad]
+        return self.by_grad[grad]
 
     @cached_property
     def loads(self) -> tuple[float, ...]:

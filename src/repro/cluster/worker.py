@@ -747,14 +747,8 @@ class Worker:
             )
             for s in range(n_shards)
         ]
-        # Global gradient -> ((scheduler, local index), ...) of its pieces.
-        self._ready_targets = [
-            tuple(
-                (self._ports[p.shard].scheduler, p.local)
-                for p in assignment.pieces_of(grad)
-            )
-            for grad in range(self._n_grads)
-        ]
+        #: Global gradient -> its pieces (shared by every worker).
+        self._grad_pieces = assignment.by_grad
 
     def _init_compute(
         self,
@@ -855,8 +849,8 @@ class Worker:
             port.scheduler.end_iteration(iteration, span, now)
 
     def _sched_gradient_ready(self, grad: int, now: float) -> None:
-        for scheduler, local in self._ready_targets[grad]:
-            scheduler.gradient_ready(local, now)
+        for piece in self._grad_pieces[grad]:
+            self._ports[piece.shard].scheduler.gradient_ready(piece.local, now)
 
     def _pump_all(self) -> None:
         for port in self._ports:
