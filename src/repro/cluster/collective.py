@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
-from repro.cluster.worker import Worker
+from repro.cluster.worker import StallProbe, Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
@@ -107,7 +107,7 @@ class EffectiveBandwidthView:
         return self._monitor.sample_age()
 
 
-class CollectiveController:
+class CollectiveController(StallProbe):
     """Coordinator: negotiates worker readiness, drives the one scheduler.
 
     The controller is the collective analogue of the worker's channel
@@ -135,6 +135,7 @@ class CollectiveController:
         self.workers: list[CollectiveWorker] = []
         self._stall_timeout = stall_timeout
         self._stall_timer = None
+        self._comm_track = "collective/comm"
         self._iteration = -1
         self._begin_count = 0
         self._end_count = 0
@@ -328,32 +329,11 @@ class CollectiveController:
     def _all_done(self) -> bool:
         return bool(self.workers) and all(w.done for w in self.workers)
 
-    def _arm_stall_timer(self) -> None:
-        if self._stall_timer is not None and self._stall_timer.alive:
-            return
-        self._stall_timer = self.engine.schedule_after(
-            self._stall_timeout, self._stall_check
-        )
-
-    def _stall_check(self) -> None:
-        self._stall_timer = None
-        if (
-            self._all_done()
-            or self.executor.busy
-            or self.scheduler.pending_bytes <= 0
-        ):
-            return
-        trace = self.engine.trace
-        if trace.enabled:
-            trace.instant(
-                "stall.probe",
-                "sched",
-                self.engine.now,
-                "collective/comm",
-                {"pending_bytes": self.scheduler.pending_bytes},
-            )
-        self.scheduler.grant_probe(self.engine.now)
+    def _pump(self) -> None:
         self.pump()
+
+    def _stall_blocked(self) -> bool:
+        return self._all_done() or self.executor.busy
 
     def _send_unit(self, unit: TransferUnit, now: float) -> None:
         self.scheduler.commit_unit(unit, now)
@@ -420,7 +400,7 @@ class CollectiveController:
                 "comm",
                 start,
                 now,
-                "collective/comm",
+                self._comm_track,
                 desc if desc is not None else {},
             )
         self.scheduler.unit_sent(unit, now)

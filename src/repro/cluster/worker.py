@@ -79,12 +79,51 @@ from repro.net.transport import LinkTransport
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
-__all__ = ["Worker", "PSPort"]
+__all__ = ["Worker", "PSPort", "StallProbe"]
 
 _TOL = 1e-9
 
 
-class PSPort:
+class StallProbe:
+    """The stall-probe escape hatch of a channel pump, shared by the PS
+    ports and the collective controller.
+
+    Window-based flow control can leave a channel idle with unsent
+    gradients and nothing to receive, with every BSP peer waiting on the
+    others.  An idle pump arms a timer; if the channel is still idle when
+    it fires, the scheduler is granted a probe
+    (:meth:`~repro.sched.base.CommScheduler.grant_probe`) and the pump
+    retries.  Hosts provide ``engine``, ``scheduler``,
+    ``_stall_timeout``, ``_stall_timer``, ``_comm_track``, ``_pump`` and
+    ``_stall_blocked``.
+    """
+
+    def _arm_stall_timer(self) -> None:
+        if self._stall_timer is not None and self._stall_timer.alive:
+            return
+        self._stall_timer = self.engine.schedule_after(
+            self._stall_timeout, self._stall_check
+        )
+
+    def _stall_check(self) -> None:
+        self._stall_timer = None
+        if self._stall_blocked() or self.scheduler.pending_bytes <= 0:
+            return
+        now = self.engine.now
+        trace = self.engine.trace
+        if trace.enabled:
+            trace.instant(
+                "stall.probe",
+                "sched",
+                now,
+                self._comm_track,
+                {"pending_bytes": self.scheduler.pending_bytes},
+            )
+        self.scheduler.grant_probe(now)
+        self._pump()
+
+
+class PSPort(StallProbe):
     """Communication agent of one worker towards one parameter server.
 
     Owns the channel logic: shared-channel arbitration between the
@@ -130,6 +169,7 @@ class PSPort:
         self._grad_of = [p.grad for p in pieces]
         prefix = f"worker{worker.worker_id}"
         self._track = prefix if shard is None else f"{prefix}/s{shard}"
+        self._comm_track = f"{self._track}/comm"
         # Heap of (key, pull, arrival).  The key replicates a linear
         # ``min``/stable-``sorted`` selection exactly: priority order with
         # arrival and an insertion counter as tie-breakers, except in the
@@ -224,35 +264,13 @@ class PSPort:
             # whole BSP ring (see CommScheduler.grant_probe).
             self._arm_stall_timer()
 
-    def _arm_stall_timer(self) -> None:
-        if self._stall_timer is not None and self._stall_timer.alive:
-            return
-        self._stall_timer = self.engine.schedule_after(
-            self._stall_timeout, self._stall_check
-        )
-
-    def _stall_check(self) -> None:
-        self._stall_timer = None
-        if (
+    def _stall_blocked(self) -> bool:
+        return (
             self.worker._done
             or self.worker._suspended
             or self.channel.busy
-            or self._pull_heap
-            or self.scheduler.pending_bytes <= 0
-        ):
-            return
-        now = self.engine.now
-        trace = self.engine.trace
-        if trace.enabled:
-            trace.instant(
-                "stall.probe",
-                "sched",
-                now,
-                f"{self._track}/comm",
-                {"pending_bytes": self.scheduler.pending_bytes},
-            )
-        self.scheduler.grant_probe(now)
-        self._pump()
+            or bool(self._pull_heap)
+        )
 
     def _pump_downlink(self) -> None:
         """Duplex ablation: pulls on their own link, by priority."""
@@ -359,7 +377,7 @@ class PSPort:
                 "comm",
                 start,
                 now,
-                f"{self._track}/comm",
+                self._comm_track,
                 args,
             )
         worker._updates_applied(forward_was_blocked)
@@ -468,7 +486,7 @@ class PSPort:
                 "comm",
                 start,
                 now,
-                f"{self._track}/comm",
+                self._comm_track,
                 desc if desc is not None else {},
             )
         self.scheduler.unit_sent(unit, now)

@@ -54,7 +54,7 @@ from dataclasses import replace as _dc_replace
 from functools import partial
 
 from repro.cluster.collective import CollectiveController
-from repro.cluster.worker import PSPort, Worker
+from repro.cluster.worker import PSPort, StallProbe, Worker
 from repro.metrics.timeline import GpuInterval, IterationRecord
 from repro.net.collective import _StepExecutor
 from repro.net.link import Link, TransferRecord, _drain_batch
@@ -280,8 +280,7 @@ _EVENT_CANON = {
     Worker._forward_chunk_done: _canon_fwd_chunk,
     Worker._bucket_ready: _canon_bucket_ready,
     Worker._backward_done: _canon_backward_done,
-    PSPort._stall_check: _canon_noargs,
-    CollectiveController._stall_check: _canon_noargs,
+    StallProbe._stall_check: _canon_noargs,
     PSPort.enqueue_pull: _canon_enqueue_pull,
     PSPort.enqueue_pulls: _canon_enqueue_pulls,
 }
