@@ -381,7 +381,10 @@ class PSPort(StallProbe):
                 args,
             )
         worker._updates_applied(forward_was_blocked)
-        # Link on_idle already re-pumps the channel.
+        # The link's on_idle re-pumps that link only.  A duplex downlink
+        # pull may have freed scheduler credit the uplink is waiting on.
+        if link is self.downlink:
+            self._pump()
 
     # ------------------------------------------------------------------
     # Pushes

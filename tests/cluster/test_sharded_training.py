@@ -129,6 +129,21 @@ SHAPE_PINS = {
         {"push_drops": 11, "pull_drops": 11, "ack_drops": 10, "push_retries": 21,
          "pull_retries": 11, "duplicate_pushes": 10, "crashes": 1, "restarts": 1},
     ),
+    # Recorded after the merge: a pull finishing on the duplex downlink
+    # frees ByteScheduler credit, and the port must re-pump the uplink
+    # to use it, or the lost push wedges the run at its event budget.
+    "duplex-lost-push": (
+        "bytescheduler",
+        dict(
+            seed=0,
+            n_iterations=4,
+            jitter_std=0.0,
+            duplex=True,
+            faults=FaultPlan(drops=(MessageDrops(push=0.05),)),
+        ),
+        2.6243265599999996,
+        {"push_drops": 1, "push_retries": 1},
+    ),
 }
 
 
