@@ -1,13 +1,13 @@
 """Engine hot-path micro-benchmarks (run-loop, cancellation, pending).
 
-These pin the simulator's calendar-queue optimizations:
+These pin the tombstone-heap engine's properties:
 
-* the tightened ``run()`` loop (hoisted attribute loads, no per-event
-  trace branch when tracing is off) — guarded by the chained-event
+* the ``run()`` loop (hoisted attribute loads, ``(time, seq)`` heap
+  comparisons done in C on list events) — guarded by the chained-event
   throughput benchmark;
 * lazy tombstone compaction — the cancellation-heavy churn would
-  otherwise grow the calendar (and per-pop cost) linearly in the number
-  of cancels; the benchmark also asserts the queue stays bounded;
+  otherwise grow the heap (and per-pop cost) linearly in the number of
+  cancels; the benchmark also asserts the queue stays bounded;
 * O(1) ``Engine.pending()`` — previously an O(n) scan per call, which
   made queue-depth trace counters quadratic over a run.
 
@@ -50,9 +50,7 @@ def test_engine_cancellation_churn(benchmark):
     batch = 10
 
     def queued(eng):
-        return sum(len(b) for b in eng._buckets.values()) + (
-            len(eng._active) if eng._active is not None else 0
-        )
+        return len(eng._heap)
 
     def run():
         eng = Engine()
@@ -88,7 +86,7 @@ def test_engine_cancellation_churn(benchmark):
 
 
 def test_engine_pending_is_cheap(benchmark):
-    """10k ``pending()`` calls against a 10k-event calendar.
+    """10k ``pending()`` calls against a 10k-event queue.
 
     With the O(n) scan this is 100M element visits; the live-counter
     implementation makes it constant per call.

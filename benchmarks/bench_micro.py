@@ -147,9 +147,8 @@ def test_fleet_star_transfer_pump(benchmark):
     """64-worker star pump: every uplink streams through one event loop.
 
     All links start at t=0 with identical timing, so every completion
-    wave lands 64 events on one timestamp — the same-bucket batch the
-    calendar-queue engine drains without re-sorting.  This is the fleet
-    shape the tombstone heap paid an O(log n) sift per event for.
+    wave lands 64 events on one timestamp, a 64-deep heap whose
+    ``(time, seq)`` sifts compare list events in C.
     """
     from repro.net.link import BandwidthSchedule, Link
 

@@ -431,7 +431,7 @@ def _measure_longhorizon() -> tuple[dict[str, float], dict[str, float]]:
 def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
     """Fleet-shape timing scalars (no deterministic scalars).
 
-    These are the shapes the calendar-queue engine and the batched
+    These are the shapes the list-event engine and the batched
     same-timestamp pumps were built for: many identical links landing
     their completion waves on the same instant, and replanning churn
     interleaving live and tombstoned events 1:1.
@@ -449,8 +449,7 @@ def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
     # 64-worker star pump: every uplink of a 64-worker star pumps
     # back-to-back sends through the shared event loop.  All links start
     # at t=0 with identical timing, so every completion wave lands 64
-    # events on one timestamp — the same-bucket batch the calendar
-    # queue drains without re-sorting.
+    # events on one timestamp, which the heap orders by sequence number.
     def fleet_star_transfers() -> None:
         eng = Engine()
         links = [

@@ -430,9 +430,9 @@ class Trainer:
     def event_budget(self) -> int:
         """Generous event budget for one full run of this job.
 
-        Exceeding it means a scheduler livelocked the simulation.  The
-        fleet simulator sums the budgets of all placed jobs to bound the
-        shared engine's pump.
+        Exceeding it means the run wedged or livelocked; the engine's
+        error names the callbacks still queued.  The fleet simulator sums
+        the budgets of all placed jobs to bound the shared engine's pump.
         """
         per_iter = 400 * (1 + self.gen_schedule.num_gradients // 4)
         return max(

@@ -415,7 +415,6 @@ class FastForwardDetector:
         self._active = True
         self._report_iter = -1
         self._report_count = 0
-        self._boundary_event: Event | None = None
         self._fp_index: dict = {}
         self._full_index: dict = {}
         # target-function → qualname (or "" for excluded events); memoised
@@ -471,9 +470,7 @@ class FastForwardDetector:
             # Fingerprint from a dedicated event so the snapshot sits at
             # a well-defined position in the same-timestamp event order
             # (after everything the last ``_begin_backward`` scheduled).
-            self._boundary_event = self._engine.schedule(
-                self._engine.now, self._boundary, iteration
-            )
+            self._engine.schedule(self._engine.now, self._boundary, iteration)
 
     # ------------------------------------------------------------------
     def _boundary(self, k: int) -> None:
@@ -560,7 +557,7 @@ class FastForwardDetector:
         t0 = ctx.t0
         names = self._qualnames
         events = []
-        for e in self._engine.ff_pending(self._boundary_event, ordered=False):
+        for e in self._engine.ff_pending(ordered=False):
             fn = e[_FN]
             target = getattr(fn, "__func__", fn)
             name = names.get(target)
@@ -582,7 +579,7 @@ class FastForwardDetector:
     def _fingerprint(self, ctx: FFContext) -> tuple:
         parts = [comp.ff_state(ctx) for comp in self._components]
         pending = []
-        for e in self._engine.ff_pending(self._boundary_event):
+        for e in self._engine.ff_pending():
             canon = self._canon_event(ctx, e)
             if canon is not None:
                 pending.append(canon)
@@ -706,7 +703,7 @@ class FastForwardDetector:
         # 3. Translate the pending event queue (uniform time shift +
         # iteration/pull-unit relabeling), then every component.
         self._shift = shift
-        self._engine.ff_shift(shift.dt, self._boundary_event, self._rewrite_event)
+        self._engine.ff_shift(shift.dt, self._rewrite_event)
         for comp in self._components:
             comp.ff_shift(shift)
 

@@ -1,10 +1,12 @@
 """Property-based tests for the event engine and RNG streams.
 
-The calendar-queue engine is checked against a straight ``heapq``
-reference implementation: any scenario of schedules, cancels (including
-storms large enough to trigger tombstone compaction), nested mid-run
-scheduling, and segmented ``run(until=...)`` horizons must produce the
-identical ``(time, label)`` firing sequence, clock, and pending count.
+The engine is checked against a textbook tombstone-heap reference
+implementation: any scenario of schedules, cancels (including storms
+large enough to trigger tombstone compaction), nested mid-run
+scheduling, segmented ``run(until=...)`` horizons, and small
+``max_events`` budgets resumed after every
+:class:`~repro.errors.EventBudgetExhausted` must produce the identical
+``(time, label)`` firing sequence, clock, and pending count.
 """
 
 import heapq
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EventBudgetExhausted
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_rng
 
@@ -61,7 +64,7 @@ def test_spawned_streams_reproducible(seed, label, idx):
 
 
 # ----------------------------------------------------------------------
-# Calendar queue vs. reference heap equivalence
+# Engine vs. reference heap equivalence
 # ----------------------------------------------------------------------
 class _RefEvent(list):
     """``[time, seq, fn, args, alive]`` — seq unique, so heap compares
@@ -114,8 +117,8 @@ class _RefEngine:
         return self._pending
 
 
-# A small time grid forces exact ties (same-bucket FIFO ordering) while
-# the continuous component exercises bucket sizing and far-future spill.
+# A small time grid forces exact ties (same-timestamp FIFO ordering)
+# while the continuous component spreads events over many magnitudes.
 _time_strategy = st.one_of(
     st.sampled_from([0.0, 1e-6, 2e-6, 5e-6, 1e-5, 1e-3, 1.0, 1e3]),
     st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
@@ -129,7 +132,20 @@ _spec_strategy = st.fixed_dictionaries(
 )
 
 
-def _run_scenario(eng, scenario):
+def _run(eng, until, max_events):
+    """``eng.run(until)``, resumed after every exhausted event budget."""
+    if max_events is None:
+        eng.run(until=until)
+        return
+    while True:
+        try:
+            eng.run(until=until, max_events=max_events)
+            return
+        except EventBudgetExhausted:
+            pass
+
+
+def _run_scenario(eng, scenario, max_events=None):
     """Drive one engine through the scenario; return its observable log."""
     log = []
     registry = []
@@ -148,9 +164,9 @@ def _run_scenario(eng, scenario):
     for k in scenario["precancel"]:
         registry[k % len(registry)].cancel()
     for until in scenario["horizons"]:
-        eng.run(until=until)
+        _run(eng, until, max_events)
         log.append(("segment", eng.now, eng.pending()))
-    eng.run()
+    _run(eng, None, max_events)
     log.append(("end", eng.now, eng.pending()))
     return log
 
@@ -164,14 +180,15 @@ _LEAF = {"children": (), "cancel": ()}
     ),
     precancel=st.lists(st.integers(0, 10_000), max_size=80),
     horizons=st.lists(st.floats(0.0, 2e3, allow_nan=False), max_size=4),
+    max_events=st.one_of(st.none(), st.integers(1, 8)),
 )
 @settings(max_examples=150, deadline=None)
-def test_calendar_engine_matches_reference_heap(initial, precancel, horizons):
+def test_engine_matches_reference_heap(initial, precancel, horizons, max_events):
     scenario = {
         "initial": initial,
         "precancel": precancel,
         "horizons": sorted(horizons),
     }
     ref_log = _run_scenario(_RefEngine(), scenario)
-    cal_log = _run_scenario(Engine(), scenario)
-    assert cal_log == ref_log
+    eng_log = _run_scenario(Engine(), scenario, max_events)
+    assert eng_log == ref_log
