@@ -142,7 +142,8 @@ class Engine:
         #: Queued events (live and tombstones), a heap on ``(time, seq)``.
         #: Always mutated in place: the run loop holds an alias.
         self._heap: list[Event] = []
-        #: Count of cancelled events still in the heap.
+        #: Count of cancelled events still in the heap (plus any cancelled
+        #: after they fired).
         self._dead = 0
         self._seq = 0
         self._now = 0.0
@@ -297,11 +298,18 @@ class Engine:
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel`; compacts when tombstones win."""
         self._dead = dead = self._dead + 1
+        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
+            self._drop_tombstones()
+
+    def _drop_tombstones(self) -> None:
+        """Rebuild the heap in place from its live events."""
         heap = self._heap
-        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
-            heap[:] = [ev for ev in heap if ev[_ALIVE]]
-            heapify(heap)
-            self._dead = 0
+        size = len(heap)
+        heap[:] = [ev for ev in heap if ev[_ALIVE]]
+        heapify(heap)
+        # Subtract only what left the heap: cancelling an event that
+        # already fired also counted as dead (as in the reference heap).
+        self._dead -= size - len(heap)
 
     # ------------------------------------------------------------------
     # Steady-state fast-forward support (repro.sim.fastforward)
@@ -331,10 +339,9 @@ class Engine:
         """
         if dt < 0:
             raise SimulationError(f"cannot fast-forward by negative dt {dt!r}")
-        heap = self._heap
-        heap[:] = [ev for ev in heap if ev[_ALIVE]]
-        self._dead = 0
+        self._drop_tombstones()
         self._now += dt
+        heap = self._heap
         for ev in heap:
             ev[_TIME] = ev[_TIME] + dt
             if rewrite is not None:

@@ -13,7 +13,7 @@ import heapq
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EventBudgetExhausted
@@ -173,7 +173,19 @@ def _run_scenario(eng, scenario, max_events=None):
 
 _LEAF = {"children": (), "cancel": ()}
 
+#: Cancels 150 already-fired events, then 100 queued ones: enough
+#: tombstones to compact, which must keep the reference's accounting.
+_LATE_CANCEL = {"children": (), "cancel": tuple(range(150)) + tuple(range(151, 251))}
 
+
+@example(
+    initial=[(float(i), _LEAF) for i in range(150)]
+    + [(500.0, _LATE_CANCEL)]
+    + [(1000.0 + i, _LEAF) for i in range(110)],
+    precancel=[],
+    horizons=[600.0],
+    max_events=None,
+)
 @given(
     initial=st.lists(
         st.tuples(_time_strategy, _spec_strategy), min_size=1, max_size=60
