@@ -288,77 +288,6 @@ def test_ps_receive_push(benchmark):
     assert benchmark(ps_push_workload) == PS_PUSHES
 
 
-def test_fastforward_detect_overhead(benchmark):
-    """Per-boundary fingerprint cost when steady state is never reached.
-
-    ``detect_only`` keeps the detector hashing every iteration boundary
-    without ever journaling or engaging — the pure overhead an
-    eligible-but-never-periodic run would pay.  ``_boundary`` is
-    instrumented directly (a wall-clock A/B ratio drowns a sub-percent
-    signal in runner noise): after the two-tier cheap key, the detector
-    spends ~25 µs per boundary, well under 1 % of the run; the assertion
-    allows 2 %.
-    """
-    import time as _time
-    from dataclasses import replace
-
-    from repro.cluster.trainer import Trainer
-    from repro.sim.fastforward import FastForwardDetector
-    from repro.workloads.presets import paper_config, prophet_factory
-
-    config = paper_config(
-        "resnet18",
-        32,
-        n_workers=2,
-        n_iterations=30,
-        jitter_std=0.0,
-        time_quantum=2.0**-24,
-        record_gradients=False,
-    )
-
-    def run_detect_only():
-        trainer = Trainer(config, prophet_factory())
-        trainer.fastforward.detect_only = True
-        return trainer.run()
-
-    def run_off():
-        return Trainer(
-            replace(config, fastforward=False), prophet_factory()
-        ).run()
-
-    detect_result = run_detect_only()  # warmup (memo tables, qualname cache)
-    off_result = run_off()
-    stats = detect_result.fastforward_stats
-    assert stats["boundaries_seen"] >= config.n_iterations - 2
-    assert not stats["engaged"]
-    assert repr(detect_result.end_time) == repr(off_result.end_time)
-
-    orig_boundary = FastForwardDetector._boundary
-    spent = [0.0]
-
-    def timed_boundary(self, k):
-        start = _time.perf_counter()
-        orig_boundary(self, k)
-        spent[0] += _time.perf_counter() - start
-
-    FastForwardDetector._boundary = timed_boundary
-    try:
-        fractions = []
-        for _ in range(5):
-            spent[0] = 0.0
-            start = _time.perf_counter()
-            run_detect_only()
-            wall = _time.perf_counter() - start
-            fractions.append(spent[0] / wall)
-    finally:
-        FastForwardDetector._boundary = orig_boundary
-
-    overhead = min(fractions)
-    assert overhead < 0.02, f"fingerprint overhead {overhead:.2%} of run"
-
-    benchmark.pedantic(run_detect_only, rounds=3, iterations=1)
-
-
 def test_gp_fit_predict(benchmark):
     """GP fit + predict at ByteScheduler's tuning scale (30 points)."""
     rng = np.random.default_rng(0)

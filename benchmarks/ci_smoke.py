@@ -21,11 +21,6 @@ The fleet-shape timing scalars (64-worker star pump, 8-shard pump,
 their own ``--suite engine-perf`` so the engine-perf-smoke CI job can
 gate them without re-running the simulation grid; ``--suite all``
 includes them too, so ``--update`` regenerates every floor at once.
-The suite also runs the 32-worker x 500-iteration long-horizon shape
-with steady-state fast-forward engaged (``sim.longhorizon_*``): the
-training rate and skip count gate deterministically, and the wall-time
-floor is only reachable when fast-forward actually skips — an unrolled
-run of that shape is an order of magnitude slower.
 
 The multi-tenant fleet scalars live in ``--suite fleet`` (the
 fleet-smoke CI job): a mixed-strategy 6-job fleet on an oversubscribed
@@ -379,54 +374,6 @@ FLEET_HIER_WORKERS = 64
 FLEET_HIER_GROUP = 8
 FLEET_HIER_OPS = 40
 
-#: Long-horizon fleet shape: 32 workers x 500 iterations with the
-#: steady-state fast-forward engaged (quantized, jitter-free BSP).  The
-#: training rate and skip count are deterministic scalars; the wall-time
-#: floor is sized so only the fast-forward path can meet it — an
-#: unrolled 32x500 run is an order of magnitude below the baseline.
-LONGHORIZON_MODEL = ("resnet18", 32)
-LONGHORIZON_WORKERS = 32
-LONGHORIZON_ITERATIONS = 500
-LONGHORIZON_QUANTUM = 2.0**-24
-
-
-def _measure_longhorizon() -> tuple[dict[str, float], dict[str, float]]:
-    """Fast-forwarded long-horizon scalars (deterministic + timing)."""
-    from repro.cluster.trainer import run_training
-    from repro.quantities import Gbps
-    from repro.workloads.presets import EXTENDED_FACTORIES, paper_config
-
-    model, batch = LONGHORIZON_MODEL
-    config = paper_config(
-        model,
-        batch,
-        bandwidth=3 * Gbps,
-        n_workers=LONGHORIZON_WORKERS,
-        n_iterations=LONGHORIZON_ITERATIONS,
-        seed=0,
-        jitter_std=0.0,
-        time_quantum=LONGHORIZON_QUANTUM,
-        record_gradients=False,
-    )
-    factory = EXTENDED_FACTORIES["prophet"]
-    durations = []
-    for _ in range(2):
-        start = time.perf_counter()
-        result = run_training(config, factory)
-        durations.append(time.perf_counter() - start)
-    stats = result.fastforward_stats
-    assert stats is not None and stats["engaged"], stats
-    deterministic = {
-        "sim.longhorizon.prophet_rate": result.training_rate(),
-        "sim.longhorizon.iterations_skipped": float(stats["iterations_skipped"]),
-    }
-    timing = {
-        "sim.longhorizon_iterations_per_s": (
-            LONGHORIZON_ITERATIONS / min(durations)
-        )
-    }
-    return deterministic, timing
-
 
 def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
     """Fleet-shape timing scalars (no deterministic scalars).
@@ -569,10 +516,7 @@ def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
     timing["collective.fleet_hier_steps_per_s"] = (
         FLEET_HIER_OPS * hier_steps_per_op / best
     )
-
-    deterministic, longhorizon_timing = _measure_longhorizon()
-    timing.update(longhorizon_timing)
-    return deterministic, timing
+    return {}, timing
 
 
 def measure(

@@ -30,11 +30,8 @@ parallel runner and reports wall time plus cache hit/miss counts.
 cache-bypassing, so the report reflects simulation cost — see
 :mod:`repro.profiling`) and prints the top-N hotspots; ``--dump`` keeps
 the raw stats for snakeviz.  ``cache`` inspects or clears the on-disk
-result cache.  ``run``/``compare``/``sched``/``bench`` accept
-``--no-fastforward`` to force every iteration to be simulated even when
-the steady-state fast-forward (:mod:`repro.sim.fastforward`) could skip
-them; ``profile`` always disables it so the report reflects the real
-event loop.
+result cache.  ``compare`` and ``sched`` accept ``--jitter`` to set the
+compute-jitter stddev of the preset.
 
 ``fleet`` runs the multi-tenant cluster simulator of :mod:`repro.fleet`:
 N jobs placed by a FIFO/fair-share/gang scheduler onto shared hosts whose
@@ -94,39 +91,17 @@ def _validate_choice(kind: str, name: str, options: Sequence[str]) -> None:
         )
 
 
-def _add_fastforward_args(
-    sub: argparse.ArgumentParser, *, time_quantum: bool = False
-) -> None:
-    """Steady-state fast-forward knobs (:mod:`repro.sim.fastforward`)."""
+def _add_jitter_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--no-fastforward", action="store_true",
-        help="disable steady-state iteration fast-forward and simulate "
-        "every iteration (equivalent to REPRO_NO_FASTFORWARD=1)",
+        "--jitter", type=float, default=None, metavar="STD",
+        help="compute-jitter stddev as a fraction of layer time "
+        "(default: preset 0.02)",
     )
-    if time_quantum:
-        sub.add_argument(
-            "--time-quantum", type=int, default=None, metavar="EXP",
-            help="snap event delays to a 2**EXP-second grid (e.g. -24 for "
-            "~60 ns resolution); fast-forward only engages on a quantized "
-            "run",
-        )
-        sub.add_argument(
-            "--jitter", type=float, default=None, metavar="STD",
-            help="compute-jitter stddev as a fraction of layer time "
-            "(default: preset 0.02; fast-forward needs --jitter 0)",
-        )
 
 
-def _fastforward_overrides(args: argparse.Namespace) -> dict:
-    """Translate the fast-forward CLI flags into paper_config overrides."""
-    overrides: dict = {}
-    if args.no_fastforward:
-        overrides["fastforward"] = False
-    if getattr(args, "time_quantum", None) is not None:
-        overrides["time_quantum"] = 2.0 ** args.time_quantum
-    if getattr(args, "jitter", None) is not None:
-        overrides["jitter_std"] = args.jitter
-    return overrides
+def _jitter_overrides(args: argparse.Namespace) -> dict:
+    """Translate ``--jitter`` into paper_config overrides."""
+    return {} if args.jitter is None else {"jitter_std": args.jitter}
 
 
 def _add_ps_tier_args(sub: argparse.ArgumentParser) -> None:
@@ -258,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache for this invocation",
     )
-    _add_fastforward_args(run)
 
     compare = sub.add_parser(
         "compare", help="compare all strategies on one workload"
@@ -272,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0)
     _add_ps_tier_args(compare)
     _add_backend_args(compare)
-    _add_fastforward_args(compare, time_quantum=True)
+    _add_jitter_arg(compare)
 
     sched = sub.add_parser(
         "sched", help="run one scheduling strategy, optionally tracing it"
@@ -291,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--seed", type=int, default=0)
     _add_ps_tier_args(sched)
     _add_backend_args(sched)
-    _add_fastforward_args(sched, time_quantum=True)
+    _add_jitter_arg(sched)
     sched.add_argument(
         "--trace",
         metavar="OUT.json",
@@ -405,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory (default: REPRO_CACHE_DIR or "
         "~/.cache/repro/results)",
     )
-    _add_fastforward_args(bench)
 
     profile = sub.add_parser(
         "profile", help="run an experiment under cProfile and report hotspots"
@@ -497,10 +470,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         os.environ[JOBS_ENV] = str(args.jobs)
     if args.no_cache:
         os.environ[NO_CACHE_ENV] = "1"
-    if args.no_fastforward:
-        from repro.sim.fastforward import NO_FASTFORWARD_ENV
-
-        os.environ[NO_FASTFORWARD_ENV] = "1"
     module = importlib.import_module(f"repro.experiments.{args.experiment}")
     module.main()
     return 0
@@ -518,7 +487,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         record_gradients=False,
         **_ps_tier_overrides(args),
         **_backend_overrides(args),
-        **_fastforward_overrides(args),
+        **_jitter_overrides(args),
     )
     rows = []
     for name, factory in EXTENDED_FACTORIES.items():
@@ -559,7 +528,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         trace=tracing,
         **_ps_tier_overrides(args),
         **_backend_overrides(args),
-        **_fastforward_overrides(args),
+        **_jitter_overrides(args),
     )
     result = run_training(config, EXTENDED_FACTORIES[args.strategy])
     summary = result.summary()
@@ -731,17 +700,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from repro.experiments import fig8
     from repro.runner import ResultCache, resolve_jobs
 
     jobs = resolve_jobs(args.jobs)
-    if args.no_fastforward:
-        from repro.sim.fastforward import NO_FASTFORWARD_ENV
-
-        os.environ[NO_FASTFORWARD_ENV] = "1"
     cache: bool | ResultCache
     if args.no_cache:
         cache = False

@@ -367,23 +367,6 @@ class CollectiveController(StallProbe):
             extra_time=self.scheduler.unit_sync_rtts * self.executor.tcp.rtt,
         )
 
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical snapshot of the negotiation barriers (the scheduler
-        and the executor snapshot themselves)."""
-        return (
-            ctx.rel_iter(self._iteration),
-            self._begin_count,
-            self._end_count,
-            self._end_span,
-            tuple(sorted(self._ready_counts.items())),
-        )
-
-    def ff_shift(self, shift) -> None:
-        self._iteration += shift.diter
-
     def _op_done(
         self,
         iteration: int,

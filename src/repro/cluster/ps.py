@@ -55,10 +55,6 @@ _SEQ = itemgetter(1)
 class ParameterServer:
     """Aggregates pushes from ``n_workers`` and releases per-key pulls."""
 
-    #: Fast-forward journal (repro.sim.fastforward); a shared list while a
-    #: steady-state cycle is being recorded, else None.
-    _ff_journal = None
-
     def __init__(
         self,
         engine: Engine,
@@ -237,7 +233,6 @@ class ParameterServer:
                     del self._received[key]
         all_received = self._received
         waiting = self._waiting
-        journal = self._ff_journal
         now = self.engine.now
         touched: set[int] = set()
         # BSP: grad -> the (iteration, grad) watermark after this push's
@@ -273,8 +268,6 @@ class ParameterServer:
                 if iteration > progress[worker]:
                     progress[worker] = iteration
             self.total_push_bytes += nbytes
-            if journal is not None:
-                journal.append(("ps", self, nbytes))
             touched.add(grad)
 
             pull = PullUnit(
@@ -411,64 +404,3 @@ class ParameterServer:
     def pending_pulls(self) -> int:
         """Pull units still waiting on aggregation/staleness.  O(1)."""
         return self._n_waiting
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical time-relative snapshot of the aggregation state.
-
-        ``total_push_bytes`` is deliberately absent: it is a monotone
-        accumulator, replayed op-for-op from the cycle journal so its
-        floating-point rounding matches the unrolled run bit for bit.
-        Fast-forward only runs under BSP, so waiting keys are
-        ``(iteration, grad)``; each heap canonicalises to its pulls in
-        arrival order (the only order releases observe).
-        """
-        assert self.sync_mode == "bsp", "fast-forward requires BSP"
-        received = tuple(
-            sorted(
-                ((ctx.rel_iter(it), grad), tuple(counts))
-                for (it, grad), counts in self._received.items()
-            )
-        )
-        progress = tuple(
-            sorted(
-                (grad, tuple(it if it < 0 else ctx.rel_iter(it) for it in its))
-                for grad, its in self._progress.items()
-            )
-        )
-        waiting = tuple(
-            sorted(
-                (
-                    (ctx.rel_iter(it), grad),
-                    tuple(ctx.pull(u) for _, _, u in sorted(heap, key=_SEQ)),
-                )
-                for (it, grad), heap in self._waiting.items()
-            )
-        )
-        max_push = self._max_push_iteration
-        if max_push >= 0:
-            max_push = ctx.rel_iter(max_push)
-        return (received, progress, waiting, self._n_waiting, max_push)
-
-    def ff_shift(self, shift) -> None:
-        """Translate iteration labels and pull timestamps by the skipped
-        cycles.  Byte counts — and so the BSP waiting heaps' byte
-        ``need`` keys — are label-relative already."""
-        assert self._release_run is None, "release run pending across boundary"
-        diter = shift.diter
-        if self._max_push_iteration >= 0:
-            self._max_push_iteration += diter
-        self._received = {
-            (it + diter, grad): counts
-            for (it, grad), counts in self._received.items()
-        }
-        for its in self._progress.values():
-            for w, it in enumerate(its):
-                if it >= 0:
-                    its[w] = it + diter
-        self._waiting = {
-            (it + diter, grad): [(need, seq, shift.pull(u)) for need, seq, u in heap]
-            for (it, grad), heap in self._waiting.items()
-        }

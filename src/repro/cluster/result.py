@@ -62,11 +62,8 @@ class TrainingResult:
     fault_stats: dict[str, int] | None = None
     #: ``(time, kind, detail)`` log of every discrete fault event.
     fault_log: list[tuple[float, str, dict]] | None = None
-    #: Steady-state fast-forward outcome (:mod:`repro.sim.fastforward`):
-    #: ``None`` when the run was ineligible, else a dict with
-    #: ``engaged``/``period``/``cycles_skipped``/``iterations_skipped``/
-    #: ``fallbacks``/``boundaries_seen``/``disabled_reason``.
-    fastforward_stats: dict | None = None
+    # bench/tracer.py reads this name; always None.
+    fastforward_stats = None
 
     # ------------------------------------------------------------------
     # Iteration timing and rates

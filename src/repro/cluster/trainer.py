@@ -28,7 +28,7 @@ from repro.cluster.sharding import (
 from repro.cluster.worker import Worker
 from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
 from repro.core.profiler import JobProfile
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.metrics.timeline import Recorder
 from repro.models.compute import build_compute_profile
@@ -42,11 +42,16 @@ from repro.net.collective import (
 from repro.net.monitor import BandwidthMonitor
 from repro.net.topology import ShardedTopology, StarTopology
 from repro.sim.engine import Engine
-from repro.sim.fastforward import FastForwardDetector, fastforward_eligibility
 from repro.sim.rng import spawn_rng
 from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = ["Trainer", "run_training"]
+
+
+# bench/tracer.py wraps this name; nothing in the package calls it.
+def fastforward_eligibility(*_args: object) -> tuple[bool, str]:
+    """Always ineligible: the simulator has no iteration-skipping mode."""
+    return False, "removed"
 
 
 class Trainer:
@@ -76,7 +81,7 @@ class Trainer:
         self.finished_time: float | None = None
         self._external_engine = engine is not None
         if engine is None:
-            self.engine = Engine(time_quantum=config.time_quantum)
+            self.engine = Engine()
             if config.trace:
                 self.trace: TraceRecorder | NullRecorder = TraceRecorder(
                     clock=lambda: self.engine.now
@@ -85,14 +90,6 @@ class Trainer:
                 self.trace = NULL_RECORDER
             self.engine.trace = self.trace
         else:
-            if (
-                config.time_quantum is not None
-                and engine.time_quantum != config.time_quantum
-            ):
-                raise ConfigurationError(
-                    f"job time_quantum {config.time_quantum!r} does not match "
-                    f"the shared engine's {engine.time_quantum!r}"
-                )
             self.engine = engine
             self.trace = engine.trace
         self.recorder = Recorder(
@@ -118,60 +115,6 @@ class Trainer:
             self._build_collective(scheduler_factory)
         else:
             self._build_ps(scheduler_factory)
-        if config.time_quantum is not None:
-            # Strategy-side durations (Prophet's flush offsets) join the
-            # engine's delay grid, keeping iteration cycles exactly
-            # translation-invariant in time.
-            for scheduler in self.schedulers:
-                scheduler.set_time_quantum(config.time_quantum)
-        self._install_fastforward()
-
-    # ------------------------------------------------------------------
-    def _all_links(self) -> list:
-        """Every link the built topology materialized, in construction
-        order (the order doubles as the links' fast-forward identity)."""
-        topology = self.topology
-        links: list = []
-        for attr in ("uplinks", "downlinks", "links", "local_links", "global_links"):
-            group = getattr(topology, attr, None)
-            if not group:
-                continue
-            for item in group:
-                if isinstance(item, list):
-                    links.extend(item)
-                else:
-                    links.append(item)
-        return links
-
-    def _install_fastforward(self) -> None:
-        """Install the steady-state fast-forward detector on eligible runs.
-
-        Ineligible runs (no time quantum, faults, jitter, noise, dynamic
-        bandwidth, non-BSP sync, opted-out schedulers, or the
-        ``REPRO_NO_FASTFORWARD`` kill-switch) get no detector and are
-        bit-identical to builds that predate it.
-        """
-        links = self._all_links()
-        eligible, reason = fastforward_eligibility(
-            self.config, self.schedulers, links, self.injector, self.engine
-        )
-        self.fastforward_reason = reason
-        self.fastforward: FastForwardDetector | None = None
-        if not eligible:
-            return
-        self.fastforward = FastForwardDetector(
-            self.engine,
-            workers=self.workers,
-            schedulers=self.schedulers,
-            links=links,
-            servers=self.servers,
-            recorder=self.recorder,
-            monitors=self.monitors,
-            n_workers=self.config.n_workers,
-            n_iterations=self.config.n_iterations,
-            controller=getattr(self, "controller", None),
-            executor=getattr(self, "executor", None),
-        )
 
     # ------------------------------------------------------------------
     def _make_injector(self) -> None:
@@ -488,22 +431,7 @@ class Trainer:
             trace=self.trace,
             fault_stats=dict(self.injector.stats) if self.injector else None,
             fault_log=list(self.injector.log) if self.injector else None,
-            fastforward_stats=self._fastforward_stats(),
         )
-
-    def _fastforward_stats(self) -> dict | None:
-        ff = self.fastforward
-        if ff is None:
-            return None
-        return {
-            "engaged": ff.engaged,
-            "period": ff.period,
-            "cycles_skipped": ff.cycles_skipped,
-            "iterations_skipped": ff.iterations_skipped,
-            "fallbacks": ff.fallbacks,
-            "boundaries_seen": ff.boundaries_seen,
-            "disabled_reason": ff.disabled_reason,
-        }
 
 
 def run_training(

@@ -667,46 +667,10 @@ class PSPort(StallProbe):
                     for pull in batch:
                         self._enqueue_pull_item(pull, now)
 
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical form of the pull queue (the scheduler and links
-        snapshot themselves).
-
-        Drain order is fully determined by the sorted key order (keys are
-        unique: each carries a fresh insertion counter), so the canonical
-        form is the sorted entry list with absolute times re-based and the
-        raw counters dropped — two boundary snapshots one period apart then
-        compare equal even though the counters kept climbing.
-        """
-        entries = sorted(self._pull_heap, key=lambda e: e[0])
-        return tuple((ctx.rel(arrival), ctx.pull(pull)) for _, pull, arrival in entries)
-
-    def ff_shift(self, shift) -> None:
-        """Translate every heap entry by ``shift``.  Adding one constant to
-        the time component of each key is order-preserving, so the heap
-        invariant survives without re-heapifying."""
-        dt = shift.dt
-        if self._pull_by_priority:
-            self._pull_heap = [
-                ((k[0], k[1] + dt, k[2]), shift.pull(p), a + dt)
-                for k, p, a in self._pull_heap
-            ]
-        else:
-            self._pull_heap = [
-                ((k[0] + dt, k[1]), shift.pull(p), a + dt)
-                for k, p, a in self._pull_heap
-            ]
-
-
 class Worker:
     """One worker node: a compute pipeline plus one :class:`PSPort` per
     PS (one on the star, one per key shard on the sharded tier)."""
 
-    #: Steady-state fast-forward detector (repro.sim.fastforward); class
-    #: attribute so the fault-free hot path pays one attribute load.
-    _ff = None
     #: Communication ports (a collective worker has none).
     _ports: "list[PSPort] | tuple[()]" = ()
 
@@ -789,8 +753,6 @@ class Worker:
         :class:`~repro.cluster.collective.CollectiveWorker`."""
         self.engine = engine
         self.worker_id = worker_id
-        self._quantum = engine._quantum
-        self._inv_quantum = engine._inv_quantum
         self.compute = compute
         self.gen_schedule = gen_schedule
         self.recorder = recorder
@@ -880,17 +842,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Fault handling: crash/restart and deferred-event plumbing
     # ------------------------------------------------------------------
-    def _snap(self, duration: float) -> float:
-        """Round a compute/flush duration onto the engine's time-quantum
-        grid (identity when no quantum is configured).  Workers snap
-        durations *once* and use the snapped value for both the recorded
-        interval and the scheduled completion, so recorded timelines stay
-        translation-invariant under fast-forward."""
-        inv = self._inv_quantum
-        if inv:
-            return round(duration * inv) * self._quantum
-        return duration
-
     def _schedule_after(self, delay: float, fn: Callable[..., None], *args):
         """Engine schedule that respects crash suspension in fault mode."""
         if self._faults is None:
@@ -956,7 +907,7 @@ class Worker:
             end += 1
         if end == start:
             return  # GPU idles until the gating pull completes
-        duration = self._snap(float(self.compute.fwd_times[start:end].sum()) * self._factor)
+        duration = float(self.compute.fwd_times[start:end].sum()) * self._factor
         now = self.engine.now
         self.recorder.gpu_busy(self.worker_id, self._iter, "fwd", now, now + duration)
         self._fwd_chunk_pending = True
@@ -989,7 +940,7 @@ class Worker:
         self._ready_time = [None] * self._n_grads
 
         self._sched_begin_iteration(iteration, sched, now)
-        backward_time = self._snap(sched.backward_time)
+        backward_time = sched.backward_time
         self.recorder.gpu_busy(
             self.worker_id, iteration, "bwd", now, now + backward_time
         )
@@ -999,12 +950,9 @@ class Worker:
             for port in self._ports:
                 port._pull_attempts.clear()
         for bucket in sched.buckets:
-            flush_time = self._snap(float(sched.c[bucket[0]]))
+            flush_time = float(sched.c[bucket[0]])
             self._schedule_after(flush_time, self._bucket_ready, iteration, bucket)
         self._schedule_after(backward_time, self._backward_done, iteration)
-        ff = self._ff
-        if ff is not None:
-            ff.iteration_boundary(iteration)
 
     def _bucket_ready(self, iteration: int, bucket: tuple[int, ...]) -> None:
         now = self.engine.now
@@ -1067,40 +1015,3 @@ class Worker:
             self._done = True
             if self._on_done is not None:
                 self._on_done(self.worker_id)
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical time-relative snapshot of all behaviour-bearing state.
-        Absolute times become offsets from the boundary timestamp and
-        iteration labels offsets from the boundary iteration."""
-        return (
-            ctx.rel_iter(self._iter),
-            ctx.rel_iter(self._comm_iter),
-            self._factor,
-            self._fwd_layer,
-            self._fwd_chunk_pending,
-            None if not self._fwd_start_times else ctx.rel(self._fwd_start_times[-1]),
-            tuple(self._layer_pending),
-            self._pending_updates,
-            tuple(self._pulled),
-            tuple(self._pushed),
-            tuple(ctx.rel_opt(t) for t in self._ready_time),
-            self._compute_done,
-            self._done,
-        ) + tuple(port.ff_state(ctx) for port in self._ports)
-
-    def ff_shift(self, shift) -> None:
-        """Translate by ``shift.dt`` seconds / ``shift.diter`` iterations.
-        ``_fwd_start_times`` needs no translation: the journal replay
-        already appended the skipped cycles' (shifted) forward-start
-        values, and entries before the replay window are real history."""
-        dt = shift.dt
-        self._iter += shift.diter
-        self._comm_iter += shift.diter
-        self._ready_time = [
-            None if t is None else t + dt for t in self._ready_time
-        ]
-        for port in self._ports:
-            port.ff_shift(shift)

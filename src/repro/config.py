@@ -9,7 +9,6 @@ worker↔PS channel implied by the paper's Constraint (8) / Eq. (4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TYPE_CHECKING
 
@@ -129,22 +128,6 @@ class TrainingConfig:
     #: and queue-depth counters.  Off by default — the no-op recorder keeps
     #: hot-path event processing at full speed.
     trace: bool = False
-    #: Arm the steady-state fast-forward detector
-    #: (:mod:`repro.sim.fastforward`): once the per-iteration state
-    #: fingerprint repeats, the remaining iterations are replayed from
-    #: the recorded cycle instead of being re-simulated event by event.
-    #: Requires ``time_quantum``; silently ignored (the run unrolls in
-    #: full) under fault plans, non-constant bandwidth schedules, compute
-    #: jitter, bandwidth noise, non-BSP sync, or adaptive schedulers.
-    fastforward: bool = True
-    #: Time grid in seconds — a positive power of two (e.g. ``2**-20``,
-    #: ~1 µs) — that every event *delay* is snapped to.  Snapping only
-    #: delays (never absolute times) keeps all event times exact grid
-    #: multiples, making time arithmetic exactly translation-invariant;
-    #: this is the precondition for bit-exact fast-forward.  ``None``
-    #: (default) disables snapping and fast-forward entirely, leaving
-    #: every existing run byte-identical.
-    time_quantum: float | None = None
     worker_compute_scale: Mapping[int, float] | None = None
     dtype_bytes: int = 4
     sched: SchedulerConfig = field(default_factory=SchedulerConfig)
@@ -185,17 +168,6 @@ class TrainingConfig:
             raise ConfigurationError(
                 f"n_servers must be >= 1, got {self.n_servers}"
             )
-        if self.time_quantum is not None:
-            quantum = self.time_quantum
-            if not (quantum > 0 and math.isfinite(quantum)):
-                raise ConfigurationError(
-                    f"time_quantum must be a positive finite float, got {quantum!r}"
-                )
-            if math.frexp(quantum)[0] != 0.5:
-                raise ConfigurationError(
-                    f"time_quantum must be a power of two (e.g. 2**-20) so "
-                    f"grid arithmetic is exact, got {quantum!r}"
-                )
         if self.shard_slice_bytes is not None and self.shard_slice_bytes <= 0:
             raise ConfigurationError(
                 f"shard_slice_bytes must be positive, got {self.shard_slice_bytes}"

@@ -57,18 +57,14 @@ class FleetSimulator:
             if job.name in names:
                 raise ConfigurationError(f"duplicate fleet job name {job.name!r}")
             names.add(job.name)
-        quanta = {job.config.time_quantum for job in jobs}
-        if len(quanta) > 1:
-            raise ConfigurationError(
-                f"fleet jobs disagree on time_quantum ({sorted(map(repr, quanta))}); "
-                f"the shared engine can only honour one delay grid"
-            )
         self.pool = HostPool(n_hosts, slots_per_host)
         for job in jobs:
             self._validate_job(job)
         self.skip = skip
-        self.engine = Engine(time_quantum=quanta.pop())
-        self.engine.multi_tenant = True
+        # Jobs share one engine but do not namespace their trace tracks or
+        # transfer tags: in a traced fleet every job writes to the same
+        # ``worker0/comm``, ``ps`` and link tracks.
+        self.engine = Engine()
         if trace:
             self.trace: TraceRecorder | NullRecorder = TraceRecorder(
                 clock=lambda: self.engine.now
@@ -156,6 +152,7 @@ class FleetSimulator:
         """
         engine = self.engine
         n_jobs = len(self.handles)
+        exhausted: EventBudgetExhausted | None = None
         while True:
             done = sum(h.state == FINISHED for h in self.handles)
             if done == n_jobs:
@@ -168,14 +165,15 @@ class FleetSimulator:
             budget = max_events if max_events is not None else self._budget
             limit = budget - engine.events_processed
             if limit <= 0:
+                detail = f": {exhausted}" if exhausted is not None else ""
                 raise SimulationError(
                     f"fleet exceeded its event budget ({budget} events, "
-                    f"{done}/{n_jobs} jobs finished) — likely livelock"
+                    f"{done}/{n_jobs} jobs finished){detail}"
                 )
             try:
                 engine.run(max_events=limit)
-            except EventBudgetExhausted:
-                continue
+            except EventBudgetExhausted as exc:
+                exhausted = exc
         records = tuple(
             handle.record(self.skip)
             for handle in sorted(self.handles, key=lambda h: h.job.name)

@@ -105,14 +105,6 @@ class Recorder:
         self.gpu_intervals: list[GpuInterval] = []
         self.iterations: list[IterationRecord] = []
         self._gradients: dict[tuple[int, int, int], GradientRecord] = {}
-        #: ``(worker, iteration) -> IterationRecord`` index over
-        #: ``iterations`` — lets the fast-forward replay address rows
-        #: created in an earlier cycle window (a row is created at
-        #: forward start but its ``bwd_end`` lands one window later).
-        self._iter_index: dict[tuple[int, int], IterationRecord] = {}
-        #: Fast-forward journal; a list while one steady-state cycle is
-        #: being recorded (repro.sim.fastforward), else None.
-        self._ff_journal: list | None = None
 
     # ------------------------------------------------------------------
     # Write side (workers)
@@ -122,9 +114,6 @@ class Recorder:
     ) -> None:
         if end > start:
             self.gpu_intervals.append(GpuInterval(worker, iteration, kind, start, end))
-            journal = self._ff_journal
-            if journal is not None:
-                journal.append(("gpu", worker, iteration, kind, start, end))
             if self.trace.enabled:
                 self.trace.complete(
                     kind,
@@ -138,10 +127,6 @@ class Recorder:
     def iteration_record(self, worker: int, iteration: int) -> IterationRecord:
         rec = IterationRecord(worker=worker, iteration=iteration)
         self.iterations.append(rec)
-        self._iter_index[(worker, iteration)] = rec
-        journal = self._ff_journal
-        if journal is not None:
-            journal.append(("row", worker, iteration))
         if self.trace.enabled:
             self.trace.instant(
                 f"iter {iteration}",
@@ -152,17 +137,11 @@ class Recorder:
             )
         return rec
 
+    # bench/tracer.py wraps this method by name.
     def iter_field(self, rec: IterationRecord, field: str, t: float) -> None:
-        """Set one boundary field on an iteration row.
-
-        The journalable write path for ``fwd_start``/``fwd_end``/
-        ``bwd_end`` — workers route row mutations through here so a
-        recorded steady-state cycle can be replayed bit-identically.
-        """
+        """Set one boundary field (``fwd_start``/``fwd_end``/``bwd_end``)
+        on an iteration row; workers route row mutations through here."""
         setattr(rec, field, t)
-        journal = self._ff_journal
-        if journal is not None:
-            journal.append(("rowset", rec.worker, rec.iteration, field, t))
 
     def gradient(self, worker: int, iteration: int, grad: int) -> GradientRecord | None:
         """The (mutable) gradient record, or ``None`` when recording is off."""
@@ -192,9 +171,6 @@ class Recorder:
         rec = self.gradient(worker, iteration, grad)
         if rec is not None:
             setattr(rec, field, t)
-            journal = self._ff_journal
-            if journal is not None:
-                journal.append(("grad", worker, iteration, grad, field, t))
 
     def mark_ready(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Gradient flushed by the KV store (the paper's ``c(i)``)."""

@@ -391,32 +391,6 @@ class _StepExecutor(Transport):
         self._inflight_tag = None
         self._on_complete = None
 
-    # -- steady-state fast-forward protocol (repro.sim.fastforward) -----
-    #: Monotone counters extrapolated linearly at engagement.
-    ff_counters = ("steps_completed", "ops_completed")
-
-    def ff_state(self, ctx) -> tuple:
-        """Canonical snapshot of the in-flight operation's step machinery.
-
-        ``steps_completed``/``ops_completed`` are monotone counters —
-        excluded here and extrapolated linearly at engagement.  The step
-        plan itself is a pure function of (size, membership), so its
-        shape (per-step fan-out and chunk bytes) is all that matters.
-        """
-        return (
-            ctx.tag(self._inflight_tag),
-            tuple((len(links), chunk) for links, chunk in self._steps),
-            self._step_idx,
-            self._step_pending,
-            self._extra_time,
-            ctx.callback(self._on_complete),
-        )
-
-    def ff_shift(self, shift) -> None:
-        self._inflight_tag = shift.tag(self._inflight_tag)
-        if self._on_complete is not None:
-            self._on_complete = shift.callback(self._on_complete)
-
     # -- step machinery -------------------------------------------------
     def _plan(self, nbytes: float) -> list[tuple[Sequence[Link], float]]:
         raise NotImplementedError

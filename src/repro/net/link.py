@@ -227,14 +227,6 @@ class Link:
         self._finish_cb = self._finish
         self._tbl = None
         self._tbl_bw = -1.0
-        # Delay grid (see Engine): transfer durations are snapped before
-        # ``end = start + duration`` so completion times stay exact grid
-        # multiples.  Cached off the engine once; None disables snapping.
-        self._quantum = engine._quantum
-        self._inv_quantum = engine._inv_quantum
-        #: Fast-forward journal (repro.sim.fastforward); a list while one
-        #: steady-state cycle is being recorded, else None.
-        self._ff_journal: list | None = None
         # Constant-schedule hint: most links never change bandwidth, so
         # their sends can skip the segment lookup entirely.  Keyed by
         # identity so rebinding ``self.schedule`` (fault injection wraps
@@ -326,9 +318,6 @@ class Link:
         last_end = self._last_end
         warm = last_end is not None and (start - last_end) <= self._warm_threshold
         duration = self._tbl.transfer_time(nbytes, warm) + extra_time
-        quantum = self._quantum
-        if quantum is not None:
-            duration = round(duration * self._inv_quantum) * quantum
         end = start + duration
         self._inflight = (nbytes, tag, start, end, on_complete)
         self._finish_event = engine.schedule(end, self._finish_cb)
@@ -367,9 +356,6 @@ class Link:
         last_end = self._last_end
         warm = last_end is not None and (start - last_end) <= self._warm_threshold
         duration = self._tbl.transfer_time(nbytes, warm) + extra_time
-        quantum = self._quantum
-        if quantum is not None:
-            duration = round(duration * self._inv_quantum) * quantum
         end = start + duration
         self._inflight = (nbytes, tag, start, end, on_complete)
         self._finish_event = None
@@ -414,9 +400,6 @@ class Link:
         self.records.append(TransferRecord(start, end, nbytes, tag))
         self.total_bytes += nbytes
         self._busy_accum += end - start
-        journal = self._ff_journal
-        if journal is not None:
-            journal.append(("link", self, start, end, nbytes, tag))
         trace = self.engine.trace
         if trace.enabled:
             name = (
@@ -446,48 +429,6 @@ class Link:
             on_complete()
         if self.on_idle is not None:
             self.on_idle()
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical time-relative link state for the cycle fingerprint.
-
-        The warm/cold TCP state is exactly the gap to the previous
-        transfer's completion (see :func:`repro.net.tcp.is_warm`), so
-        exposing ``_last_end`` relative to the boundary instant — plus
-        the in-flight transfer, if any — captures everything a future
-        send's duration can depend on under a constant schedule.
-        """
-        inflight = self._inflight
-        return (
-            ctx.rel_opt(self._last_end),
-            None
-            if inflight is None
-            else (
-                inflight[_NBYTES],
-                ctx.tag(inflight[_TAG]),
-                ctx.rel(inflight[_START]),
-                ctx.rel(inflight[_END]),
-                ctx.callback(inflight[_ON_COMPLETE]),
-            ),
-        )
-
-    def ff_shift(self, shift) -> None:
-        """Translate absolute times (and iteration tags) by the shift."""
-        dt = shift.dt
-        if self._last_end is not None:
-            self._last_end += dt
-        inflight = self._inflight
-        if inflight is not None:
-            nbytes, tag, start, end, on_complete = inflight
-            self._inflight = (
-                nbytes,
-                shift.tag(tag),
-                start + dt,
-                end + dt,
-                shift.callback(on_complete),
-            )
 
     # ------------------------------------------------------------------
     def busy_time(self, until: float | None = None) -> float:

@@ -203,10 +203,9 @@ def is_warm(gap: float | None, params: TCPParams) -> bool:
     """Whether a send after ``gap`` idle seconds rides an open window.
 
     ``gap`` is the idle time since the previous transfer finished on the
-    same connection (``None`` — never used — is always cold).  This is
-    the single warm/cold decision point shared by the link hot path and
-    the fast-forward state snapshot: the warm state of a connection is
-    fully determined by that relative gap, never by absolute time.
+    same connection (``None`` — never used — is always cold).  The warm
+    state of a connection is fully determined by that relative gap,
+    never by absolute time.
     """
     return gap is not None and gap <= params.warm_threshold
 

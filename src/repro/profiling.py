@@ -12,10 +12,6 @@ Two defaults make the numbers honest:
   read, so the report would profile deserialization instead of the
   hot loop.  ``use_cache=True`` opts back in (useful for profiling the
   cache itself).
-* **no fast-forward** — steady-state fast-forward
-  (:mod:`repro.sim.fastforward`) replaces the simulated iterations with
-  an O(1) replay, so an engaged run would profile the detector instead
-  of the event loop being optimized.  Forced off unconditionally.
 
 The raw stats can be dumped to a file for flame-graph viewers
 (``snakeviz out.prof``, ``python -m pstats out.prof``).
@@ -113,10 +109,8 @@ def profile_experiment(
         raise ConfigurationError(f"top must be positive, got {top}")
 
     from repro.runner import JOBS_ENV, NO_CACHE_ENV
-    from repro.sim.fastforward import NO_FASTFORWARD_ENV
 
     os.environ[JOBS_ENV] = "1"
-    os.environ[NO_FASTFORWARD_ENV] = "1"
     if not use_cache:
         os.environ[NO_CACHE_ENV] = "1"
 

@@ -31,9 +31,7 @@ from repro.runner.executor import (
     shutdown_pools,
 )
 from repro.runner.fingerprint import (
-    ENGINE_ENV_VARS,
     canonical,
-    engine_env_payload,
     fingerprint,
     fleet_fingerprint,
     fleet_key_payload,
@@ -61,8 +59,6 @@ __all__ = [
     "key_payload",
     "fleet_fingerprint",
     "fleet_key_payload",
-    "engine_env_payload",
-    "ENGINE_ENV_VARS",
     "execute_fleet",
     "run_fleet_grid",
     "register_strategy",

@@ -29,7 +29,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -39,7 +38,6 @@ import repro
 from repro.errors import ConfigurationError
 from repro.net.link import BandwidthSchedule
 from repro.runner.spec import RunSpec
-from repro.sim.fastforward import NO_FASTFORWARD_ENV
 
 __all__ = [
     "canonical",
@@ -47,22 +45,8 @@ __all__ = [
     "key_payload",
     "fleet_fingerprint",
     "fleet_key_payload",
-    "engine_env_payload",
     "source_digest",
-    "ENGINE_ENV_VARS",
 ]
-
-#: Environment variables that change what the simulation engine computes.
-#: They are part of every fingerprint: a result produced with fast-forward
-#: disabled is *the same numbers* but a different event-level execution,
-#: and the cache must not serve one as the other.
-ENGINE_ENV_VARS = (NO_FASTFORWARD_ENV,)
-
-
-def engine_env_payload() -> dict[str, bool]:
-    """The engine-relevant environment as a stable payload fragment."""
-    return {name: bool(os.environ.get(name)) for name in ENGINE_ENV_VARS}
-
 
 @functools.cache
 def source_digest() -> str:
@@ -145,7 +129,6 @@ def key_payload(spec: RunSpec) -> dict[str, Any]:
     return {
         "version": repro.__version__,
         "source": source_digest(),
-        "env": engine_env_payload(),
         "config": canonical(spec.config),
         "strategy": spec.strategy,
         "strategy_kwargs": canonical(spec.strategy_kwargs),
@@ -168,7 +151,6 @@ def fleet_key_payload(spec: Any) -> dict[str, Any]:
         "kind": "fleet",
         "version": repro.__version__,
         "source": source_digest(),
-        "env": engine_env_payload(),
         "spec": canonical(spec),
     }
 

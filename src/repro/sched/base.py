@@ -104,13 +104,6 @@ class CommScheduler:
     #: round trip per partition — the mechanism behind Fig. 3(a).
     unit_sync_rtts: float = 0.0
 
-    #: Whether the strategy supports steady-state fast-forward
-    #: (repro.sim.fastforward): its decision state must be fully captured
-    #: by :meth:`ff_state` and translation-invariant on the time-quantum
-    #: grid.  Strategies with hidden cross-iteration randomness or
-    #: unbounded learning state (ByteScheduler's Bayesian tuner) opt out.
-    ff_supported: bool = True
-
     def __init__(self) -> None:
         self._sizes: np.ndarray | None = None
         self._sizes_list: list[float] | None = None
@@ -125,11 +118,6 @@ class CommScheduler:
         #: is fine; it snaps to exactly 0.0 whenever the dict empties.
         self._pending_acc = 0.0
         self._iteration = -1
-        # Time-quantum grid (steady-state fast-forward): strategies that
-        # derive *absolute* times from relative predictions snap the
-        # relative parts onto the grid so the sums stay exact.
-        self._quantum: float | None = None
-        self._inv_quantum = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (called by the worker)
@@ -244,40 +232,6 @@ class CommScheduler:
         if self._sizes_list is None:
             raise SchedulingError("size_of before begin_iteration")
         return self._sizes_list[grad]
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def set_time_quantum(self, quantum: float | None) -> None:
-        """Adopt the engine's time-quantum grid (trainer wiring)."""
-        self._quantum = quantum
-        self._inv_quantum = 0.0 if quantum is None else 1.0 / quantum
-
-    def _snap(self, duration: float) -> float:
-        """Round a predicted duration onto the grid (identity without a
-        quantum)."""
-        inv = self._inv_quantum
-        if inv:
-            return round(duration * inv) * self._quantum
-        return duration
-
-    def ff_state(self, ctx) -> tuple:
-        """Canonical time-relative snapshot of the shared bookkeeping.
-
-        Subclasses with extra decision state extend the tuple.
-        """
-        return (
-            ctx.rel_iter(self._iteration),
-            tuple(sorted(self._remaining.items())),
-            tuple(self._ready_order),
-            tuple(sorted(self._ready)),
-            self._pending_acc,
-        )
-
-    def ff_shift(self, shift) -> None:
-        """Translate iteration labels (and, in subclasses, any absolute
-        times) by the skipped cycles."""
-        self._iteration += shift.diter
 
     # ------------------------------------------------------------------
     # Internals

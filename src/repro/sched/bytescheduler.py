@@ -46,11 +46,6 @@ class ByteSchedulerScheduler(CommScheduler):
     """Credit-sized batches of priority-ordered partitions."""
 
     name = "bytescheduler"
-    #: Opts out of steady-state fast-forward: the per-iteration
-    #: ``credit_history`` log (and the Bayesian tuner when auto_tune is
-    #: on) is unbounded cross-iteration state that a periodic snapshot
-    #: cannot canonicalise; eligible runs fall back to plain unrolling.
-    ff_supported = False
 
     def __init__(
         self,

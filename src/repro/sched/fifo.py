@@ -57,6 +57,3 @@ class FIFOScheduler(CommScheduler):
         # work a priority scheduler would have reordered past it.
         desc["queue_depth"] = len(self._queue)
         return desc
-
-    def ff_state(self, ctx) -> tuple:
-        return super().ff_state(ctx) + (tuple(self._queue),)

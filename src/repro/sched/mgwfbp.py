@@ -83,6 +83,3 @@ class MGWFBPScheduler(CommScheduler):
         desc["merge_bytes"] = self.merge_bytes
         desc["merged_tensors"] = len(unit.segments)
         return desc
-
-    def ff_state(self, ctx) -> tuple:
-        return super().ff_state(ctx) + (tuple(self._queue),)

@@ -224,12 +224,7 @@ class ProphetScheduler(CommScheduler):
             self.planned_iterations += 1
             if self._c_src is not self._profile:
                 self._c_src = self._profile
-                # Snapped onto the time-quantum grid (identity without a
-                # quantum): ``_backward_start + c`` is then exact grid
-                # arithmetic, which keeps the predicted boundaries — and
-                # hence every block-assembly decision — translation-
-                # invariant under steady-state fast-forward.
-                self._c_list = [self._snap(c) for c in self._profile.c.tolist()]
+                self._c_list = self._profile.c.tolist()
                 self._c_order = sorted(
                     range(len(self._c_list)), key=self._c_list.__getitem__
                 )
@@ -404,52 +399,6 @@ class ProphetScheduler(CommScheduler):
         if self._profile is None and self._fallback_queue:
             if self._fallback_queue[0] == unit.segments[0].grad:
                 self._fallback_queue.popleft()
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    #: Monotone counters extrapolated linearly at engagement (they are
-    #: excluded from the fingerprint, so steady growth — e.g.
-    #: ``planned_iterations`` rising by the period each cycle — does not
-    #: defeat period detection).
-    ff_counters = (
-        "planned_iterations",
-        "stale_detections",
-        "collapse_detections",
-        "fallbacks",
-        "reprofiles",
-    )
-
-    def ff_state(self, ctx) -> tuple:
-        profiler = self._profiler
-        return super().ff_state(ctx) + (
-            ctx.rel(self._backward_start),
-            None if self._signalled is None else tuple(self._signalled),
-            tuple(self._fallback_queue),
-            self._profile is not None,
-            self._c_src is self._profile,
-            tuple(self._c_list),
-            self._c_ptr,
-            self._stale_streak,
-            self._drift_err,
-            self._drift_base,
-            self._reference_bandwidth,
-            self._fifo_locked,
-            # Warmup progress: strictly growing while the profiler runs,
-            # so no two warmup boundaries can fingerprint-match and the
-            # fast-forward can only engage on the planned steady state.
-            None
-            if profiler is None
-            else (profiler.iterations_observed, len(profiler._current)),
-        )
-
-    def ff_shift(self, shift) -> None:
-        super().ff_shift(shift)
-        self._backward_start += shift.dt
-        # Recomputed, not shifted in place: ``_backward_start + c`` is
-        # exact grid arithmetic, so this reproduces exactly the values the
-        # unrolled run's begin_iteration would have computed.
-        self._c_abs = [self._backward_start + c for c in self._c_list]
 
     def describe_unit(self, unit: TransferUnit) -> dict[str, object]:
         """Label each block with the Algorithm-1 phase that assembled it."""

@@ -12,12 +12,13 @@ and one run loop.  Design points that matter for this reproduction:
   and replaying the exact same interleaving under a fixed seed is what
   makes the benchmark tables reproducible.
 * **Cancellation by tombstone.**  ``cancel`` marks the event dead in
-  place (O(1)); the run loop discards tombstones as they surface.  An
-  exact count of queued tombstones keeps ``pending()`` O(1), and once
-  more than :data:`_COMPACT_MIN_DEAD` tombstones make up over half the
-  heap it is rebuilt in place from its live events, so replanning-heavy
-  runs (Prophet/ByteScheduler re-arming timers every block) stay bounded
-  by twice the live-event count.
+  place (O(1)); the run loop discards tombstones as they surface, and
+  marks each event dead as it fires, so cancelling a fired event is a
+  no-op.  An exact count of queued tombstones keeps ``pending()`` O(1),
+  and once more than :data:`_COMPACT_MIN_DEAD` tombstones make up over
+  half the heap it is rebuilt in place from its live events, so
+  replanning-heavy runs (Prophet/ByteScheduler re-arming timers every
+  block) stay bounded by twice the live-event count.
 * **No wall-clock coupling.**  The clock only advances when an event
   fires, so a simulated 10-minute training job costs only as much real
   time as its event count.
@@ -27,10 +28,6 @@ and one run loop.  Design points that matter for this reproduction:
   threading a recorder through each constructor.  While tracing, the run
   loop samples its own queue depth as a counter every
   :data:`_TRACE_QUEUE_STRIDE` events.
-* **Time quantum.**  An optional ``time_quantum`` snaps every delay to a
-  power-of-two grid so absolute times stay exact grid multiples; the
-  steady-state fast-forward (:mod:`repro.sim.fastforward`) relies on it
-  to translate the queue bit-exactly (``ff_pending``/``ff_shift``).
 """
 
 from __future__ import annotations
@@ -101,7 +98,8 @@ class Event(list):
 
     @property
     def alive(self) -> bool:
-        """Whether the event can still fire (``cancel`` clears this)."""
+        """Whether the event can still fire (cleared by ``cancel`` and
+        when it fires)."""
         return self[_ALIVE]
 
     def cancel(self) -> None:
@@ -134,45 +132,18 @@ class Engine:
     1.0
     """
 
-    def __init__(
-        self,
-        trace: TraceRecorder | NullRecorder = NULL_RECORDER,
-        time_quantum: float | None = None,
-    ) -> None:
+    def __init__(self, trace: TraceRecorder | NullRecorder = NULL_RECORDER) -> None:
         #: Queued events (live and tombstones), a heap on ``(time, seq)``.
         #: Always mutated in place: the run loop holds an alias.
         self._heap: list[Event] = []
-        #: Count of cancelled events still in the heap (plus any cancelled
-        #: after they fired).
+        #: Count of cancelled events still in the heap.
         self._dead = 0
         self._seq = 0
         self._now = 0.0
         self._running = False
         self._events_processed = 0
-        #: Optional time grid (seconds; a positive power of two).  When
-        #: set, every *delay* handed to :meth:`schedule_after` is snapped
-        #: to the nearest grid multiple.  Because only delays are snapped
-        #: — a pure function of the delay, never of the current clock —
-        #: every absolute event time stays an exact grid multiple and
-        #: time arithmetic becomes exactly translation-invariant, which
-        #: is what makes steady-state fast-forward (:mod:`repro.sim.
-        #: fastforward`) bit-exact.  ``None`` (default) changes nothing.
-        self._quantum = time_quantum
-        self._inv_quantum = 0.0 if time_quantum is None else 1.0 / time_quantum
         #: Trace recorder shared by every component holding this engine.
         self.trace = trace
-        #: Set by the fleet simulator when several jobs share this engine.
-        #: Whole-engine transformations (steady-state fast-forward shifts
-        #: every queued event) are unsound with co-tenants, so eligibility
-        #: checks consult this flag.  Jobs do not namespace their trace
-        #: tracks or transfer tags: in a traced fleet every job writes to
-        #: the same ``worker0/comm``, ``ps`` and link tracks.
-        self.multi_tenant = False
-
-    @property
-    def time_quantum(self) -> float | None:
-        """The delay grid in seconds, or ``None`` when snapping is off."""
-        return self._quantum
 
     # ------------------------------------------------------------------
     # Clock
@@ -212,9 +183,6 @@ class Engine:
         # hottest call in the simulator and the extra frame is measurable.
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        quantum = self._quantum
-        if quantum is not None:
-            delay = round(delay * self._inv_quantum) * quantum
         self._seq = seq = self._seq + 1
         ev = Event((self._now + delay, seq, fn, args, True, self))
         heappush(self._heap, ev)
@@ -257,6 +225,9 @@ class Engine:
                     raise EventBudgetExhausted(self._budget_message())
                 budget -= 1
                 heappop(heap)
+                # A fired event is no longer alive: a late cancel() of its
+                # handle is then a no-op and never counts a tombstone.
+                ev[4] = False  # _ALIVE
                 self._now = time
                 self._events_processed += 1
                 args = ev[3]  # _ARGS
@@ -304,46 +275,6 @@ class Engine:
     def _drop_tombstones(self) -> None:
         """Rebuild the heap in place from its live events."""
         heap = self._heap
-        size = len(heap)
         heap[:] = [ev for ev in heap if ev[_ALIVE]]
         heapify(heap)
-        # Subtract only what left the heap: cancelling an event that
-        # already fired also counted as dead (as in the reference heap).
-        self._dead -= size - len(heap)
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward support (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_pending(self, *, ordered: bool = True) -> list[Event]:
-        """Every live queued event, sorted by ``(time, seq)``.
-
-        Called from inside a callback, the firing event has already left
-        the queue.  Does not mutate the queue.  ``ordered=False`` skips
-        the sort for callers that impose their own order on the result.
-        """
-        live = [ev for ev in self._heap if ev[_ALIVE]]
-        if ordered:
-            live.sort()
-        return live
-
-    def ff_shift(
-        self, dt: float, rewrite: Callable[[Event], None] | None = None
-    ) -> None:
-        """Advance the clock by ``dt``, translating every pending event.
-
-        Every live event's time is shifted by ``dt`` (a uniform
-        translation, so the exact ``(time, seq)`` firing order is
-        preserved and Event handles stay valid) and tombstones are
-        dropped.  ``rewrite`` may rewrite each event's args in place
-        (iteration relabeling).
-        """
-        if dt < 0:
-            raise SimulationError(f"cannot fast-forward by negative dt {dt!r}")
-        self._drop_tombstones()
-        self._now += dt
-        heap = self._heap
-        for ev in heap:
-            ev[_TIME] = ev[_TIME] + dt
-            if rewrite is not None:
-                rewrite(ev)
-        heapify(heap)
+        self._dead = 0

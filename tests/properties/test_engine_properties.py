@@ -6,7 +6,9 @@ large enough to trigger tombstone compaction), nested mid-run
 scheduling, segmented ``run(until=...)`` horizons, and small
 ``max_events`` budgets resumed after every
 :class:`~repro.errors.EventBudgetExhausted` must produce the identical
-``(time, label)`` firing sequence, clock, and pending count.
+``(time, label)`` firing sequence, clock, and pending count — and that
+count must equal the scenario driver's own tally of scheduled events
+that neither fired nor were cancelled before firing.
 """
 
 import heapq
@@ -107,6 +109,7 @@ class _RefEngine:
             ev = heapq.heappop(heap)
             if not ev[4]:
                 continue
+            ev[4] = False  # fired: a later cancel() is a no-op
             self._pending -= 1
             self.now = ev[0]
             ev[2](*ev[3])
@@ -146,35 +149,53 @@ def _run(eng, until, max_events):
 
 
 def _run_scenario(eng, scenario, max_events=None):
-    """Drive one engine through the scenario; return its observable log."""
+    """Drive one engine through the scenario; return its observable log.
+
+    The driver tallies every event it schedules as queued until it fires
+    or is cancelled while still queued, and checks ``pending()`` against
+    that tally at every segment end.
+    """
     log = []
     registry = []
+    queued: set[int] = set()
 
-    def fire(label, spec):
+    def schedule(t, label, spec):
+        queued.add(len(registry))
+        registry.append(eng.schedule(t, fire, len(registry), label, spec))
+
+    def cancel(k):
+        k %= len(registry)
+        queued.discard(k)
+        registry[k].cancel()
+
+    def fire(idx, label, spec):
+        queued.remove(idx)
         log.append((eng.now, label))
         for k in spec["cancel"]:
-            registry[k % len(registry)].cancel()
+            cancel(k)
         for j, delay in enumerate(spec["children"]):
-            registry.append(
-                eng.schedule(eng.now + delay, fire, f"{label}.{j}", _LEAF)
-            )
+            schedule(eng.now + delay, f"{label}.{j}", _LEAF)
+
+    def checkpoint(kind):
+        assert eng.pending() == len(queued)
+        log.append((kind, eng.now, eng.pending()))
 
     for i, (t, spec) in enumerate(scenario["initial"]):
-        registry.append(eng.schedule(t, fire, f"e{i}", spec))
+        schedule(t, f"e{i}", spec)
     for k in scenario["precancel"]:
-        registry[k % len(registry)].cancel()
+        cancel(k)
     for until in scenario["horizons"]:
         _run(eng, until, max_events)
-        log.append(("segment", eng.now, eng.pending()))
+        checkpoint("segment")
     _run(eng, None, max_events)
-    log.append(("end", eng.now, eng.pending()))
+    checkpoint("end")
     return log
 
 
 _LEAF = {"children": (), "cancel": ()}
 
-#: Cancels 150 already-fired events, then 100 queued ones: enough
-#: tombstones to compact, which must keep the reference's accounting.
+#: Cancels 150 already-fired events (no-ops), then 100 queued ones:
+#: enough tombstones to compact, and the late cancels must not count.
 _LATE_CANCEL = {"children": (), "cancel": tuple(range(150)) + tuple(range(151, 251))}
 
 

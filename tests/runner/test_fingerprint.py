@@ -132,34 +132,6 @@ def test_callables_are_rejected():
         canonical(lambda: None)
 
 
-class TestEngineEnvSensitivity:
-    """REPRO_NO_FASTFORWARD changes event interleavings mid-run, so it is
-    part of the cache key — a result computed with fast-forward disabled
-    must never be served to an enabled run (or vice versa)."""
-
-    def test_no_fastforward_flips_the_fingerprint(self, spec, monkeypatch):
-        from repro.sim.fastforward import NO_FASTFORWARD_ENV
-
-        monkeypatch.delenv(NO_FASTFORWARD_ENV, raising=False)
-        fp_default = fingerprint(spec)
-        monkeypatch.setenv(NO_FASTFORWARD_ENV, "1")
-        assert fingerprint(spec) != fp_default
-        monkeypatch.delenv(NO_FASTFORWARD_ENV)
-        assert fingerprint(spec) == fp_default
-
-    def test_env_payload_lists_every_engine_var(self, monkeypatch):
-        from repro.runner import ENGINE_ENV_VARS, engine_env_payload
-        from repro.sim.fastforward import NO_FASTFORWARD_ENV
-
-        assert NO_FASTFORWARD_ENV in ENGINE_ENV_VARS
-        monkeypatch.setenv(NO_FASTFORWARD_ENV, "1")
-        payload = engine_env_payload()
-        assert set(payload) == set(ENGINE_ENV_VARS)
-        assert payload[NO_FASTFORWARD_ENV] is True
-        monkeypatch.delenv(NO_FASTFORWARD_ENV)
-        assert engine_env_payload()[NO_FASTFORWARD_ENV] is False
-
-
 class TestFleetFingerprint:
     def _spec(self, **overrides):
         from repro.fleet import FleetSpec
@@ -185,13 +157,3 @@ class TestFleetFingerprint:
 
         payload = fleet_key_payload(self._spec())
         assert payload["kind"] == "fleet"
-        assert "env" in payload
-
-    def test_engine_env_flips_fleet_fingerprint(self, monkeypatch):
-        from repro.runner import fleet_fingerprint
-        from repro.sim.fastforward import NO_FASTFORWARD_ENV
-
-        monkeypatch.delenv(NO_FASTFORWARD_ENV, raising=False)
-        fp = fleet_fingerprint(self._spec())
-        monkeypatch.setenv(NO_FASTFORWARD_ENV, "1")
-        assert fleet_fingerprint(self._spec()) != fp

@@ -220,3 +220,13 @@ def test_cancel_then_pop_keeps_counter_consistent():
     assert eng.pending() == 1
     ev2.cancel()
     assert eng.pending() == 0
+
+
+def test_cancel_after_firing_is_a_no_op():
+    eng = Engine()
+    ev = eng.schedule(1.0, lambda: None)
+    eng.run()
+    assert not ev.alive
+    ev.cancel()
+    assert eng.pending() == 0
+    assert not ev.alive
