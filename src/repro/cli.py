@@ -607,6 +607,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     get_model(args.model)  # validate eagerly, before any training run
     _validate_backend_flags(args)
+    if args.workers < 2:
+        raise ConfigurationError(
+            f"--workers must be >= 2 (chaos crashes worker 1), got {args.workers}"
+        )
     plan = chaos.default_plan(
         crash_at=args.crash_at,
         restart_after=args.restart_after,

@@ -11,7 +11,7 @@ executes the same sequence.
 
 This module mirrors that shape.  A :class:`CollectiveController` owns the
 single :class:`~repro.sched.base.CommScheduler` instance for the job and
-the collective executor (the :class:`~repro.net.transport.Transport`).
+the collective step executor of :mod:`repro.net.collective`.
 :class:`CollectiveWorker` reuses the entire compute path of
 :class:`~repro.cluster.worker.Worker` (forward gating, bucket flushes,
 iteration bookkeeping, and the compute-state initializer) with no PS
@@ -27,10 +27,11 @@ controller instead of driving a private scheduler:
   simultaneously (each worker both contributed its chunk and received
   the reduced result), unblocking their next forward passes together.
 
-Because the scheduler still speaks propose/commit against a transport, it
-cannot tell the backends apart — FIFO, P3, ByteScheduler, MG-WFBP and
-Prophet all run unchanged, which is the point of the topology/scheduler
-split.  ``pull_completed`` fires per segment at operation completion so
+Because the scheduler still speaks propose/commit, and the executor's
+``send_unit`` takes a committed unit the way a PS port's ``Link.send``
+does, the scheduler cannot tell the backends apart — FIFO, P3,
+ByteScheduler, MG-WFBP and Prophet all run unchanged, which is the point
+of the topology/scheduler split.  ``pull_completed`` fires per segment at operation completion so
 credit-based flow control (ByteScheduler) replenishes exactly as on the
 PS path, where the PS mirrors every pushed byte back as a pull.
 
@@ -66,7 +67,7 @@ from repro.cluster.worker import StallProbe, Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
-from repro.net.transport import Transport
+from repro.net.collective import HierarchicalExecutor, RingExecutor
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
@@ -120,7 +121,7 @@ class CollectiveController(StallProbe):
         self,
         engine: Engine,
         scheduler: CommScheduler,
-        executor: Transport,
+        executor: RingExecutor | HierarchicalExecutor,
         recorder: Recorder,
         n_workers: int,
         stall_timeout: float = 5e-3,

@@ -40,7 +40,7 @@ from repro.net.collective import (
     RingTopology,
 )
 from repro.net.monitor import BandwidthMonitor
-from repro.net.topology import ShardedTopology, StarTopology
+from repro.net.topology import ShardedTopology
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_rng
 from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
@@ -151,7 +151,8 @@ class Trainer:
         config = self.config
         n_shards = config.n_servers
         star = n_shards == 1
-        links = dict(
+        self.topology = ShardedTopology(
+            self.engine,
             n_workers=config.n_workers,
             bandwidth=config.bandwidth,
             tcp=config.tcp,
@@ -159,14 +160,13 @@ class Trainer:
             ps_bandwidth=config.ps_bandwidth,
             seed=config.seed,
             noise_std=config.bandwidth_noise_std,
+            n_servers=n_shards,
         )
         if star:
-            self.topology = StarTopology(self.engine, **links)
             self.assignment = assign_shards(self.gen_schedule.sizes, 1)
             templates = [self.gen_schedule]
             profiles = [self.oracle_profile]
         else:
-            self.topology = ShardedTopology(self.engine, n_servers=n_shards, **links)
             self.assignment = assign_shards(
                 self.gen_schedule.sizes, n_shards, config.shard_slice_bytes
             )

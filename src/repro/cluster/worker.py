@@ -75,7 +75,6 @@ from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
 from repro.models.gradients import gradient_table
 from repro.net.link import Link
-from repro.net.transport import LinkTransport
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
@@ -158,10 +157,6 @@ class PSPort(StallProbe):
         self.shard = shard
         self.scheduler = scheduler
         self.channel = channel
-        # Committed push units leave through the transport abstraction; it
-        # wraps the channel and is a pure pass-through (bit-identical to
-        # calling ``channel.send`` directly).
-        self.transport = LinkTransport(channel)
         self.downlink = downlink
         self.ps = ps
         #: Local index -> :class:`~repro.cluster.sharding.ShardPiece`.
@@ -408,7 +403,7 @@ class PSPort(StallProbe):
             desc = self.scheduler.describe_unit(unit)
             self._trace_push_spans(unit, desc, now)
         if self._faults is None:
-            self.transport.send_unit(
+            self.channel.send(
                 unit.total_bytes,
                 tag=("push", iteration),
                 on_complete=partial(self._push_done, iteration, unit, now, desc),

@@ -19,7 +19,7 @@ faithful event-driven restatement of the planner here.
 """
 
 from repro.core.profiler import JobProfile, JobProfiler
-from repro.core.intervals import block_intervals, next_generation_boundary
+from repro.core.intervals import block_intervals
 from repro.core.blocks import GradientBlock, PlannedTransfer, ProphetPlan
 from repro.core.algorithm import plan_schedule
 from repro.core.perf_model import (
@@ -34,7 +34,6 @@ __all__ = [
     "JobProfile",
     "JobProfiler",
     "block_intervals",
-    "next_generation_boundary",
     "GradientBlock",
     "PlannedTransfer",
     "ProphetPlan",

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.agg.stepwise import detect_blocks
 
-__all__ = ["block_intervals", "next_generation_boundary"]
+__all__ = ["block_intervals"]
 
 
 def block_intervals(c: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -45,25 +45,3 @@ def block_intervals(c: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         a[this_block] = step
     return a
 
-
-def next_generation_boundary(
-    c: np.ndarray, pending: np.ndarray, now: float
-) -> float:
-    """Earliest future generation time among ``pending`` gradients.
-
-    ``pending`` is a boolean mask of gradients that have *not* yet been
-    generated.  Returns ``+inf`` when nothing is pending — the online
-    scheduler then knows no higher-priority gradient can preempt.  Events
-    whose predicted time is already past (``<= now``) are treated as
-    imminent and returned as ``now`` (the conservative choice: protect the
-    about-to-arrive gradient rather than start a transfer that would block
-    it).
-    """
-    c = np.asarray(c, dtype=float)
-    pending = np.asarray(pending, dtype=bool)
-    if pending.shape != c.shape:
-        raise ValueError("pending mask must match c's shape")
-    if not pending.any():
-        return np.inf
-    earliest = float(c[pending].min())
-    return max(earliest, now)

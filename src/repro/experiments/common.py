@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.cluster.result import TrainingResult
 from repro.cluster.trainer import run_training
 from repro.config import SchedulerFactory, TrainingConfig
 from repro.runner import ResultCache, RunSpec, run_grid
@@ -29,7 +28,6 @@ __all__ = [
     "StrategyRates",
     "run_strategies",
     "run_strategies_grid",
-    "run_one",
     "FAST_ITERATIONS",
     "FULL_ITERATIONS",
 ]
@@ -112,9 +110,3 @@ def run_strategies_grid(
         )
     return rows
 
-
-def run_one(
-    config: TrainingConfig, factory: SchedulerFactory
-) -> TrainingResult:
-    """Thin alias kept for symmetry with :func:`run_strategies`."""
-    return run_training(config, factory)

@@ -5,14 +5,15 @@ f(s(i), B)`` that vanishes for small transfer sizes and saturates at the
 available bandwidth ``B`` for large ones, and attributes the loss to TCP
 connection overhead and slow start.  :mod:`repro.net.tcp` implements exactly
 that mechanism analytically; :mod:`repro.net.link` serializes transfers on a
-link (the paper's Constraint (8)); :mod:`repro.net.topology` wires a star of
-workers around one parameter server; :mod:`repro.net.monitor` is the
-periodic bandwidth monitor that feeds Prophet.
+link (the paper's Constraint (8)); :mod:`repro.net.topology` wires workers
+to the PS tier — the paper's star is ``ShardedTopology(n_servers=1)`` —
+and :mod:`repro.net.collective` to allreduce rings; :mod:`repro.net.monitor`
+is the periodic bandwidth monitor that feeds Prophet.
 """
 
 from repro.net.tcp import TCPParams, transfer_time, effective_bandwidth
 from repro.net.link import Link, TransferRecord, BandwidthSchedule
-from repro.net.topology import StarTopology
+from repro.net.topology import ShardedTopology
 from repro.net.monitor import BandwidthMonitor
 
 __all__ = [
@@ -22,6 +23,6 @@ __all__ = [
     "Link",
     "TransferRecord",
     "BandwidthSchedule",
-    "StarTopology",
+    "ShardedTopology",
     "BandwidthMonitor",
 ]

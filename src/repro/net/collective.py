@@ -1,4 +1,4 @@
-"""Allreduce collective topologies and their transport executors.
+"""Allreduce collective topologies and their step executors.
 
 The PS star moves a gradient twice over one worker NIC (push up, pull
 down).  A ring allreduce instead moves it as ``2(N-1)`` pipelined chunk
@@ -20,12 +20,14 @@ pushes).  Small transfer units therefore suffer the paper's small-message
 penalty **per step**, which makes the tensor-fusion tradeoff the
 MG-WFBP policy optimizes genuinely present in the collective backend.
 
-The executors implement the :class:`~repro.net.transport.Transport`
-interface, so the worker tier hands them scheduler-committed
-:class:`~repro.sched.base.TransferUnit`s exactly as it hands them to a PS
-uplink.  Steps are barrier-synchronized: a step completes when its
-slowest link finishes (synchronous ring semantics), which is how a
-heterogeneous or noisy link slows the whole collective.
+The executors duck-type a PS uplink: ``busy``, ``tcp`` and
+``send_unit(nbytes, tag, on_complete, extra_time)`` mirror
+:meth:`Link.send <repro.net.link.Link.send>`, so the collective tier hands
+them scheduler-committed :class:`~repro.sched.base.TransferUnit`s exactly
+as a PS port hands a unit to its channel.  Steps are barrier-synchronized:
+a step completes when its slowest link finishes (synchronous ring
+semantics), which is how a heterogeneous or noisy link slows the whole
+collective.
 """
 
 from __future__ import annotations
@@ -33,14 +35,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import BandwidthSchedule, Link, send_batch
 from repro.net.tcp import TCPParams
+from repro.net.topology import worker_link, worker_schedules
 from repro.sim.engine import Engine
-from repro.sim.rng import spawn_rng
-from repro.net.transport import Transport
 
 __all__ = [
     "RingTopology",
@@ -48,20 +47,6 @@ __all__ = [
     "RingExecutor",
     "HierarchicalExecutor",
 ]
-
-
-def _worker_schedules(
-    n_workers: int,
-    bandwidth: float | BandwidthSchedule,
-    overrides: Mapping[int, float | BandwidthSchedule],
-) -> list[BandwidthSchedule]:
-    out: list[BandwidthSchedule] = []
-    for w in range(n_workers):
-        b = overrides.get(w, bandwidth)
-        out.append(
-            b if isinstance(b, BandwidthSchedule) else BandwidthSchedule.constant(float(b))
-        )
-    return out
 
 
 class RingTopology:
@@ -83,40 +68,16 @@ class RingTopology:
         seed: int | None = 0,
         noise_std: float = 0.0,
     ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        overrides = dict(worker_bandwidth or {})
-        for idx in overrides:
-            if not 0 <= idx < n_workers:
-                raise ConfigurationError(
-                    f"worker_bandwidth override for unknown worker {idx}"
-                )
+        schedules = worker_schedules(n_workers, bandwidth, worker_bandwidth)
         self.engine = engine
         self.n_workers = n_workers
         self.tcp = tcp if tcp is not None else TCPParams()
-        self.links: list[Link] = []
-        for w, sched in enumerate(
-            _worker_schedules(n_workers, bandwidth, overrides)
-        ):
-            rng: np.random.Generator | None = None
-            if noise_std > 0:
-                rng = spawn_rng(seed, "link", w, "ring")
-            self.links.append(
-                Link(
-                    engine,
-                    sched,
-                    self.tcp,
-                    name=f"worker{w}-ring",
-                    noise_rng=rng,
-                    noise_std=noise_std,
-                )
-            )
+        self.links: list[Link] = [
+            worker_link(engine, sched, self.tcp, seed, noise_std, w, "ring")
+            for w, sched in enumerate(schedules)
+        ]
 
     # ------------------------------------------------------------------
-    def ring_link(self, worker: int) -> Link:
-        """Worker ``worker``'s transmit link to its next ring neighbor."""
-        return self.links[worker]
-
     def worker_uplinks(self, worker: int) -> list[Link]:
         """All transmit links of ``worker`` (topology-generic accessor)."""
         return [self.links[worker]]
@@ -126,11 +87,6 @@ class RingTopology:
         (every byte sent is a byte received by the neighbor), so this is
         empty — mirroring the half-duplex PS accounting."""
         return []
-
-    def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth on the ring right now (the pace of
-        every barrier-synchronized chunk step)."""
-        return min(link.current_bandwidth() for link in self.links)
 
 
 class HierarchicalTopology:
@@ -153,39 +109,21 @@ class HierarchicalTopology:
         seed: int | None = 0,
         noise_std: float = 0.0,
     ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+        schedules = worker_schedules(n_workers, bandwidth, worker_bandwidth)
         if group_size < 1:
             raise ConfigurationError(f"group_size must be >= 1, got {group_size}")
         if n_workers % group_size != 0:
             raise ConfigurationError(
                 f"group_size {group_size} does not divide n_workers {n_workers}"
             )
-        overrides = dict(worker_bandwidth or {})
-        for idx in overrides:
-            if not 0 <= idx < n_workers:
-                raise ConfigurationError(
-                    f"worker_bandwidth override for unknown worker {idx}"
-                )
         self.engine = engine
         self.n_workers = n_workers
         self.group_size = group_size
         self.n_groups = n_workers // group_size
         self.tcp = tcp if tcp is not None else TCPParams()
-        schedules = _worker_schedules(n_workers, bandwidth, overrides)
 
         def _mk(w: int, kind: str) -> Link:
-            rng: np.random.Generator | None = None
-            if noise_std > 0:
-                rng = spawn_rng(seed, "link", w, kind)
-            return Link(
-                engine,
-                schedules[w],
-                self.tcp,
-                name=f"worker{w}-{kind}",
-                noise_rng=rng,
-                noise_std=noise_std,
-            )
+            return worker_link(engine, schedules[w], self.tcp, seed, noise_std, w, kind)
 
         #: Intra-group transmit link of every worker.
         self.local_links: list[Link] = [_mk(w, "local") for w in range(n_workers)]
@@ -213,13 +151,6 @@ class HierarchicalTopology:
         """Receive side — empty, as for :class:`RingTopology`."""
         return []
 
-    def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth across every collective link."""
-        return min(
-            link.current_bandwidth()
-            for link in (*self.local_links, *self.global_links)
-        )
-
 
 # ----------------------------------------------------------------------
 # Executors
@@ -235,7 +166,7 @@ _STEP_TIMEOUT_FACTOR = 3.0
 _MAX_STEP_RETRIES = 2
 
 
-class _StepExecutor(Transport):
+class _StepExecutor:
     """Shared machinery: run a unit as barrier-synchronized link steps.
 
     Subclasses provide :meth:`_plan`, the list of ``(links, chunk_bytes)``
@@ -324,7 +255,7 @@ class _StepExecutor(Transport):
     def _shrunk(self) -> None:
         """Subclass hook run after a membership change."""
 
-    # -- Transport interface -------------------------------------------
+    # -- send interface (duck-types Link.send) -------------------------
     @property
     def busy(self) -> bool:
         return self._inflight_tag is not None or self._on_complete is not None
@@ -336,6 +267,13 @@ class _StepExecutor(Transport):
         on_complete: Callable[[], None] | None = None,
         extra_time: float = 0.0,
     ) -> float | None:
+        """Start one allreduce of ``nbytes``; ``on_complete`` fires when
+        its last step's barrier releases.
+
+        Returns the completion time only for the zero-step identity
+        operation; otherwise ``None``, since barrier times depend on
+        in-flight dynamics.  Callers must not send while ``busy``.
+        """
         if self.busy:
             raise SimulationError("collective executor is busy")
         if nbytes < 0:

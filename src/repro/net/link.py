@@ -289,38 +289,8 @@ class Link:
         busy — callers must serialize via the ``on_idle`` callback,
         mirroring Constraint (8).
         """
-        if self._inflight is not None:
-            raise SimulationError(
-                f"link {self.name!r} is busy until t={self._inflight[_END]:.6f}"
-            )
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size {nbytes!r}")
-        if extra_time < 0:
-            raise SimulationError(f"negative extra_time {extra_time!r}")
-        engine = self.engine
-        start = engine._now
-        sched = self.schedule
-        bandwidth = (
-            self._const_bw
-            if sched is self._const_sched and sched._version == self._const_ver
-            else sched.value(start)
-        )
-        if self._noise_rng is not None and self._noise_std > 0:
-            factor = 1.0 + self._noise_std * float(self._noise_rng.standard_normal())
-            bandwidth *= min(max(factor, 0.1), 2.0)
-        # Inlined transfer_time(): schedule validation guarantees a positive
-        # bandwidth, and nbytes was checked above, so the scalar fast path
-        # reduces to one table replay.  Same IEEE-754 sequence as the
-        # wrapper — durations are bit-identical.
-        if bandwidth != self._tbl_bw:
-            self._tbl = _slow_start_table(bandwidth, self.tcp)
-            self._tbl_bw = bandwidth
-        last_end = self._last_end
-        warm = last_end is not None and (start - last_end) <= self._warm_threshold
-        duration = self._tbl.transfer_time(nbytes, warm) + extra_time
-        end = start + duration
-        self._inflight = (nbytes, tag, start, end, on_complete)
-        self._finish_event = engine.schedule(end, self._finish_cb)
+        end = self._start(nbytes, tag, on_complete, extra_time)
+        self._finish_event = self.engine.schedule(end, self._finish_cb)
         return end
 
     def _start(
@@ -330,8 +300,12 @@ class Link:
         on_complete: Callable[[], None] | None,
         extra_time: float,
     ) -> float:
-        """:meth:`send` minus the completion event — :func:`send_batch`
-        defers scheduling so same-instant completions share one event."""
+        """Occupy the link with one transfer and return its end time.
+
+        :meth:`send` schedules the completion event right away;
+        :func:`send_batch` defers it so same-instant completions share one
+        event.
+        """
         if self._inflight is not None:
             raise SimulationError(
                 f"link {self.name!r} is busy until t={self._inflight[_END]:.6f}"
@@ -350,6 +324,10 @@ class Link:
         if self._noise_rng is not None and self._noise_std > 0:
             factor = 1.0 + self._noise_std * float(self._noise_rng.standard_normal())
             bandwidth *= min(max(factor, 0.1), 2.0)
+        # Inlined transfer_time(): schedule validation guarantees a positive
+        # bandwidth, and nbytes was checked above, so the scalar fast path
+        # reduces to one table replay.  Same IEEE-754 sequence as the
+        # wrapper — durations are bit-identical.
         if bandwidth != self._tbl_bw:
             self._tbl = _slow_start_table(bandwidth, self.tcp)
             self._tbl_bw = bandwidth

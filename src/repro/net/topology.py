@@ -16,22 +16,22 @@ the steady state competing TCP flows converge to.  A static
 ``ps_bandwidth / n_workers`` split would instead strand the slow worker's
 unused share (over-capping heterogeneous clusters).
 
-:class:`ShardedTopology` generalizes the star to a BytePS-style sharded PS
-tier: ``n_servers`` key-sharded parameter servers, each with its own
-``ps_bandwidth`` NIC, and per-``(worker, shard)`` duplex links so a worker
-pushes to (and pulls from) every shard concurrently.  Each shard's NIC is
-water-filled across the workers independently.  In this model the worker
-NIC caps each individual shard flow but not their sum — the sharded regime
-of interest is the one where the PS tier, not the worker NIC, is the
-bottleneck (see DESIGN.md).
+:class:`ShardedTopology` builds that star (``n_servers=1``) and its
+BytePS-style generalization: ``n_servers`` key-sharded parameter servers,
+each with its own ``ps_bandwidth`` NIC, and per-``(worker, shard)`` duplex
+links so a worker pushes to (and pulls from) every shard concurrently.
+Each shard's NIC is water-filled across the workers independently.  In
+this model the worker NIC caps each individual shard flow but not their
+sum — the sharded regime of interest is the one where the PS tier, not
+the worker NIC, is the bottleneck (see DESIGN.md).  Every topology, the
+allreduce ones of :mod:`repro.net.collective` included, builds its links
+through :func:`worker_schedules` and :func:`worker_link`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.link import BandwidthSchedule, Link
@@ -40,7 +40,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import spawn_rng
 
 __all__ = [
-    "StarTopology",
     "ShardedTopology",
     "ClusterFabric",
     "water_fill_level",
@@ -236,132 +235,76 @@ class ClusterFabric:
             sched.set_level(now, per_link)
 
 
-def _as_schedule(bandwidth: float | BandwidthSchedule) -> BandwidthSchedule:
-    if isinstance(bandwidth, BandwidthSchedule):
-        return bandwidth
-    return BandwidthSchedule.constant(float(bandwidth))
-
-
-def _effective_schedules(
+def worker_schedules(
     n_workers: int,
     bandwidth: float | BandwidthSchedule,
-    overrides: Mapping[int, float | BandwidthSchedule],
-    ps_bandwidth: float | None,
+    worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
+    ps_bandwidth: float | None = None,
 ) -> list[BandwidthSchedule]:
-    """Per-worker effective bandwidth schedules under the PS-side cap."""
-    raw = [_as_schedule(overrides.get(w, bandwidth)) for w in range(n_workers)]
+    """Validated per-worker bandwidth schedules, water-filled under
+    ``ps_bandwidth`` when it is set.
+
+    ``bandwidth`` is every worker's default and ``worker_bandwidth`` maps
+    worker index to an override; either may be bytes/s or a
+    :class:`BandwidthSchedule`.
+    """
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+    if ps_bandwidth is not None and ps_bandwidth <= 0:
+        raise ConfigurationError(f"ps_bandwidth must be positive, got {ps_bandwidth}")
+    overrides = dict(worker_bandwidth or {})
+    for idx in overrides:
+        if not 0 <= idx < n_workers:
+            raise ConfigurationError(
+                f"worker_bandwidth override for unknown worker {idx}"
+            )
+    raw = []
+    for w in range(n_workers):
+        b = overrides.get(w, bandwidth)
+        raw.append(
+            b if isinstance(b, BandwidthSchedule) else BandwidthSchedule.constant(float(b))
+        )
     if ps_bandwidth is None:
         return raw
     return _ps_capped_schedules(raw, ps_bandwidth)
 
 
-class StarTopology:
-    """Star of ``n_workers`` around one PS, with per-worker duplex links.
+def worker_link(
+    engine: Engine,
+    schedule: BandwidthSchedule,
+    tcp: TCPParams,
+    seed: int | None,
+    noise_std: float,
+    *stream: int | str,
+) -> Link:
+    """One worker link, noisy when ``noise_std > 0``.
 
-    Parameters
-    ----------
-    engine:
-        The simulation engine all links schedule on.
-    n_workers:
-        Number of worker nodes (>= 1).
-    bandwidth:
-        Default per-worker available bandwidth in bytes/s, or a
-        :class:`BandwidthSchedule` for dynamic environments.
-    tcp:
-        TCP path parameters shared by all links.
-    worker_bandwidth:
-        Optional per-worker overrides, mapping worker index to a bandwidth
-        (bytes/s) or schedule.  Used by the heterogeneous-cluster
-        experiments (e.g. worker 0 capped to 500 Mbps).
-    ps_bandwidth:
-        Optional PS NIC capacity in bytes/s; when set, it is divided among
-        the workers with water-filling (max-min fair) semantics — see the
-        module docstring.
-    seed / noise_std:
-        Optional multiplicative bandwidth noise per transfer, independent
-        per link.
+    ``stream`` is ``(worker, [shard,] kind)``: the link's noise draws
+    from RNG stream ``("link", *stream)`` and it is named
+    ``worker{w}[-s{shard}]-{kind}``, so every link has its own stream.
     """
-
-    def __init__(
-        self,
-        engine: Engine,
-        n_workers: int,
-        bandwidth: float | BandwidthSchedule,
-        tcp: TCPParams | None = None,
-        worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
-        ps_bandwidth: float | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
-    ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if ps_bandwidth is not None and ps_bandwidth <= 0:
-            raise ConfigurationError(f"ps_bandwidth must be positive, got {ps_bandwidth}")
-        overrides = dict(worker_bandwidth or {})
-        for idx in overrides:
-            if not 0 <= idx < n_workers:
-                raise ConfigurationError(
-                    f"worker_bandwidth override for unknown worker {idx}"
-                )
-
-        self.engine = engine
-        self.n_workers = n_workers
-        self.tcp = tcp if tcp is not None else TCPParams()
-        self.uplinks: list[Link] = []
-        self.downlinks: list[Link] = []
-
-        schedules = _effective_schedules(n_workers, bandwidth, overrides, ps_bandwidth)
-        for w, sched in enumerate(schedules):
-            for direction, bucket in (("up", self.uplinks), ("down", self.downlinks)):
-                rng: np.random.Generator | None = None
-                if noise_std > 0:
-                    rng = spawn_rng(seed, "link", w, direction)
-                bucket.append(
-                    Link(
-                        engine,
-                        sched,
-                        self.tcp,
-                        name=f"worker{w}-{direction}",
-                        noise_rng=rng,
-                        noise_std=noise_std,
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    def uplink(self, worker: int) -> Link:
-        """The push link of ``worker`` (worker → PS)."""
-        return self.uplinks[worker]
-
-    def downlink(self, worker: int) -> Link:
-        """The pull link of ``worker`` (PS → worker)."""
-        return self.downlinks[worker]
-
-    def worker_uplinks(self, worker: int) -> list[Link]:
-        """All push links of ``worker`` (one; topology-generic accessor)."""
-        return [self.uplinks[worker]]
-
-    def worker_downlinks(self, worker: int) -> list[Link]:
-        """All pull links of ``worker`` (one; topology-generic accessor)."""
-        return [self.downlinks[worker]]
-
-    def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth across workers right now.
-
-        In BSP the slowest worker gates every parameter update; schedulers
-        that need a single cluster-level bandwidth estimate use this.
-        """
-        return min(link.current_bandwidth() for link in self.uplinks)
+    worker, *rest = stream
+    name = "-".join(
+        [f"worker{worker}", *(f"s{p}" if isinstance(p, int) else p for p in rest)]
+    )
+    rng = spawn_rng(seed, "link", *stream) if noise_std > 0 else None
+    return Link(engine, schedule, tcp, name=name, noise_rng=rng, noise_std=noise_std)
 
 
 class ShardedTopology:
-    """Key-sharded PS tier: ``n_servers`` servers, per-shard duplex links.
+    """PS tier of ``n_servers`` key-sharded servers, per-shard duplex links.
 
     Every worker gets one uplink and one downlink **per shard**, so pushes
     to different shards proceed concurrently (no head-of-line blocking
     between shards — the BytePS deployment model).  Each server has its own
     ``ps_bandwidth`` NIC, water-filled across the workers; each
     ``(worker, shard)`` link is additionally capped by the worker's own
-    configured bandwidth.
+    configured bandwidth (``worker_bandwidth`` overrides the default
+    ``bandwidth`` per worker, e.g. worker 0 capped to 500 Mbps in the
+    heterogeneity experiments).
+
+    The paper's star is ``n_servers=1``: its links keep the star's names
+    (``worker{w}-up``/``-down``) and noise streams (``("link", w, dir)``).
 
     The worker NIC caps each shard flow individually but not their sum —
     an accepted simplification for the PS-bound regime this topology
@@ -372,27 +315,20 @@ class ShardedTopology:
         self,
         engine: Engine,
         n_workers: int,
-        n_servers: int,
         bandwidth: float | BandwidthSchedule,
         tcp: TCPParams | None = None,
         worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
         ps_bandwidth: float | None = None,
         seed: int | None = 0,
         noise_std: float = 0.0,
+        *,
+        n_servers: int = 1,
     ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         if n_servers < 1:
             raise ConfigurationError(f"n_servers must be >= 1, got {n_servers}")
-        if ps_bandwidth is not None and ps_bandwidth <= 0:
-            raise ConfigurationError(f"ps_bandwidth must be positive, got {ps_bandwidth}")
-        overrides = dict(worker_bandwidth or {})
-        for idx in overrides:
-            if not 0 <= idx < n_workers:
-                raise ConfigurationError(
-                    f"worker_bandwidth override for unknown worker {idx}"
-                )
-
+        # Every shard serves all workers, so the per-shard water-filling is
+        # identical across shards; compute it once.
+        schedules = worker_schedules(n_workers, bandwidth, worker_bandwidth, ps_bandwidth)
         self.engine = engine
         self.n_workers = n_workers
         self.n_servers = n_servers
@@ -400,26 +336,15 @@ class ShardedTopology:
         # uplinks[worker][shard] / downlinks[worker][shard]
         self.uplinks: list[list[Link]] = []
         self.downlinks: list[list[Link]] = []
-
-        # Every shard serves all workers, so the per-shard water-filling is
-        # identical across shards; compute it once.
-        schedules = _effective_schedules(n_workers, bandwidth, overrides, ps_bandwidth)
-        for w in range(n_workers):
+        for w, sched in enumerate(schedules):
             ups: list[Link] = []
             downs: list[Link] = []
             for s in range(n_servers):
+                shard = () if n_servers == 1 else (s,)
                 for direction, bucket in (("up", ups), ("down", downs)):
-                    rng: np.random.Generator | None = None
-                    if noise_std > 0:
-                        rng = spawn_rng(seed, "link", w, s, direction)
                     bucket.append(
-                        Link(
-                            engine,
-                            schedules[w],
-                            self.tcp,
-                            name=f"worker{w}-s{s}-{direction}",
-                            noise_rng=rng,
-                            noise_std=noise_std,
+                        worker_link(
+                            engine, sched, self.tcp, seed, noise_std, w, *shard, direction
                         )
                     )
             self.uplinks.append(ups)
@@ -442,8 +367,7 @@ class ShardedTopology:
         """All pull links of ``worker``, shard order."""
         return list(self.downlinks[worker])
 
-    def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth across all worker/shard links."""
-        return min(
-            link.current_bandwidth() for links in self.uplinks for link in links
-        )
+
+# bench/tracer.py names it; the star is ShardedTopology(n_servers=1).
+class StarTopology(ShardedTopology):
+    pass

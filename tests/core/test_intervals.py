@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.intervals import block_intervals, next_generation_boundary
+from repro.core.intervals import block_intervals
 
 
 def test_block_intervals_staircase():
@@ -28,26 +28,3 @@ def test_block_intervals_uneven_steps():
     assert a[1] == pytest.approx(0.4)
     assert np.isinf(a[0])
 
-
-def test_next_generation_boundary_basic():
-    c = np.array([0.4, 0.25, 0.1])
-    pending = np.array([True, True, False])  # grads 0,1 not yet generated
-    assert next_generation_boundary(c, pending, now=0.12) == pytest.approx(0.25)
-
-
-def test_next_generation_boundary_none_pending():
-    c = np.array([0.4, 0.25, 0.1])
-    pending = np.zeros(3, dtype=bool)
-    assert np.isinf(next_generation_boundary(c, pending, now=0.5))
-
-
-def test_next_generation_boundary_late_prediction_clamps_to_now():
-    """A predicted event already in the past is treated as imminent."""
-    c = np.array([0.4, 0.25, 0.1])
-    pending = np.array([False, True, False])
-    assert next_generation_boundary(c, pending, now=0.3) == pytest.approx(0.3)
-
-
-def test_next_generation_boundary_shape_mismatch():
-    with pytest.raises(ValueError):
-        next_generation_boundary(np.zeros(3), np.zeros(2, dtype=bool), 0.0)

@@ -8,8 +8,8 @@ The invariants that make the collective cost model trustworthy:
   all-gather, with the advertised per-phase chunk sizes;
 * degenerate shapes (one worker, one group, groups of one) collapse to
   the right flat structure instead of special-casing;
-* the executor is a :class:`~repro.net.transport.Transport`: one
-  operation at a time, completion through the event loop.
+* the executor runs one operation at a time, completion through the
+  event loop.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.net.collective import (
     RingTopology,
 )
 from repro.net.tcp import TCPParams
-from repro.net.transport import LinkTransport, Transport
 from repro.quantities import Gbps, MB
 from repro.sim.engine import Engine
 
@@ -49,7 +48,6 @@ def _run_op(executor, nbytes):
 def test_ring_topology_shape():
     topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
     assert len(topo.links) == 4
-    assert topo.ring_link(2) is topo.links[2]
     assert topo.links[1].name == "worker1-ring"
     assert topo.worker_uplinks(3) == [topo.links[3]]
     assert topo.worker_downlinks(3) == []
@@ -60,7 +58,8 @@ def test_ring_min_bandwidth_sees_slow_worker():
         Engine(), n_workers=3, bandwidth=3 * Gbps, tcp=TCP,
         worker_bandwidth={1: 1 * Gbps},
     )
-    assert topo.min_bandwidth() == pytest.approx(1 * Gbps)
+    assert topo.links[1].current_bandwidth() == pytest.approx(1 * Gbps)
+    assert topo.links[0].current_bandwidth() == pytest.approx(3 * Gbps)
 
 
 def test_ring_topology_validation():
@@ -208,32 +207,3 @@ def test_hierarchical_groups_of_one_is_flat_ring():
     for link in topo.local_links:
         assert link.records == []
     assert executor.efficiency_factor == pytest.approx(2.0 * (m - 1) / m)
-
-
-# ----------------------------------------------------------------------
-# Transport interface
-# ----------------------------------------------------------------------
-
-def test_executors_are_transports():
-    engine = Engine()
-    ring = RingExecutor(RingTopology(engine, 2, 3 * Gbps, tcp=TCP))
-    hier = HierarchicalExecutor(
-        HierarchicalTopology(engine, 2, 1, 3 * Gbps, tcp=TCP)
-    )
-    assert isinstance(ring, Transport) and isinstance(hier, Transport)
-    assert ring.tcp is hier.tcp or ring.tcp == hier.tcp
-
-
-def test_link_transport_is_pass_through():
-    from repro.net.link import BandwidthSchedule, Link
-
-    engine = Engine()
-    link = Link(engine, BandwidthSchedule.constant(3 * Gbps), TCP)
-    transport = LinkTransport(link)
-    assert transport.tcp is link.tcp
-    assert not transport.busy
-    transport.send_unit(1 * MB, tag=("push", 1))
-    assert transport.busy and link.busy
-    engine.run()
-    assert not transport.busy
-    assert [r.tag for r in link.records] == [("push", 1)]

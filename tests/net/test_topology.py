@@ -1,10 +1,10 @@
-"""Unit tests for the star topology."""
+"""Unit tests for the PS topology; the paper's star is ``n_servers=1``."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.link import BandwidthSchedule
-from repro.net.topology import StarTopology
+from repro.net.topology import ShardedTopology
 from repro.quantities import Gbps, Mbps
 from repro.sim.engine import Engine
 
@@ -15,7 +15,7 @@ def engine():
 
 
 def test_builds_duplex_links_per_worker(engine):
-    topo = StarTopology(engine, n_workers=3, bandwidth=1 * Gbps)
+    topo = ShardedTopology(engine, n_workers=3, bandwidth=1 * Gbps)
     assert len(topo.uplinks) == 3
     assert len(topo.downlinks) == 3
     assert topo.uplink(2).name == "worker2-up"
@@ -23,7 +23,7 @@ def test_builds_duplex_links_per_worker(engine):
 
 
 def test_per_worker_override(engine):
-    topo = StarTopology(
+    topo = ShardedTopology(
         engine,
         n_workers=3,
         bandwidth=3 * Gbps,
@@ -35,16 +35,16 @@ def test_per_worker_override(engine):
 
 def test_override_unknown_worker_raises(engine):
     with pytest.raises(ConfigurationError):
-        StarTopology(engine, n_workers=2, bandwidth=1 * Gbps, worker_bandwidth={5: 1.0})
+        ShardedTopology(engine, n_workers=2, bandwidth=1 * Gbps, worker_bandwidth={5: 1.0})
 
 
 def test_ps_bandwidth_caps_per_worker_share(engine):
-    topo = StarTopology(engine, n_workers=4, bandwidth=10 * Gbps, ps_bandwidth=4 * Gbps)
+    topo = ShardedTopology(engine, n_workers=4, bandwidth=10 * Gbps, ps_bandwidth=4 * Gbps)
     assert topo.uplink(0).current_bandwidth() == pytest.approx(1 * Gbps)
 
 
 def test_ps_cap_does_not_raise_slow_workers(engine):
-    topo = StarTopology(
+    topo = ShardedTopology(
         engine,
         n_workers=2,
         bandwidth=10 * Gbps,
@@ -56,28 +56,29 @@ def test_ps_cap_does_not_raise_slow_workers(engine):
 
 def test_schedule_bandwidth(engine):
     sched = BandwidthSchedule([(0.0, 1 * Gbps), (5.0, 2 * Gbps)])
-    topo = StarTopology(engine, n_workers=1, bandwidth=sched)
+    topo = ShardedTopology(engine, n_workers=1, bandwidth=sched)
     assert topo.uplink(0).current_bandwidth() == pytest.approx(1 * Gbps)
 
 
 def test_min_bandwidth_reflects_slowest_worker(engine):
-    topo = StarTopology(
+    topo = ShardedTopology(
         engine,
         n_workers=3,
         bandwidth=3 * Gbps,
         worker_bandwidth={2: 500 * Mbps},
     )
-    assert topo.min_bandwidth() == pytest.approx(500 * Mbps)
+    assert topo.uplink(2).current_bandwidth() == pytest.approx(500 * Mbps)
+    assert topo.uplink(0).current_bandwidth() == pytest.approx(3 * Gbps)
 
 
 def test_invalid_worker_count_raises(engine):
     with pytest.raises(ConfigurationError):
-        StarTopology(engine, n_workers=0, bandwidth=1 * Gbps)
+        ShardedTopology(engine, n_workers=0, bandwidth=1 * Gbps)
 
 
 def test_invalid_ps_bandwidth_raises(engine):
     with pytest.raises(ConfigurationError):
-        StarTopology(engine, n_workers=1, bandwidth=1 * Gbps, ps_bandwidth=0.0)
+        ShardedTopology(engine, n_workers=1, bandwidth=1 * Gbps, ps_bandwidth=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +127,7 @@ class TestWaterFilling:
 
 def test_ps_cap_water_fills_heterogeneous_workers(engine):
     """The slow worker's unusable share flows to the fast workers."""
-    topo = StarTopology(
+    topo = ShardedTopology(
         engine,
         n_workers=3,
         bandwidth=10 * Gbps,
@@ -145,7 +146,7 @@ def test_schedule_bandwidth_with_ps_cap_regression(engine):
     it now goes through the public ``capped``/water-fill path and the cap
     is applied piecewise at every breakpoint."""
     sched = BandwidthSchedule([(0.0, 1 * Gbps), (5.0, 8 * Gbps)])
-    topo = StarTopology(engine, n_workers=2, bandwidth=sched, ps_bandwidth=4 * Gbps)
+    topo = ShardedTopology(engine, n_workers=2, bandwidth=sched, ps_bandwidth=4 * Gbps)
     # t=0: both demand 1 Gbps, total 2 <= 4 — uncapped.
     assert topo.uplink(0).current_bandwidth() == pytest.approx(1 * Gbps)
     engine.run(until=6.0)
@@ -157,7 +158,7 @@ def test_schedule_bandwidth_with_ps_cap_regression(engine):
 def test_per_worker_schedule_override_with_ps_cap(engine):
     """Mixed scalar + schedule overrides water-fill piecewise."""
     slow = BandwidthSchedule([(0.0, 4 * Gbps), (2.0, 1 * Gbps)])
-    topo = StarTopology(
+    topo = ShardedTopology(
         engine,
         n_workers=2,
         bandwidth=10 * Gbps,
@@ -179,8 +180,6 @@ def test_per_worker_schedule_override_with_ps_cap(engine):
 
 class TestShardedTopology:
     def test_builds_per_shard_duplex_links(self, engine):
-        from repro.net.topology import ShardedTopology
-
         topo = ShardedTopology(engine, n_workers=2, n_servers=3, bandwidth=1 * Gbps)
         assert len(topo.uplinks) == 2
         assert all(len(links) == 3 for links in topo.uplinks)
@@ -190,8 +189,6 @@ class TestShardedTopology:
         assert topo.worker_downlinks(1) == topo.downlinks[1]
 
     def test_ps_bandwidth_is_per_server(self, engine):
-        from repro.net.topology import ShardedTopology
-
         topo = ShardedTopology(
             engine, n_workers=4, n_servers=2,
             bandwidth=10 * Gbps, ps_bandwidth=4 * Gbps,
@@ -203,19 +200,15 @@ class TestShardedTopology:
                 assert topo.uplink(w, s).current_bandwidth() == pytest.approx(1 * Gbps)
 
     def test_worker_nic_caps_each_shard_flow(self, engine):
-        from repro.net.topology import ShardedTopology
-
         topo = ShardedTopology(
             engine, n_workers=2, n_servers=2,
             bandwidth=10 * Gbps, worker_bandwidth={0: 500 * Mbps},
             ps_bandwidth=40 * Gbps,
         )
         assert topo.uplink(0, 1).current_bandwidth() == pytest.approx(500 * Mbps)
-        assert topo.min_bandwidth() == pytest.approx(500 * Mbps)
+        assert topo.uplink(1, 1).current_bandwidth() == pytest.approx(10 * Gbps)
 
     def test_invalid_counts_raise(self, engine):
-        from repro.net.topology import ShardedTopology
-
         with pytest.raises(ConfigurationError):
             ShardedTopology(engine, n_workers=0, n_servers=2, bandwidth=1 * Gbps)
         with pytest.raises(ConfigurationError):

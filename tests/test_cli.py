@@ -457,6 +457,8 @@ class TestFlagRejectionMatrix:
              "--n-servers is a parameter-server knob"),
             (["chaos", "--collective", "hierarchical"],
              "--collective requires --backend allreduce"),
+            (["chaos", "--workers", "1"],
+             "--workers must be >= 2 (chaos crashes worker 1), got 1"),
         ],
         ids=[
             "allreduce-n-servers", "allreduce-ps-gbps",
@@ -464,7 +466,7 @@ class TestFlagRejectionMatrix:
             "group-size-without-backend", "sched-group-size-without-backend",
             "group-size-without-hierarchical",
             "group-size-with-ring", "chaos-allreduce-n-servers",
-            "chaos-collective-without-backend",
+            "chaos-collective-without-backend", "chaos-one-worker",
         ],
     )
     def test_rejected_with_one_line_error(self, capsys, argv, fragment):
