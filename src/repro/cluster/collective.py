@@ -31,9 +31,10 @@ Because the scheduler still speaks propose/commit, and the executor's
 ``send_unit`` takes a committed unit the way a PS port's ``Link.send``
 does, the scheduler cannot tell the backends apart — FIFO, P3,
 ByteScheduler, MG-WFBP and Prophet all run unchanged, which is the point
-of the topology/scheduler split.  ``pull_completed`` fires per segment at operation completion so
-credit-based flow control (ByteScheduler) replenishes exactly as on the
-PS path, where the PS mirrors every pushed byte back as a pull.
+of the topology/scheduler split.  ``pull_completed`` fires per segment at
+operation completion so credit-based flow control (ByteScheduler)
+replenishes exactly as on the PS path, where the PS mirrors every pushed
+byte back as a pull.
 
 **Fault mode.**  With a :class:`~repro.faults.injector.FaultInjector`
 wired, a worker crash triggers an *elastic shrink* — the collective
