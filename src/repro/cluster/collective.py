@@ -449,6 +449,10 @@ class CollectiveWorker(Worker):
     def _pump_all(self) -> None:
         self.controller.pump()
 
+    def detach(self) -> None:
+        super().detach()
+        self.controller = None
+
     # ------------------------------------------------------------------
     # Operation-completion credit (called by the controller)
     # ------------------------------------------------------------------

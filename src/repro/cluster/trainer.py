@@ -81,10 +81,10 @@ class Trainer:
         self.finished_time: float | None = None
         self._external_engine = engine is not None
         if engine is None:
-            self.engine = Engine()
+            self.engine = engine = Engine()
             if config.trace:
                 self.trace: TraceRecorder | NullRecorder = TraceRecorder(
-                    clock=lambda: self.engine.now
+                    clock=lambda: engine.now
                 )
             else:
                 self.trace = NULL_RECORDER
@@ -414,13 +414,17 @@ class Trainer:
         (the final worker's completion is the last event of the run), so
         results are identical whether the job ran alone or as one tenant
         of a fleet.
+
+        On the owned-engine path the run is over, so this also calls
+        :meth:`detach`; a fleet detaches its trainers once the shared
+        engine drains.
         """
         if self.finished_time is None:
             raise SimulationError(
                 f"job {self.name or '<unnamed>'}: finalize() before all "
                 f"workers finished ({self._done_count}/{self.config.n_workers})"
             )
-        return TrainingResult(
+        result = TrainingResult(
             config=self.config,
             recorder=self.recorder,
             topology=self.topology,
@@ -432,6 +436,24 @@ class Trainer:
             fault_stats=dict(self.injector.stats) if self.injector else None,
             fault_log=list(self.injector.log) if self.injector else None,
         )
+        if not self._external_engine:
+            self.detach()
+        return result
+
+    def detach(self) -> None:
+        """Clear the back-edges of the finished job's object graph.
+
+        While the job runs its components call each other: a link's idle
+        callback is its port's pump, a port and its worker or server know
+        each other, a collective worker reports to its controller, and a
+        worker reports to the trainer (which may report to a fleet).  With
+        those edges cleared the graph is acyclic, so dropping the trainer
+        and its result frees it by reference counting.  Call it only once
+        no event of the job is left to fire.
+        """
+        self.on_finished = None
+        for worker in self.workers:
+            worker.detach()
 
 
 def run_training(

@@ -662,6 +662,16 @@ class PSPort(StallProbe):
                     for pull in batch:
                         self._enqueue_pull_item(pull, now)
 
+    def detach(self) -> None:
+        """Drop the back-edges of a finished port: its links' idle
+        callbacks (this port's pumps) and its worker and server."""
+        self.channel.on_idle = None
+        if self.downlink is not None:
+            self.downlink.on_idle = None
+        self.worker = None
+        self.ps = None
+
+
 class Worker:
     """One worker node: a compute pipeline plus one :class:`PSPort` per
     PS (one on the star, one per key shard on the sharded tier)."""
@@ -798,6 +808,14 @@ class Worker:
     def fwd_start_times(self) -> list[float]:
         """Forward-start timestamps (iteration boundaries)."""
         return list(self._fwd_start_times)
+
+    def detach(self) -> None:
+        """Drop the back-edges of a finished worker (its done callback and
+        its ports'), so the run's object graph is acyclic.  Only once no
+        event of the run is left to fire."""
+        self._on_done = None
+        for port in self._ports:
+            port.detach()
 
     def port(self, shard: int) -> PSPort:
         """The comm agent towards PS ``shard`` (what that PS attaches to)."""

@@ -129,9 +129,6 @@ class FleetScheduler:
         #: Finished handles whose resources housekeeping has not reclaimed.
         self._reclaim: list[JobHandle] = []
         self._tick_pending = False
-        # Phase 1 checklist, fixed order: reclaim first so the evaluation
-        # phase of the same tick sees the freed capacity.
-        self._housekeeping = (self._reclaim_finished, self._refresh_counters)
 
     # ------------------------------------------------------------------
     # Inputs (arrival events and completion callbacks)
@@ -160,6 +157,11 @@ class FleetScheduler:
             )
         self.request_tick()
 
+    def detach(self) -> None:
+        """Drop the spawn callback (a back-edge to the fleet simulator)
+        once the fleet has finished."""
+        self._spawn_job = None
+
     def request_tick(self) -> None:
         """Schedule one tick at the current instant (coalesced).
 
@@ -177,8 +179,10 @@ class FleetScheduler:
     def tick(self) -> None:
         self._tick_pending = False
         now = self.engine.now
-        for step in self._housekeeping:  # Phase 1: housekeeping
-            step(now)
+        # Phase 1: housekeeping.  Reclaim first so the evaluation phase of
+        # the same tick sees the freed capacity.
+        self._reclaim_finished(now)
+        self._refresh_counters(now)
         candidates = self._evaluate(now)  # Phase 2: evaluation
         self._spawn(candidates, now)  # Phase 3: spawn
 

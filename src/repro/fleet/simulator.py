@@ -64,10 +64,10 @@ class FleetSimulator:
         # Jobs share one engine but do not namespace their trace tracks or
         # transfer tags: in a traced fleet every job writes to the same
         # ``worker0/comm``, ``ps`` and link tracks.
-        self.engine = Engine()
+        self.engine = engine = Engine()
         if trace:
             self.trace: TraceRecorder | NullRecorder = TraceRecorder(
-                clock=lambda: self.engine.now
+                clock=lambda: engine.now
             )
         else:
             self.trace = NULL_RECORDER
@@ -174,6 +174,12 @@ class FleetSimulator:
                 engine.run(max_events=limit)
             except EventBudgetExhausted as exc:
                 exhausted = exc
+        # The shared engine has drained, so no job event is left to fire:
+        # clear the back-edges to the trainers' components and to this
+        # simulator, and the finished fleet is freed by reference counting.
+        for handle in self.handles:
+            handle.trainer.detach()
+        self.scheduler.detach()
         records = tuple(
             handle.record(self.skip)
             for handle in sorted(self.handles, key=lambda h: h.job.name)

@@ -22,6 +22,7 @@ JSON file), which is what makes the trace the authoritative record.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,7 +64,11 @@ class IterationRecord:
 
 @dataclass
 class GradientRecord:
-    """Per-gradient communication timeline on one worker, one iteration."""
+    """Per-gradient communication timeline on one worker, one iteration.
+
+    Built on read by :meth:`Recorder.gradient_records`; the recorder keeps
+    the marks themselves as columns of floats.
+    """
 
     worker: int
     iteration: int
@@ -82,6 +87,10 @@ class GradientRecord:
     def transfer_time(self) -> float:
         """Push duration, first to last byte (Fig. 11's transfer time)."""
         return self.push_end - self.push_start
+
+
+#: Per-gradient lifecycle fields, in :class:`GradientRecord` order.
+_GRAD_FIELDS = ("ready", "push_start", "push_end", "pull_end")
 
 
 class Recorder:
@@ -104,7 +113,11 @@ class Recorder:
         self.trace = trace
         self.gpu_intervals: list[GpuInterval] = []
         self.iterations: list[IterationRecord] = []
-        self._gradients: dict[tuple[int, int, int], GradientRecord] = {}
+        # Gradient marks as plain data the cycle collector does not track:
+        # (worker, iteration, grad) -> row, and one NaN-filled float column
+        # per lifecycle field.
+        self._grad_rows: dict[tuple[int, int, int], int] = {}
+        self._grad_cols: dict[str, array] = {f: array("d") for f in _GRAD_FIELDS}
 
     # ------------------------------------------------------------------
     # Write side (workers)
@@ -143,17 +156,6 @@ class Recorder:
         on an iteration row; workers route row mutations through here."""
         setattr(rec, field, t)
 
-    def gradient(self, worker: int, iteration: int, grad: int) -> GradientRecord | None:
-        """The (mutable) gradient record, or ``None`` when recording is off."""
-        if not self.record_gradients:
-            return None
-        key = (worker, iteration, grad)
-        rec = self._gradients.get(key)
-        if rec is None:
-            rec = GradientRecord(worker=worker, iteration=iteration, grad=grad)
-            self._gradients[key] = rec
-        return rec
-
     # ------------------------------------------------------------------
     # Per-gradient lifecycle marks (the paper's c, t, push end, u)
     # ------------------------------------------------------------------
@@ -168,9 +170,16 @@ class Recorder:
                 f"worker{worker}/grad",
                 {"worker": worker, "iteration": iteration, "grad": grad},
             )
-        rec = self.gradient(worker, iteration, grad)
-        if rec is not None:
-            setattr(rec, field, t)
+        if not self.record_gradients:
+            return
+        key = (worker, iteration, grad)
+        row = self._grad_rows.get(key)
+        cols = self._grad_cols
+        if row is None:
+            row = self._grad_rows[key] = len(cols[field])
+            for col in cols.values():
+                col.append(np.nan)
+        cols[field][row] = t
 
     def mark_ready(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Gradient flushed by the KV store (the paper's ``c(i)``)."""
@@ -201,14 +210,17 @@ class Recorder:
     def gradient_records(
         self, worker: int | None = None, iteration: int | None = None
     ) -> list[GradientRecord]:
-        """Gradient records filtered by worker and/or iteration."""
-        out = [
-            r
-            for r in self._gradients.values()
-            if (worker is None or r.worker == worker)
-            and (iteration is None or r.iteration == iteration)
+        """Gradient records filtered by worker and/or iteration, built
+        fresh on each call in ``(worker, iteration, grad)`` order."""
+        ready, push_start, push_end, pull_end = self._grad_cols.values()
+        return [
+            GradientRecord(
+                w, i, g, ready[row], push_start[row], push_end[row], pull_end[row]
+            )
+            for (w, i, g), row in sorted(self._grad_rows.items())
+            if (worker is None or w == worker)
+            and (iteration is None or i == iteration)
         ]
-        return sorted(out, key=lambda r: (r.worker, r.iteration, r.grad))
 
     def gpu_busy_intervals(self, worker: int) -> np.ndarray:
         """(N, 2) array of one worker's busy spans, sorted by start."""

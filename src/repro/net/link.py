@@ -156,8 +156,11 @@ class BandwidthSchedule:
 class TransferRecord(NamedTuple):
     """One completed transfer on a link (for timelines and throughput).
 
-    A named tuple rather than a dataclass: one is built per completed
-    transfer, so C-speed construction matters in fleet-scale runs.
+    The read-side view of a link's transfer log: :attr:`Link.records`
+    builds these on demand from the log's plain ``(start, end, nbytes,
+    tag)`` tuples.  The link never stores them itself, because the cycle
+    collector keeps tracking a tuple *subclass* while it untracks plain
+    tuples of atomic values.
     """
 
     start: float
@@ -209,7 +212,9 @@ class Link:
         self._noise_std = noise_std
         self._inflight: tuple | None = None
         self._finish_event = None
-        self.records: list[TransferRecord] = []
+        # Completed transfers as plain ``(start, end, nbytes, tag)`` tuples
+        # (see :class:`TransferRecord` for why not the named tuple).
+        self._log: list[tuple[float, float, float, object]] = []
         self.total_bytes = 0.0
         #: Transfers cut short by :meth:`abort` (worker crashes) — the
         #: bytes never arrive and are not credited anywhere.
@@ -218,13 +223,11 @@ class Link:
         self._last_end: float | None = None
         # Running busy-time total: O(1) utilization for the trace counter.
         self._busy_accum = 0.0
-        # Hot-path caches: the warm-gap threshold, the pre-bound completion
-        # callback (building a bound method per send is measurable), and the
-        # slow-start table for the bandwidth seen by the last send.  The
-        # table only changes at schedule breakpoints (or every send, under
-        # noise), so this skips the memo-dict lookup that hashes TCPParams.
+        # Hot-path caches: the warm-gap threshold and the slow-start table
+        # for the bandwidth seen by the last send.  The table only changes
+        # at schedule breakpoints (or every send, under noise), so this
+        # skips the memo-dict lookup that hashes TCPParams.
         self._warm_threshold = tcp.warm_threshold
-        self._finish_cb = self._finish
         self._tbl = None
         self._tbl_bw = -1.0
         # Constant-schedule hint: most links never change bandwidth, so
@@ -243,6 +246,11 @@ class Link:
             self._const_ver = -1
 
     # ------------------------------------------------------------------
+    @property
+    def records(self) -> list[TransferRecord]:
+        """Completed transfers in completion order, as a fresh list."""
+        return list(map(TransferRecord._make, self._log))
+
     @property
     def busy(self) -> bool:
         """Whether a transfer is currently in flight."""
@@ -290,7 +298,9 @@ class Link:
         mirroring Constraint (8).
         """
         end = self._start(nbytes, tag, on_complete, extra_time)
-        self._finish_event = self.engine.schedule(end, self._finish_cb)
+        # The plain function with the link as argument: no bound method to
+        # build per send, and none cached on the link (a reference cycle).
+        self._finish_event = self.engine.schedule(end, Link._finish, self)
         return end
 
     def _start(
@@ -375,7 +385,7 @@ class Link:
         self._inflight = None
         self._finish_event = None
         self._last_end = end
-        self.records.append(TransferRecord(start, end, nbytes, tag))
+        self._log.append((start, end, nbytes, tag))
         self.total_bytes += nbytes
         self._busy_accum += end - start
         trace = self.engine.trace
@@ -412,18 +422,18 @@ class Link:
     def busy_time(self, until: float | None = None) -> float:
         """Total time the link spent transferring, up to ``until``.
 
-        O(1) for the common case: completed records all lie in the past,
+        O(1) for the common case: completed transfers all lie in the past,
         so the maintained ``_busy_accum`` already is their sum.  Only a
         horizon strictly before ``now`` (retrospective queries) needs the
-        per-record clamp.
+        per-transfer clamp.
         """
         horizon = self.engine.now if until is None else until
         if horizon >= self.engine.now:
             total = self._busy_accum
         else:
             total = sum(
-                max(0.0, min(r.end, horizon) - min(r.start, horizon))
-                for r in self.records
+                max(0.0, min(end, horizon) - min(start, horizon))
+                for start, end, _, _ in self._log
             )
         if self._inflight is not None and self._inflight[_START] < horizon:
             total += min(self._inflight[_END], horizon) - self._inflight[_START]
@@ -477,5 +487,5 @@ def send_batch(
         engine.schedule(first_end, _drain_batch, tuple(links))
         return first_end
     for link, end in zip(links, ends):
-        link._finish_event = engine.schedule(end, link._finish_cb)
+        link._finish_event = engine.schedule(end, Link._finish, link)
     return max(ends)

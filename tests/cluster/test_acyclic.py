@@ -1,8 +1,9 @@
 """A finished run is freed by reference counting, without the cycle collector.
 
-The simulator's records are plain data and :meth:`Trainer.finalize`
-clears the back-edges between components (link idle callbacks, port ↔
-worker, port ↔ server, controller ↔ worker, worker → trainer), so once
+The simulator's records are plain data, and :meth:`Trainer.detach`
+(called by ``finalize``, or by a fleet once its engine drains) clears
+the back-edges between components (link idle callbacks, port ↔ worker,
+port ↔ server, controller ↔ worker, worker → trainer → fleet), so once
 the caller drops the trainer and its result the whole object graph goes
 away on the spot.  Each shape runs with the collector disabled, checks
 that weak references to the trainer, its topology and one link are dead,
@@ -28,10 +29,6 @@ from repro.net.link import TransferRecord
 from repro.quantities import Gbps
 from repro.runner import build_factory
 from repro.workloads.presets import paper_config
-
-pytestmark = pytest.mark.xfail(
-    strict=True, reason="finished runs still hold reference cycles"
-)
 
 
 def _train(config):

@@ -82,6 +82,14 @@ class TestLink:
         assert rec.nbytes == 4 * MB
         assert rec.duration == pytest.approx(end)
 
+    def test_records_are_a_fresh_list(self, engine, link):
+        link.send(1 * MB, tag="a")
+        engine.run()
+        records = link.records
+        assert records is not link.records
+        records.clear()
+        assert [r.tag for r in link.records] == ["a"]
+
     def test_send_while_busy_raises(self, engine, link):
         link.send(1 * MB)
         with pytest.raises(SimulationError):
