@@ -28,12 +28,7 @@ Quickstart
 >>> rate = result.training_rate()           # samples/sec per worker
 """
 
-from repro.config import (
-    SchedulerConfig,
-    TrainingConfig,
-    WorkerContext,
-    SchedulerFactory,
-)
+from repro.config import TrainingConfig, WorkerContext, SchedulerFactory
 from repro.cluster import Trainer, run_training, TrainingResult
 from repro.core import JobProfile, JobProfiler, plan_schedule
 from repro.faults import (
@@ -90,7 +85,6 @@ __all__ = [
     "ResultCache",
     "register_strategy",
     "available_strategies",
-    "SchedulerConfig",
     "TrainingConfig",
     "WorkerContext",
     "SchedulerFactory",

@@ -43,17 +43,18 @@ executor rebuilds its ring over the survivors
 (:meth:`~repro.net.collective._StepExecutor.remove_worker`), the
 scheduler's effective-bandwidth view rescales to the shrunk ring's
 ``2(k-1)/k`` cost, and the aborted operation resends over the new ring.
-Negotiation switches from plain counters to report *sets* so a rank that
-dies mid-negotiation cannot wedge the barrier — its removal recounts
-every pending negotiation and fires any that the dead rank was the last
-holdout of.  A crashed rank never rejoins (ring rebuild is a one-way
-door; the restart event logs ``collective.rejoin_refused``), mirroring
+Negotiation is by report *sets* over the active membership, so a rank
+that dies mid-negotiation cannot wedge the barrier — its removal
+recounts every pending negotiation and fires any that the dead rank was
+the last holdout of.  A crashed rank never rejoins (ring rebuild is a
+one-way door; the restart event logs ``collective.rejoin_refused``), mirroring
 how elastic collectives fold a recovered host back in only at the next
 job-level rendezvous.  Sustained bandwidth collapse needs no new
 machinery: the monitor-fed view sinks, and Prophet's own degradation
 ladder (``prophet.fallback`` trace instants) drops the plan back to
-PS-star-style FIFO ordering.  Without an injector every fault branch is
-behind an ``is None`` check and the event sequence is bit-identical.
+PS-star-style FIFO ordering.  Without an injector every rank stays
+active, so each barrier fires at its last report and the event sequence
+is bit-identical to a build without the fault layer.
 """
 
 from __future__ import annotations
@@ -139,13 +140,10 @@ class CollectiveController(StallProbe):
         self._stall_timer = None
         self._comm_track = "collective/comm"
         self._iteration = -1
-        self._begin_count = 0
-        self._end_count = 0
         self._end_span = 0.0
-        self._ready_counts: dict[int, int] = {}
-        # Fault mode: negotiation by report *sets* over the active
-        # membership (a dead rank's removal recounts pending barriers),
-        # plus in-flight-operation tracking for abort-and-resend.
+        # Negotiation by report *sets* over the active membership (a dead
+        # rank's removal recounts pending barriers), plus the in-flight
+        # operation for abort-and-resend.
         self._faults = faults
         self._view = view
         self._active: set[int] = set(range(n_workers))
@@ -174,23 +172,16 @@ class CollectiveController(StallProbe):
 
         BSP guarantees report order: every worker's iteration-``k`` report
         precedes any iteration-``k+1`` report (forward ``k+1`` gates on
-        the last ``k`` operation completing), so a plain counter suffices.
-        The scheduler sees the *last* reporter's scaled schedule — the
-        negotiated backward start, which is when cluster-wide generation
-        actually begins.
+        the last ``k`` operation completing), so one pending barrier per
+        hook suffices.  The scheduler sees the *last* reporter's scaled
+        schedule — the negotiated backward start, which is when
+        cluster-wide generation actually begins.
         """
         if iteration != self._iteration + 1:
             raise SimulationError(
                 f"worker {worker_id} reported backward {iteration} while the "
                 f"collective is negotiating iteration {self._iteration + 1}"
             )
-        if self._faults is None:
-            self._begin_count += 1
-            if self._begin_count == self.n_workers:
-                self._begin_count = 0
-                self._iteration = iteration
-                self.scheduler.begin_iteration(iteration, sched, now)
-            return
         self._begin_reports.add(worker_id)
         self._pending_begin = (iteration, sched)
         self._maybe_fire_begin(now)
@@ -209,14 +200,6 @@ class CollectiveController(StallProbe):
     ) -> None:
         """A worker crossed its iteration boundary; the scheduler hears the
         slowest span once all have (the BSP-binding iteration time)."""
-        if self._faults is None:
-            self._end_count += 1
-            self._end_span = max(self._end_span, span)
-            if self._end_count == self.n_workers:
-                span, self._end_span = self._end_span, 0.0
-                self._end_count = 0
-                self.scheduler.end_iteration(iteration, span, now)
-            return
         self._end_reports.add(worker_id)
         self._end_span = max(self._end_span, span)
         self._pending_end = iteration
@@ -234,17 +217,6 @@ class CollectiveController(StallProbe):
     def worker_gradient_ready(self, worker_id: int, grad: int, now: float) -> None:
         """A worker flushed ``grad``; it is collectively ready (and hence
         schedulable) once every worker has."""
-        if self._faults is None:
-            count = self._ready_counts.get(grad, 0) + 1
-            if count < self.n_workers:
-                self._ready_counts[grad] = count
-                return
-            self._ready_counts[grad] = 0
-            self.scheduler.gradient_ready(grad, now)
-            for worker in self.workers:
-                self.recorder.mark_ready(worker.worker_id, self._iteration, grad, now)
-            self.pump()
-            return
         self._ready_sets.setdefault(grad, set()).add(worker_id)
         self._maybe_fire_ready(grad, now)
 
@@ -343,7 +315,7 @@ class CollectiveController(StallProbe):
         for seg in unit.segments:
             if seg.offset <= _TOL:
                 for worker in self.workers:
-                    if self._faults is not None and worker.worker_id not in self._active:
+                    if worker.worker_id not in self._active:
                         continue
                     self.recorder.mark_push_start(
                         worker.worker_id, iteration, seg.grad, now
@@ -360,8 +332,7 @@ class CollectiveController(StallProbe):
         desc: dict[str, object] | None,
         now: float,
     ) -> None:
-        if self._faults is not None:
-            self._inflight = (iteration, unit, desc)
+        self._inflight = (iteration, unit, desc)
         self.executor.send_unit(
             unit.total_bytes,
             tag=("allreduce", iteration),
@@ -395,7 +366,7 @@ class CollectiveController(StallProbe):
         for seg in unit.segments:
             self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
         for worker in self.workers:
-            if self._faults is not None and worker.worker_id not in self._active:
+            if worker.worker_id not in self._active:
                 continue
             worker._collective_credit(unit, iteration, now)
         self.pump()

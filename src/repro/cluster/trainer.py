@@ -98,11 +98,7 @@ class Trainer:
 
         model = get_model(config.model)
         self.compute = build_compute_profile(model, config.device, config.batch_size)
-        kvstore = KVStore(
-            policy=config.effective_policy(),
-            flush_fixed=config.kv_flush_fixed,
-            flush_per_byte=config.kv_flush_per_byte,
-        )
+        kvstore = KVStore(policy=config.effective_policy())
         self.gen_schedule = kvstore.generation_schedule(self.compute)
         self.oracle_profile = JobProfile.from_generation_schedule(self.gen_schedule)
 
@@ -181,8 +177,6 @@ class Trainer:
                 self.engine,
                 n_workers=config.n_workers,
                 sizes=templates[s].sizes,
-                update_fixed=config.ps_update_fixed,
-                update_per_byte=config.ps_update_per_byte,
                 sync_mode=config.sync_mode,
                 staleness=config.ssp_staleness,
                 faults=self.injector,
@@ -241,7 +235,6 @@ class Trainer:
                 jitter_std=config.jitter_std,
                 compute_scale=scale,
                 on_done=self._worker_done,
-                stall_timeout=config.sched.stall_timeout,
                 faults=self.injector,
             )
             self.workers.append(worker)
@@ -322,7 +315,6 @@ class Trainer:
             self.executor,
             self.recorder,
             n_workers=config.n_workers,
-            stall_timeout=config.sched.stall_timeout,
             faults=self.injector,
             view=view,
         )

@@ -61,7 +61,7 @@ import itertools
 import math
 from collections import deque
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -292,38 +292,23 @@ class PSPort(StallProbe):
         batch = [head_pull]
         total = head_pull.total_bytes
         limit = self.scheduler.pull_batch_limit(self.engine.now)
-        if limit is not None and self._pull_heap:
+        if limit is not None:
+            if not self._pull_by_priority:
+                raise SimulationError(
+                    f"scheduler {self.scheduler.name!r} has a fifo_channel but "
+                    "returned a pull batch limit; an arrival-ordered shared "
+                    "channel sends pulls one at a time"
+                )
             # Strict priority prefix: stop at the first unit that does not
             # fit, so no lower-priority parameter overtakes a pending one.
-            if self._pull_by_priority:
-                heap = self._pull_heap
-                while heap:
-                    pull = heap[0][1]
-                    if total + pull.total_bytes > limit:
-                        break
-                    heappop(heap)
-                    batch.append(pull)
-                    total += pull.total_bytes
-            else:
-                # Arrival-keyed queue asked to batch by priority: no
-                # shipped scheduler hits this (FIFO engines never batch),
-                # but the contract is kept via a sorted snapshot.
-                candidates = sorted(
-                    self._pull_heap, key=lambda e: (e[1].priority, e[2], e[0])
-                )
-                taken: set = set()
-                for entry in candidates:
-                    pull = entry[1]
-                    if total + pull.total_bytes > limit:
-                        break
-                    batch.append(pull)
-                    total += pull.total_bytes
-                    taken.add(entry)
-                if taken:
-                    self._pull_heap = [
-                        e for e in self._pull_heap if e not in taken
-                    ]
-                    heapify(self._pull_heap)
+            heap = self._pull_heap
+            while heap:
+                pull = heap[0][1]
+                if total + pull.total_bytes > limit:
+                    break
+                heappop(heap)
+                batch.append(pull)
+                total += pull.total_bytes
         if self._faults is not None:
             self._inflight_pulls[link] = batch
         link.send(

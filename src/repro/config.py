@@ -28,27 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.base import CommScheduler
     from repro.sim.engine import Engine
 
-__all__ = ["SchedulerConfig", "TrainingConfig", "WorkerContext", "SchedulerFactory"]
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Worker-side communication-agent knobs shared by every strategy.
-
-    ``stall_timeout`` is the stall-probe delay: how long a worker tolerates
-    an idle channel with unsent gradients before prodding the scheduler's
-    flow control (:meth:`repro.sched.base.CommScheduler.grant_probe`) — the
-    escape hatch for ByteScheduler-style credit pipelines whose divergent
-    send orders can otherwise deadlock the BSP ring.
-    """
-
-    stall_timeout: float = 5e-3
-
-    def __post_init__(self) -> None:
-        if self.stall_timeout <= 0:
-            raise ConfigurationError(
-                f"stall_timeout must be positive, got {self.stall_timeout}"
-            )
+__all__ = ["TrainingConfig", "WorkerContext", "SchedulerFactory"]
 
 
 @dataclass(frozen=True)
@@ -113,15 +93,11 @@ class TrainingConfig:
     tcp: TCPParams = field(default_factory=TCPParams)
     device: DeviceSpec = TESLA_M60
     agg_policy: AggregationPolicy | None = None
-    kv_flush_fixed: float = 0.3e-3
-    kv_flush_per_byte: float = 0.0
     duplex: bool = False
     seed: int = 0
     jitter_std: float = 0.02
     bandwidth_noise_std: float = 0.0
     monitor_interval: float = 5.0
-    ps_update_fixed: float = 100e-6
-    ps_update_per_byte: float = 0.0
     record_gradients: bool = True
     #: Enable the structured trace layer (:mod:`repro.trace`): spans for
     #: compute, block assembly, queue waits, and every transfer, plus link
@@ -129,8 +105,6 @@ class TrainingConfig:
     #: hot-path event processing at full speed.
     trace: bool = False
     worker_compute_scale: Mapping[int, float] | None = None
-    dtype_bytes: int = 4
-    sched: SchedulerConfig = field(default_factory=SchedulerConfig)
     sync_mode: str = "bsp"
     ssp_staleness: int = 2
     faults: "FaultPlan | None" = None
@@ -149,12 +123,6 @@ class TrainingConfig:
         if self.monitor_interval <= 0:
             raise ConfigurationError(
                 f"monitor_interval must be positive, got {self.monitor_interval}"
-            )
-        if self.ps_update_fixed < 0 or self.ps_update_per_byte < 0:
-            raise ConfigurationError("PS update costs must be >= 0")
-        if not isinstance(self.sched, SchedulerConfig):
-            raise ConfigurationError(
-                f"sched must be a SchedulerConfig, got {type(self.sched).__name__}"
             )
         if self.sync_mode not in ("bsp", "asp", "ssp"):
             raise ConfigurationError(

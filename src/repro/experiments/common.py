@@ -7,11 +7,10 @@ Since PR 3 the rate-oriented helpers here are thin fronts over
 result cache and fans misses out across worker processes
 (``REPRO_JOBS=N`` or the ``jobs`` argument).  Results are bit-identical
 to in-process execution — the simulator is seed-deterministic and each
-run still executes single-threaded inside one process.
-
-Passing an explicit mapping of ad-hoc factory *callables* to
-:func:`run_strategies` still works and runs inline (a closure can be
-neither shipped to a worker process nor fingerprinted for the cache).
+run still executes single-threaded inside one process.  Strategies are
+named by registry entry (:mod:`repro.runner.registry`), never passed as
+callables: a closure can be neither shipped to a worker process nor
+fingerprinted for the cache.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.cluster.trainer import run_training
-from repro.config import SchedulerFactory, TrainingConfig
+from repro.config import TrainingConfig
 from repro.runner import ResultCache, RunSpec, run_grid
 from repro.workloads.presets import STRATEGY_FACTORIES
 
@@ -52,7 +50,7 @@ class StrategyRates:
 
 def run_strategies(
     config: TrainingConfig,
-    strategies: Mapping[str, SchedulerFactory] | Sequence[str] | None = None,
+    strategies: Sequence[str] | None = None,
     skip: int = 2,
     *,
     jobs: int | None = None,
@@ -60,16 +58,9 @@ def run_strategies(
 ) -> StrategyRates:
     """Run each strategy on ``config`` and collect per-worker rates.
 
-    ``strategies`` may be ``None`` (the four paper strategies), a sequence
-    of registry names (parallel + cached via :mod:`repro.runner`), or a
-    legacy mapping of name → factory callable (runs inline, uncached).
+    ``strategies`` is ``None`` (the four paper strategies) or a sequence
+    of registry names (parallel + cached via :mod:`repro.runner`).
     """
-    if strategies is not None and isinstance(strategies, Mapping):
-        rates = {
-            name: run_training(config, factory).training_rate(skip=skip)
-            for name, factory in dict(strategies).items()
-        }
-        return StrategyRates(config=config, rates=rates)
     return run_strategies_grid(
         [config], strategies, skip, jobs=jobs, cache=cache
     )[0]

@@ -8,7 +8,7 @@ Prophet, the MXNet FIFO baseline, and MG-WFBP — plus a mixed fleet
 rotating all three, and compares the *fleet-level* outcomes: aggregate
 goodput, tail (p99) iteration time, Jain fairness across jobs, and
 queueing delay.  Each fleet is one :class:`~repro.fleet.FleetSpec` run
-through :func:`~repro.runner.run_fleet_grid`, so sweeps are cached and
+through :func:`~repro.runner.run_grid`, so sweeps are cached and
 parallelizable like every other experiment.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from repro.fleet.spec import FleetSpec
 from repro.metrics.report import format_table
 from repro.quantities import Gbps
-from repro.runner import run_fleet_grid
+from repro.runner import run_grid
 
 __all__ = ["FleetRow", "MIXES", "BASE_SPEC", "run", "main"]
 
@@ -76,7 +76,7 @@ def run(
         for mix_name, strategies in mixes:
             specs.append(replace(base, policy=policy, strategies=strategies))
             keys.append((mix_name, policy))
-    results = run_fleet_grid(specs, jobs=jobs)
+    results = run_grid(specs, jobs=jobs)
     return [
         FleetRow(
             mix=mix_name,

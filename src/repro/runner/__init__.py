@@ -5,14 +5,17 @@ of independent, seed-deterministic simulations.  This subsystem makes
 those sweeps fast and rerunnable:
 
 * :class:`RunSpec` / :class:`RunResult` — plain-data description of one
-  run and the scalar projection of its outcome (:mod:`repro.runner.spec`);
+  run and the scalar projection of its outcome (:mod:`repro.runner.spec`;
+  a :class:`~repro.fleet.spec.FleetSpec` and its ``FleetRunResult`` are
+  the same pair for a whole fleet);
 * a strategy registry resolving scheduler factories by name in worker
   processes (:mod:`repro.runner.registry`);
 * stable content fingerprints over config + strategy + fault plan + seed
   + version + package source digest (:mod:`repro.runner.fingerprint`);
 * a content-addressed on-disk result cache (:mod:`repro.runner.cache`);
 * :func:`run_grid`, the deterministic fan-out executor gluing them
-  together (:mod:`repro.runner.executor`).
+  together for any mix of run and fleet specs
+  (:mod:`repro.runner.executor`).
 
 ``REPRO_JOBS=N`` parallelizes every ported experiment harness without
 code changes; ``REPRO_NO_CACHE=1`` / ``REPRO_CACHE_DIR=...`` control the
@@ -24,19 +27,11 @@ from repro.runner.executor import (
     JOBS_ENV,
     NO_CACHE_ENV,
     execute,
-    execute_fleet,
     resolve_jobs,
-    run_fleet_grid,
     run_grid,
     shutdown_pools,
 )
-from repro.runner.fingerprint import (
-    canonical,
-    fingerprint,
-    fleet_fingerprint,
-    fleet_key_payload,
-    key_payload,
-)
+from repro.runner.fingerprint import canonical, fingerprint, key_payload
 from repro.runner.registry import (
     available_strategies,
     build_factory,
@@ -57,10 +52,6 @@ __all__ = [
     "fingerprint",
     "canonical",
     "key_payload",
-    "fleet_fingerprint",
-    "fleet_key_payload",
-    "execute_fleet",
-    "run_fleet_grid",
     "register_strategy",
     "available_strategies",
     "build_factory",

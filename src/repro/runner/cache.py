@@ -1,7 +1,8 @@
 """Content-addressed on-disk cache of run results.
 
-Each completed :class:`~repro.runner.spec.RunSpec` stores its
-:class:`~repro.runner.spec.RunResult` scalars as one small JSON file named
+Each completed spec stores its scalar result (a
+:class:`~repro.runner.spec.RunResult` or, for a fleet, a
+:class:`~repro.fleet.spec.FleetRunResult`) as one small JSON file named
 by the spec's fingerprint (sharded by the first two hex digits, git-object
 style).  A hit skips the simulation entirely — the simulator is
 seed-deterministic, so a stored result is exactly what a re-run would
@@ -56,7 +57,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """Fingerprint-keyed store of :class:`RunResult` payloads."""
+    """Fingerprint-keyed store of result payloads."""
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -74,7 +75,7 @@ class ResultCache:
     ) -> Any | None:
         """The cached result for fingerprint ``fp``, or ``None`` on miss.
 
-        ``decode`` rebuilds the stored payload (fleet sweeps pass
+        ``decode`` rebuilds the stored payload (fleet specs use
         ``FleetRunResult.from_payload``).  Any malformed entry (truncated
         JSON, wrong schema, fingerprint mismatch, decode failure) is
         deleted and reported as a miss.
@@ -99,7 +100,7 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, fp: str, result: Any, meta: dict[str, Any] | None = None) -> Path:
+    def put(self, fp: str, result: Any) -> Path:
         """Store ``result`` (anything with ``to_payload()``) atomically."""
         path = self._path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,8 +109,6 @@ class ResultCache:
             "version": repro.__version__,
             "result": result.to_payload(),
         }
-        if meta:
-            payload["meta"] = meta
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )

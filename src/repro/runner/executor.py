@@ -1,9 +1,11 @@
 """Deterministic fan-out executor for grids of run specs.
 
-:func:`run_grid` takes a list of :class:`~repro.runner.spec.RunSpec` and
-returns their :class:`~repro.runner.spec.RunResult` scalars in the same
-order, consulting the content-addressed result cache first and fanning
-the misses out over a ``ProcessPoolExecutor``:
+:func:`run_grid` takes a list of specs — :class:`~repro.runner.spec.RunSpec`
+single runs and :class:`~repro.fleet.spec.FleetSpec` fleets, mixed
+freely — and returns their scalar results (:class:`~repro.runner.spec.RunResult`
+or :class:`~repro.fleet.spec.FleetRunResult`) in the same order,
+consulting the content-addressed result cache first and fanning the
+misses out over a ``ProcessPoolExecutor``:
 
 * **Spawn-safe by construction.**  Pools use the ``spawn`` start method
   (identical semantics on Linux/macOS/Windows, no inherited locks); the
@@ -33,12 +35,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.trainer import run_training
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
-from repro.runner.fingerprint import fingerprint, fleet_fingerprint
+from repro.runner.fingerprint import fingerprint
 from repro.runner.registry import build_factory
 from repro.runner.spec import RunResult, RunSpec
 
@@ -48,8 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "run_grid",
     "execute",
-    "execute_fleet",
-    "run_fleet_grid",
     "resolve_jobs",
     "shutdown_pools",
 ]
@@ -77,29 +77,33 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def execute(spec: RunSpec) -> RunResult:
+def execute(spec: "RunSpec | FleetSpec") -> "RunResult | FleetRunResult":
     """Run one spec in this process and extract its scalars.
 
+    A :class:`RunSpec` is one training run; a
+    :class:`~repro.fleet.spec.FleetSpec` is a whole multi-tenant fleet.
     This is the function shipped to pool workers: module-level (hence
     picklable by reference) and dependent only on the spec contents.
+    The fleet package is imported here, on first use, so single-run
+    sweeps never load it.
     """
-    factory = build_factory(spec.strategy, spec.kwargs)
-    result = run_training(spec.config, factory)
-    return RunResult.from_training(result, skip=spec.skip)
-
-
-def execute_fleet(spec: "FleetSpec") -> "FleetRunResult":
-    """Run one fleet spec in this process and extract its scalars.
-
-    Module-level for the same reason as :func:`execute`: pool workers
-    pickle it by reference and rebuild everything from the plain-data
-    spec.  Imports locally to keep single-run sweeps free of the fleet
-    machinery.
-    """
+    if isinstance(spec, RunSpec):
+        factory = build_factory(spec.strategy, spec.kwargs)
+        result = run_training(spec.config, factory)
+        return RunResult.from_training(result, skip=spec.skip)
     from repro.fleet.simulator import run_fleet
     from repro.fleet.spec import FleetRunResult
 
     return FleetRunResult.from_result(run_fleet(spec))
+
+
+def _decoder(spec: "RunSpec | FleetSpec") -> Callable[[Mapping[str, Any]], Any]:
+    """The cache payload decoder for ``spec``'s result type."""
+    if isinstance(spec, RunSpec):
+        return RunResult.from_payload
+    from repro.fleet.spec import FleetRunResult
+
+    return FleetRunResult.from_payload
 
 
 # ----------------------------------------------------------------------
@@ -140,29 +144,30 @@ def _resolve_cache(
 
 
 def run_grid(
-    specs: Iterable[RunSpec],
+    specs: "Iterable[RunSpec | FleetSpec]",
     *,
     jobs: int | None = None,
     cache: bool | ResultCache | None = None,
     cache_dir: str | os.PathLike | None = None,
-) -> list[RunResult]:
+) -> "list[RunResult | FleetRunResult]":
     """Execute every spec, in order, with caching and fan-out.
 
-    Returns one :class:`RunResult` per spec, positionally aligned.  Any
-    child-side error (bad config, scheduler contract violation) re-raises
-    here with its original type.
+    Returns one result per spec, positionally aligned: a
+    :class:`RunResult` for a :class:`RunSpec`, a ``FleetRunResult`` for a
+    ``FleetSpec``.  Any child-side error (bad config, scheduler contract
+    violation) re-raises here with its original type.
     """
-    spec_list: Sequence[RunSpec] = list(specs)
+    spec_list: "Sequence[RunSpec | FleetSpec]" = list(specs)
     jobs = resolve_jobs(jobs)
     store = _resolve_cache(cache, cache_dir)
 
-    results: list[RunResult | None] = [None] * len(spec_list)
+    results: list[Any] = [None] * len(spec_list)
     fps: list[str | None] = [None] * len(spec_list)
     misses: list[int] = []
     for i, spec in enumerate(spec_list):
         if store is not None:
             fps[i] = fingerprint(spec)
-            hit = store.get(fps[i])
+            hit = store.get(fps[i], decode=_decoder(spec))
             if hit is not None:
                 results[i] = hit
                 continue
@@ -188,79 +193,5 @@ def run_grid(
                         results[i] = execute(spec_list[i])
         if store is not None:
             for i in misses:
-                spec = spec_list[i]
-                store.put(
-                    fps[i],
-                    results[i],
-                    meta={
-                        "model": spec.config.model,
-                        "batch_size": spec.config.batch_size,
-                        "strategy": spec.strategy,
-                        "seed": spec.config.seed,
-                    },
-                )
-    return results  # type: ignore[return-value]
-
-
-def run_fleet_grid(
-    specs: "Iterable[FleetSpec]",
-    *,
-    jobs: int | None = None,
-    cache: bool | ResultCache | None = None,
-    cache_dir: str | os.PathLike | None = None,
-) -> "list[FleetRunResult]":
-    """Execute every fleet spec, in order, with caching and fan-out.
-
-    The fleet counterpart of :func:`run_grid`: same cache, same
-    persistent pools, same deterministic re-ordering — only the unit of
-    work is a whole multi-tenant fleet instead of a single run.
-    """
-    from repro.fleet.spec import FleetRunResult
-
-    spec_list = list(specs)
-    jobs = resolve_jobs(jobs)
-    store = _resolve_cache(cache, cache_dir)
-
-    results: "list[FleetRunResult | None]" = [None] * len(spec_list)
-    fps: list[str | None] = [None] * len(spec_list)
-    misses: list[int] = []
-    for i, spec in enumerate(spec_list):
-        if store is not None:
-            fps[i] = fleet_fingerprint(spec)
-            hit = store.get(fps[i], decode=FleetRunResult.from_payload)
-            if hit is not None:
-                results[i] = hit
-                continue
-        misses.append(i)
-
-    if misses:
-        if jobs == 1 or len(misses) == 1:
-            for i in misses:
-                results[i] = execute_fleet(spec_list[i])
-        else:
-            pool = _pool(jobs)
-            futures = [
-                (i, pool.submit(execute_fleet, spec_list[i])) for i in misses
-            ]
-            try:
-                for i, future in futures:
-                    results[i] = future.result()
-            except BrokenProcessPool:
-                _POOLS.pop(jobs, None)
-                for i in misses:
-                    if results[i] is None:
-                        results[i] = execute_fleet(spec_list[i])
-        if store is not None:
-            for i in misses:
-                spec = spec_list[i]
-                store.put(
-                    fps[i],
-                    results[i],
-                    meta={
-                        "kind": "fleet",
-                        "policy": spec.policy,
-                        "n_jobs": spec.n_jobs,
-                        "seed": spec.seed,
-                    },
-                )
-    return results  # type: ignore[return-value]
+                store.put(fps[i], results[i])
+    return results

@@ -1,14 +1,17 @@
-"""Stable content fingerprints for run specifications.
+"""Stable content fingerprints for run and fleet specifications.
 
 The result cache is keyed by a SHA-256 over a *canonical* JSON encoding
-of the spec: every field of the :class:`~repro.config.TrainingConfig`
-(recursively, including the fault plan, device, TCP path, bandwidth
-schedules, and aggregation policy), the strategy name and its builder
-kwargs, the warmup ``skip``, the package version, and a digest of the
-package source (:func:`source_digest`).  Two specs collide iff they
-describe the same simulation under the same code — the simulator is
-seed-deterministic, so equal fingerprints imply equal results, and an
-edited source tree never reads entries written by older code.
+of the spec — for a :class:`~repro.runner.spec.RunSpec` every field of
+its :class:`~repro.config.TrainingConfig` (recursively, including the
+fault plan, device, TCP path, bandwidth schedules, and aggregation
+policy), the strategy name and its builder kwargs, and the warmup
+``skip``; for a :class:`~repro.fleet.spec.FleetSpec` every field of the
+fleet — plus the package version and a digest of the package source
+(:func:`source_digest`).  The spec's ``__type__`` tag keeps run and
+fleet keys apart.  Two specs collide iff they describe the same
+simulation under the same code — the simulator is seed-deterministic, so
+equal fingerprints imply equal results, and an edited source tree never
+reads entries written by older code.
 
 Canonicalization rules:
 
@@ -37,16 +40,8 @@ import numpy as np
 import repro
 from repro.errors import ConfigurationError
 from repro.net.link import BandwidthSchedule
-from repro.runner.spec import RunSpec
 
-__all__ = [
-    "canonical",
-    "fingerprint",
-    "key_payload",
-    "fleet_fingerprint",
-    "fleet_key_payload",
-    "source_digest",
-]
+__all__ = ["canonical", "fingerprint", "key_payload", "source_digest"]
 
 @functools.cache
 def source_digest() -> str:
@@ -124,42 +119,16 @@ def canonical(obj: Any) -> Any:
     )
 
 
-def key_payload(spec: RunSpec) -> dict[str, Any]:
+def key_payload(spec: Any) -> dict[str, Any]:
     """The full canonical identity of ``spec`` (pre-hash, for debugging)."""
     return {
-        "version": repro.__version__,
-        "source": source_digest(),
-        "config": canonical(spec.config),
-        "strategy": spec.strategy,
-        "strategy_kwargs": canonical(spec.strategy_kwargs),
-        "skip": spec.skip,
-    }
-
-
-def fingerprint(spec: RunSpec) -> str:
-    """Hex SHA-256 identifying ``spec``'s simulation under this version."""
-    return _digest(key_payload(spec))
-
-
-def fleet_key_payload(spec: Any) -> dict[str, Any]:
-    """The full canonical identity of a :class:`~repro.fleet.FleetSpec`.
-
-    The ``"kind"`` tag keeps fleet entries disjoint from single-run
-    entries even if their canonical bodies ever coincided.
-    """
-    return {
-        "kind": "fleet",
         "version": repro.__version__,
         "source": source_digest(),
         "spec": canonical(spec),
     }
 
 
-def fleet_fingerprint(spec: Any) -> str:
-    """Hex SHA-256 identifying a fleet spec's simulation."""
-    return _digest(fleet_key_payload(spec))
-
-
-def _digest(payload: dict[str, Any]) -> str:
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def fingerprint(spec: Any) -> str:
+    """Hex SHA-256 identifying ``spec``'s simulation under this version."""
+    encoded = json.dumps(key_payload(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()

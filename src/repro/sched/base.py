@@ -94,7 +94,9 @@ class CommScheduler:
 
     #: True for strategies whose channel is a pure arrival-order queue
     #: (default MXNet).  The worker then interleaves pushes and pulls
-    #: FIFO instead of by priority.
+    #: FIFO instead of by priority, one pull per message: on a shared
+    #: channel such a strategy must return ``None`` from
+    #: :meth:`pull_batch_limit`.
     fifo_channel: bool = False
 
     #: Extra RTTs of blocking synchronization charged per message in each

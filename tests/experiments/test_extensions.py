@@ -67,7 +67,7 @@ class TestExtendedBaselines:
             "resnet50", 64, bandwidth=3 * Gbps, n_iterations=10,
             record_gradients=False,
         )
-        rates = run_strategies(config, EXTENDED_FACTORIES).rates
+        rates = run_strategies(config, list(EXTENDED_FACTORIES)).rates
         # MG-WFBP fixes FIFO's message overhead but not its priority
         # blindness: above FIFO, at or below Prophet.
         assert rates["mg-wfbp"] > rates["mxnet-fifo"]

@@ -133,13 +133,21 @@ class TestDeterminism:
         assert base.records != reseeded.records
 
     def test_grid_parallel_matches_serial_and_hits_cache(self, tmp_path):
-        from repro.runner import run_fleet_grid
+        # One grid mixes single runs and a fleet; each result keeps the
+        # type of its spec, in spec order.
+        from repro.fleet import FleetRunResult
+        from repro.runner import RunResult, RunSpec, run_grid
 
-        specs = [_spec(), _spec(seed=1)]
-        serial = run_fleet_grid(specs, jobs=1, cache_dir=tmp_path / "a")
-        parallel = run_fleet_grid(specs, jobs=2, cache_dir=tmp_path / "b")
+        config = paper_config(
+            "resnet18", 16, bandwidth=3 * Gbps, n_workers=2, n_iterations=4,
+            record_gradients=False,
+        )
+        specs = [RunSpec(config, "prophet"), _spec(), RunSpec(config, "mxnet-fifo")]
+        serial = run_grid(specs, jobs=1, cache_dir=tmp_path / "a")
+        assert [type(r) for r in serial] == [RunResult, FleetRunResult, RunResult]
+        parallel = run_grid(specs, jobs=2, cache_dir=tmp_path / "b")
         assert serial == parallel
-        cached = run_fleet_grid(specs, jobs=1, cache_dir=tmp_path / "a")
+        cached = run_grid(specs, jobs=1, cache_dir=tmp_path / "a")
         assert cached == serial
         # The cached round-trip went through JSON: same payloads, same values.
         assert [r.to_payload() for r in cached] == [r.to_payload() for r in serial]

@@ -8,7 +8,11 @@ the package itself exist there.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,27 @@ def test_resolve_jobs_rejects_garbage(monkeypatch):
         resolve_jobs()
     with pytest.raises(ConfigurationError):
         resolve_jobs(0)
+
+
+def test_import_leaves_the_fleet_package_unloaded():
+    # Fleet specs import ``repro.fleet`` on first use; single-run sweeps
+    # never pay for it.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro.runner; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fleet')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

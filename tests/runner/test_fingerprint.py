@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, WorkerCrash
 from repro.net.link import BandwidthSchedule
 from repro.quantities import Gbps, MB
-from repro.runner import RunSpec, canonical, fingerprint
+from repro.runner import RunSpec, canonical, fingerprint, key_payload
 from repro.workloads.presets import paper_config
 
 # ``repro.runner.fingerprint`` the attribute is the function; this is the module.
@@ -141,19 +141,17 @@ class TestFleetFingerprint:
         return FleetSpec(**defaults)
 
     def test_stable_and_sensitive(self):
-        from repro.runner import fleet_fingerprint
+        fp = fingerprint(self._spec())
+        assert fingerprint(self._spec()) == fp
+        assert fingerprint(self._spec(seed=1)) != fp
+        assert fingerprint(self._spec(policy="fifo")) != fp
+        assert fingerprint(self._spec(n_jobs=5)) != fp
+        assert fingerprint(self._spec(strategies=("prophet", "mg-wfbp"))) != fp
 
-        fp = fleet_fingerprint(self._spec())
-        assert fleet_fingerprint(self._spec()) == fp
-        assert fleet_fingerprint(self._spec(seed=1)) != fp
-        assert fleet_fingerprint(self._spec(policy="fifo")) != fp
-        assert fleet_fingerprint(self._spec(n_jobs=5)) != fp
-        assert (
-            fleet_fingerprint(self._spec(strategies=("prophet", "mg-wfbp"))) != fp
-        )
-
-    def test_kind_tag_separates_fleet_from_single_runs(self):
-        from repro.runner import fleet_key_payload
-
-        payload = fleet_key_payload(self._spec())
-        assert payload["kind"] == "fleet"
+    def test_kind_tag_separates_fleet_from_single_runs(self, spec):
+        # The spec's ``__type__`` tag is what keeps the two kinds of
+        # cache key apart.
+        fleet_tag = key_payload(self._spec())["spec"]["__type__"]
+        run_tag = key_payload(spec)["spec"]["__type__"]
+        assert fleet_tag == "repro.fleet.spec.FleetSpec"
+        assert run_tag == "repro.runner.spec.RunSpec"

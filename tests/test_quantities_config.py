@@ -66,8 +66,6 @@ class TestTrainingConfig:
             dict(n_iterations=0),
             dict(jitter_std=-0.1),
             dict(monitor_interval=0.0),
-            dict(ps_update_fixed=-1.0),
-            dict(sched=None),
             dict(worker_compute_scale={5: 1.0}),
             dict(worker_compute_scale={0: 0.0}),
         ],
