@@ -66,6 +66,8 @@ class TestTrainingConfig:
             dict(n_iterations=0),
             dict(jitter_std=-0.1),
             dict(monitor_interval=0.0),
+            dict(sync_mode="bogus"),
+            dict(ssp_staleness=-1),
             dict(worker_compute_scale={5: 1.0}),
             dict(worker_compute_scale={0: 0.0}),
         ],
