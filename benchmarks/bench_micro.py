@@ -217,7 +217,9 @@ def test_hierarchical_allreduce_fleet_pump(benchmark):
     """64-worker hierarchical allreduce (8 groups of 8), 10 operations.
 
     Each intra-group step launches 64 same-instant chunk sends — the
-    barrier shape ``send_batch`` coalesces into one drain event.
+    barrier shape ``send_batch`` runs in lockstep: one transfer-time
+    computation, one shared log row and one drain event that calls the
+    step's barrier once.
     """
     from repro.net.collective import HierarchicalExecutor, HierarchicalTopology
 

@@ -484,7 +484,9 @@ def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
 
     # Hierarchical ring at fleet scale: 64 workers in 8 groups of 8.
     # Each intra-group step launches 64 same-instant chunk sends — the
-    # barrier shape send_batch coalesces into one drain event.
+    # barrier shape send_batch runs in lockstep: one transfer-time
+    # computation, one shared log row and one drain event that calls the
+    # step's barrier once.
     hier_steps_per_op = 2 * (FLEET_HIER_GROUP - 1) + 2 * (
         FLEET_HIER_WORKERS // FLEET_HIER_GROUP - 1
     )

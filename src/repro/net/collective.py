@@ -177,9 +177,21 @@ class _StepExecutor:
     TCP window stays warm, while idle gaps (a busy scheduler, a slow peer
     phase) cool it down exactly as on the PS path.
 
-    **Fault mode** (:meth:`set_faults`) adds three behaviours, all behind
-    ``self._faults is None`` checks so the fault-free event sequence is
-    untouched:
+    **Fault-free steps** go through :func:`~repro.net.link.send_batch`,
+    which calls :meth:`_step_done` once per step.  On a homogeneous quiet
+    ring the step runs in lockstep: one transfer-time computation, one
+    shared in-flight row and log row, and one drain event for all N
+    links; links that differ (noise, ``worker_bandwidth`` overrides,
+    stepped schedules) fall back to per-link starts and completion
+    events.  Either way the results are bit-identical to N separate sends
+    counted down to the barrier.  :meth:`abort` needs no handle on the
+    drain event: aborted links no longer carry the step's row, so the
+    drain skips them and the barrier does not fire.
+
+    **Fault mode** (:meth:`set_faults`) sends per link and counts the
+    barrier down in :meth:`_chunk_done_reliable`, adding three behaviours,
+    all behind ``self._faults is None`` checks so the fault-free event
+    sequence is untouched:
 
     * every chunk completion rolls the plan's ``push`` drop probability
       (the ``chunk`` leg); a lost chunk retransmits on the same link after
@@ -335,21 +347,22 @@ class _StepExecutor:
 
     def _launch_step(self) -> None:
         links, chunk = self._steps[self._step_idx]
-        self._step_pending = len(links)
         tag = self._inflight_tag
         if self._faults is None:
             # Barrier step: all chunk sends start this instant, and on a
-            # homogeneous quiet ring they finish at the same instant too —
-            # send_batch coalesces those N completion wakeups into one
-            # engine event (bit-identical; see its docstring).
+            # homogeneous quiet ring they run in lockstep — send_batch
+            # computes one transfer time, shares one in-flight row, and
+            # completes the step with one drain event that calls the
+            # barrier once (bit-identical; see its docstring).
             send_batch(
                 links,
                 chunk,
                 tag=tag,
-                on_complete=self._chunk_done,
+                on_complete=self._step_done,
                 extra_time=self._extra_time,
             )
             return
+        self._step_pending = len(links)
         self._step_retries = 0
         self._chunk_attempts.clear()
         for link in links:
@@ -361,10 +374,8 @@ class _StepExecutor:
             )
         self._arm_watchdog(links, chunk)
 
-    def _chunk_done(self) -> None:
-        self._step_pending -= 1
-        if self._step_pending > 0:
-            return
+    def _step_done(self) -> None:
+        """The step's barrier released: launch the next step or finish."""
         self.steps_completed += 1
         self._step_idx += 1
         if self._step_idx < len(self._steps):
@@ -403,12 +414,7 @@ class _StepExecutor:
             return
         self._cancel_watchdog()
         faults.count("ring_steps")
-        self.steps_completed += 1
-        self._step_idx += 1
-        if self._step_idx < len(self._steps):
-            self._launch_step()
-        else:
-            self._op_done()
+        self._step_done()
 
     def _resend_chunk(self, link: Link, chunk: float) -> None:
         self._resend_timers.pop(link, None)

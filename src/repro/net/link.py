@@ -313,8 +313,9 @@ class Link:
         """Occupy the link with one transfer and return its end time.
 
         :meth:`send` schedules the completion event right away;
-        :func:`send_batch` defers it so same-instant completions share one
-        event.
+        :func:`send_batch` runs it on a step's first link (and on links
+        that cannot share that link's row) and defers the event, so
+        same-instant completions share one drain.
         """
         if self._inflight is not None:
             raise SimulationError(
@@ -353,7 +354,8 @@ class Link:
         """Abort the in-flight transfer (the sender crashed mid-send).
 
         The bytes are lost: no record is appended, no ``on_complete`` or
-        ``on_idle`` callback fires, and the completion event is cancelled.
+        ``on_idle`` callback fires, and the completion event is cancelled
+        (a lockstep batch's shared drain event skips the link instead).
         Returns the aborted transfer's tag, or ``None`` if the link was
         idle.  TCP state is reset (the next send pays a cold start).
         """
@@ -388,35 +390,34 @@ class Link:
         self._log.append((start, end, nbytes, tag))
         self.total_bytes += nbytes
         self._busy_accum += end - start
-        trace = self.engine.trace
-        if trace.enabled:
-            name = (
-                f"{tag[0]} i{tag[1]}"
-                if isinstance(tag, tuple) and len(tag) == 2
-                else "transfer"
-            )
-            track = f"net/{self.name}"
-            trace.complete(
-                name,
-                "transfer",
-                start,
-                end,
-                track,
-                {"nbytes": nbytes},
-            )
-            now = self.engine.now
-            if now > 0:
-                trace.counter(
-                    "link.utilization",
-                    "net",
-                    now,
-                    track,
-                    {"busy_fraction": self._busy_accum / now},
-                )
+        if self.engine.trace.enabled:
+            self._trace_transfer(start, end, nbytes, tag)
         if on_complete is not None:
             on_complete()
         if self.on_idle is not None:
             self.on_idle()
+
+    def _trace_transfer(
+        self, start: float, end: float, nbytes: float, tag: object
+    ) -> None:
+        """Emit a completed transfer's span and the utilization counter."""
+        trace = self.engine.trace
+        name = (
+            f"{tag[0]} i{tag[1]}"
+            if isinstance(tag, tuple) and len(tag) == 2
+            else "transfer"
+        )
+        track = f"net/{self.name}"
+        trace.complete(name, "transfer", start, end, track, {"nbytes": nbytes})
+        now = self.engine.now
+        if now > 0:
+            trace.counter(
+                "link.utilization",
+                "net",
+                now,
+                track,
+                {"busy_fraction": self._busy_accum / now},
+            )
 
     # ------------------------------------------------------------------
     def busy_time(self, until: float | None = None) -> float:
@@ -441,16 +442,46 @@ class Link:
 
 
 # ----------------------------------------------------------------------
-def _drain_batch(links: tuple[Link, ...]) -> None:
-    """Fire the batched completions in launch order.
+def _drain_batch(
+    links: tuple[Link, ...],
+    row: tuple,
+    on_complete: Callable[[], None] | None,
+) -> None:
+    """Complete a lockstep step: every link that still carries ``row``.
 
-    A link whose transfer was aborted after the batch launched has no
-    in-flight state any more and is skipped — exactly what cancelling its
-    individual completion event would have done.
+    Each such link gets the bookkeeping :meth:`Link._finish` would do, in
+    launch order and in the same order of updates: ``_last_end``, one
+    shared ``(start, end, nbytes, tag)`` log row (a plain tuple of atomic
+    values, so the cycle collector still leaves it untracked), then
+    ``total_bytes`` and ``_busy_accum``, then the trace span and counter
+    when tracing is on.  ``on_complete`` fires once, in the last link's
+    turn (after its bookkeeping, before its ``on_idle``) — where the
+    last of N per-link completion callbacks fired before.
+
+    A link aborted after launch no longer carries ``row`` (it is idle, or
+    already carries a later transfer's row) and is skipped, exactly as
+    cancelling its own completion event would have done.  If the last
+    link is among them, ``on_complete`` does not fire.
     """
+    nbytes, tag, start, end, _ = row
+    log_row = (start, end, nbytes, tag)
+    busy = end - start
+    traced = links[0].engine.trace.enabled
+    last = links[-1]
     for link in links:
-        if link._inflight is not None:
-            link._finish()
+        if link._inflight is not row:
+            continue
+        link._inflight = None
+        link._last_end = end
+        link._log.append(log_row)
+        link.total_bytes += nbytes
+        link._busy_accum += busy
+        if traced:
+            link._trace_transfer(start, end, nbytes, tag)
+        if link is last and on_complete is not None:
+            on_complete()
+        if link.on_idle is not None:
+            link.on_idle()
 
 
 def send_batch(
@@ -463,29 +494,73 @@ def send_batch(
     """Start the same ``nbytes`` transfer on every link at once.
 
     This is the barrier-step entry point (collective chunk steps): all
-    ``links`` start at the current instant, and in the common case —
-    identical bandwidth, no noise — they all compute the *same* completion
-    time.  Their N completion wakeups then coalesce into ONE engine event
-    that drains the per-link work list in launch order.  That is
-    bit-identical to N individual :meth:`Link.send` calls: the N original
-    completion events would sit at one timestamp with consecutive sequence
-    numbers, so no other event can interleave them and their firing order
-    is the launch order.  When completion times differ (noisy or
-    heterogeneous links), each link falls back to its own event, again in
-    launch order.  Returns the latest completion time.
+    ``links`` start at the current instant and ``on_complete`` fires once,
+    when the step's last transfer finishes.  Returns that time.
+
+    **Lockstep.**  Only the first link runs the full :meth:`Link._start`
+    (checks, bandwidth lookup, warm test, slow-start table replay).  Every
+    other link is simply marked in flight with the first link's in-flight
+    row when it is idle, noise-free (a noisy first link skips the test:
+    its drawn bandwidth rarely matches a constant schedule), on its constant
+    schedule at the first link's bandwidth, on the same
+    :class:`~repro.net.tcp.TCPParams` object, and at the same
+    ``_last_end``.  Those inputs are all its own ``_start`` would read, so
+    it would compute a bit-identical end time.  A link that fails the test
+    runs its own ``_start``; if its end time equals the first link's, its
+    row equals the first link's in value and is replaced by it.
+
+    When every link carries the shared row, ONE engine event runs
+    :func:`_drain_batch`.  That is bit-identical to N :meth:`Link.send`
+    calls: their N completion events would sit at one timestamp with
+    consecutive sequence numbers, so no other event could interleave
+    them, they would fire in launch order, and the per-link countdown
+    would release the barrier in the last one.
+
+    **Fallback.**  When end times differ (noise, ``worker_bandwidth``
+    overrides, stepped or flapped schedules), each link gets its own
+    :meth:`Link._finish` event, in launch order, and the barrier callback
+    rides only on the link that finishes last, launch order breaking
+    ties: the event whose countdown would have reached zero.
     """
-    first_end = links[0]._start(nbytes, tag, on_complete, extra_time)
-    ends = [first_end]
+    links = tuple(links)
+    first = links[0]
+    end = first._start(nbytes, tag, None, extra_time)
+    row = first._inflight
+    quiet = first._noise_rng is None or first._noise_std == 0
+    bandwidth = first._tbl_bw
+    tcp = first.tcp
+    last_end = first._last_end
     same = True
     for link in links[1:]:
-        end = link._start(nbytes, tag, on_complete, extra_time)
-        ends.append(end)
-        if end != first_end:
+        sched = link.schedule
+        if (
+            quiet
+            and link._inflight is None
+            and link._last_end == last_end
+            and link.tcp is tcp
+            and sched is link._const_sched
+            and sched._version == link._const_ver
+            and link._const_bw == bandwidth
+            and (link._noise_rng is None or link._noise_std == 0)
+        ):
+            link._inflight = row
+            link._finish_event = None
+        elif link._start(nbytes, tag, None, extra_time) == end:
+            link._inflight = row
+        else:
             same = False
-    engine = links[0].engine
+    engine = first.engine
     if same:
-        engine.schedule(first_end, _drain_batch, tuple(links))
-        return first_end
-    for link, end in zip(links, ends):
-        link._finish_event = engine.schedule(end, Link._finish, link)
-    return max(ends)
+        engine.schedule(end, _drain_batch, links, row, on_complete)
+        return end
+    barrier = first
+    for link in links[1:]:
+        if link._inflight[_END] >= barrier._inflight[_END]:
+            barrier = link
+    for link in links:
+        if link is barrier:
+            link._inflight = link._inflight[:_ON_COMPLETE] + (on_complete,)
+        link._finish_event = engine.schedule(
+            link._inflight[_END], Link._finish, link
+        )
+    return barrier._inflight[_END]

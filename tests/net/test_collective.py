@@ -152,6 +152,47 @@ def test_ring_back_to_back_ops_complete_in_order():
     assert executor.ops_completed == 2
 
 
+def test_ring_abort_mid_step_fires_nothing():
+    """abort() during a lockstep step: the step's drain event still fires,
+    but finds no link carrying its row — no barrier, no step, no op."""
+    topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
+    executor = RingExecutor(topo)
+    done = []
+    executor.send_unit(12 * MB, tag="a", on_complete=lambda: done.append(1))
+    first_end = topo.links[0].busy_until
+    topo.engine.run(until=first_end)  # step 0 done, step 1 launched
+    second_end = topo.links[0].busy_until
+    topo.engine.run(until=(first_end + second_end) / 2)
+    assert executor.steps_completed == 1
+    assert all(link.busy for link in topo.links)
+
+    executor.abort()
+    topo.engine.run()
+    assert done == []
+    assert executor.steps_completed == 1
+    assert executor.ops_completed == 0
+    assert not executor.busy
+    assert not any(link.busy for link in topo.links)
+    assert all(len(link.records) == 1 for link in topo.links)
+
+
+def test_ring_op_started_after_abort_ignores_the_stale_drain():
+    """A fresh op launched at the abort instant runs every step at full
+    length: the aborted step's drain event must not complete its links."""
+    topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
+    executor = RingExecutor(topo)
+    executor.send_unit(12 * MB, tag="a")
+    topo.engine.run(until=topo.links[0].busy_until / 2)
+    executor.abort()
+    t0 = topo.engine.now
+    t = _run_op(executor, 12 * MB)
+
+    fresh = RingExecutor(RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP))
+    assert t - t0 == pytest.approx(_run_op(fresh, 12 * MB))
+    assert executor.steps_completed == fresh.steps_completed == 6
+    assert executor.ops_completed == 1
+
+
 # ----------------------------------------------------------------------
 # Hierarchical executor
 # ----------------------------------------------------------------------

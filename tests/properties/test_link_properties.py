@@ -1,17 +1,20 @@
-"""Property-based tests for :class:`repro.net.link.BandwidthSchedule`.
+"""Property-based tests for :mod:`repro.net.link`.
 
-The cursor-accelerated ``value()`` must agree with the textbook numpy
-reference (``searchsorted(side="right") - 1``, clamped to the first
-segment) for *any* interleaving of forward and backward queries — the
-cursor is an optimization for monotone simulation time, never a change
-in semantics.
+The cursor-accelerated ``BandwidthSchedule.value()`` must agree with the
+textbook numpy reference (``searchsorted(side="right") - 1``, clamped to
+the first segment) for *any* interleaving of forward and backward queries
+— the cursor is an optimization for monotone simulation time, never a
+change in semantics.  Likewise ``send_batch`` (lockstep or per-link
+fallback) must be indistinguishable from one ``Link.send`` per link.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.link import BandwidthSchedule
+from repro.net.link import BandwidthSchedule, Link, send_batch
+from repro.net.tcp import TCPParams
+from repro.sim.engine import Engine
 
 
 @st.composite
@@ -125,3 +128,100 @@ def test_set_level_interleaving_matches_naive_oracle(points, ops):
             assert list(sched.points) == oracle.points
         else:
             assert sched.value(time) == oracle.value(time)
+
+
+# ----------------------------------------------------------------------
+# send_batch against one Link.send per link
+# ----------------------------------------------------------------------
+_TCP = TCPParams(rtt=0.2e-3, fixed_overhead=0.1e-3, goodput=0.8)
+
+
+@st.composite
+def batch_setups(draw):
+    """Per-link schedules, noise levels and prior sends, plus the batch.
+
+    Bandwidths and prior sizes come from small pools so that equal links
+    (the lockstep path) are common; the rest take the fallback.
+    """
+    n = draw(st.integers(1, 8))
+    pool = st.sampled_from([1e9, 2e9, 3e9])
+    mode = draw(st.sampled_from(["equal", "unequal", "stepped"]))
+    base = draw(pool)
+    points = [[(0.0, base)] for _ in range(n)]
+    if mode == "unequal":
+        points = [[(0.0, draw(pool))] for _ in range(n)]
+    elif mode == "stepped":
+        step_at = draw(st.floats(1e-4, 5e-2))
+        points[draw(st.integers(0, n - 1))] = [(0.0, base), (step_at, draw(pool))]
+    return {
+        "points": points,
+        "noise": [draw(st.sampled_from([0.0, 0.2])) for _ in range(n)],
+        "prior": [draw(st.sampled_from([None, 1e5, 1e6])) for _ in range(n)],
+        "gap": draw(st.floats(0.0, 2 * _TCP.warm_threshold)),
+        "nbytes": draw(st.floats(0.0, 1e7)),
+        "extra_time": draw(st.sampled_from([0.0, 1e-4, 1.5e-3])),
+    }
+
+
+def _world(setup):
+    """Links after their prior sends, at the batch start instant."""
+    engine = Engine()
+    links = [
+        Link(
+            engine,
+            BandwidthSchedule(pts),
+            _TCP,
+            name=f"l{i}",
+            noise_rng=np.random.default_rng(i) if std > 0 else None,
+            noise_std=std,
+        )
+        for i, (pts, std) in enumerate(zip(setup["points"], setup["noise"]))
+    ]
+    for link, prior in zip(links, setup["prior"]):
+        if prior is not None:
+            link.send(prior, tag="prior")
+    engine.run()
+    engine.run(until=engine.now + setup["gap"])
+    return engine, links
+
+
+def _observed(links):
+    return [(link.records, link.total_bytes, link.busy_time()) for link in links]
+
+
+@given(setup=batch_setups())
+@settings(max_examples=300, deadline=None)
+def test_send_batch_matches_per_link_sends(setup):
+    nbytes, extra = setup["nbytes"], setup["extra_time"]
+
+    engine, links = _world(setup)
+    fired = []
+
+    def barrier():
+        fired.append((engine.now, sum(link.busy for link in links)))
+
+    end = send_batch(
+        links, nbytes, tag=("step", 1), on_complete=barrier, extra_time=extra
+    )
+    engine.run()
+
+    ref_engine, ref_links = _world(setup)
+    ref_fired = []
+    pending = [len(ref_links)]
+
+    def countdown():
+        pending[0] -= 1
+        if pending[0] == 0:
+            ref_fired.append((ref_engine.now, sum(link.busy for link in ref_links)))
+
+    ref_ends = [
+        link.send(nbytes, tag=("step", 1), on_complete=countdown, extra_time=extra)
+        for link in ref_links
+    ]
+    ref_engine.run()
+
+    assert end == max(ref_ends)
+    # Once, at the latest end, after every link has completed.
+    assert fired == ref_fired == [(end, 0)]
+    assert _observed(links) == _observed(ref_links)
+    assert not any(link.busy for link in links)
