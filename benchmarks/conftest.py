@@ -1,13 +1,9 @@
-"""Shared helpers for the benchmark harnesses.
+"""Shared helpers for the micro-benchmark harnesses.
 
-Every paper artifact (figure or table) has one ``bench_*.py`` module.
-Each benchmark runs the corresponding experiment once under
-``pytest-benchmark`` (wall-clock of the full regeneration) and prints the
-same rows/series the paper reports, bypassing pytest's capture so that
-
-    pytest benchmarks/ --benchmark-only | tee bench_output.txt
-
-produces a readable reproduction report.
+The ``bench_*.py`` modules here time the engine, the tracing layer and the
+per-message hot paths under ``pytest-benchmark``; ``ci_smoke.py`` gates
+deterministic scalars and timing floors.  The paper's figure and table
+claims are checked by ``tests/claims/test_paper_claims.py`` instead.
 """
 
 from __future__ import annotations
@@ -25,8 +21,3 @@ def show(capfd):
             print(text)
 
     return _show
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -10,13 +10,11 @@ inefficiency (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.experiments import fig8
 from repro.experiments.common import FAST_ITERATIONS
 from repro.metrics.report import format_table
 from repro.quantities import Gbps
-from repro.runner import ResultCache, RunSpec, run_grid
-from repro.workloads.presets import paper_config
+from repro.runner import ResultCache
 
 __all__ = ["Table3Row", "run", "main", "PAPER_WORKLOADS"]
 
@@ -29,17 +27,8 @@ PAPER_WORKLOADS: tuple[tuple[str, int], ...] = (
     ("resnet50", 64),
 )
 
-
-@dataclass(frozen=True)
-class Table3Row:
-    model: str
-    batch_size: int
-    prophet_rate: float
-    bytescheduler_rate: float
-
-    @property
-    def improvement(self) -> float:
-        return self.prophet_rate / self.bytescheduler_rate - 1.0
+#: Table 3 compares the same two strategies as Fig. 8, so rows are shared.
+Table3Row = fig8.Fig8Row
 
 
 def run(
@@ -52,28 +41,7 @@ def run(
     cache: bool | ResultCache | None = None,
 ) -> list[Table3Row]:
     """Prophet vs ByteScheduler across the paper's batch-size grid."""
-    specs = []
-    for model, batch in workloads:
-        config = paper_config(
-            model,
-            batch,
-            bandwidth=bandwidth,
-            n_iterations=n_iterations,
-            seed=seed,
-            record_gradients=False,
-        )
-        specs.append(RunSpec(config=config, strategy="prophet"))
-        specs.append(RunSpec(config=config, strategy="bytescheduler"))
-    results = run_grid(specs, jobs=jobs, cache=cache)
-    return [
-        Table3Row(
-            model=model,
-            batch_size=batch,
-            prophet_rate=results[2 * i].training_rate,
-            bytescheduler_rate=results[2 * i + 1].training_rate,
-        )
-        for i, (model, batch) in enumerate(workloads)
-    ]
+    return fig8.run(workloads, bandwidth, n_iterations, seed, jobs=jobs, cache=cache)
 
 
 def main() -> list[Table3Row]:

@@ -2,8 +2,9 @@
 
 Unit and integration tests run against a 4-layer synthetic model (8
 gradients) so full training simulations complete in milliseconds; the
-experiment-shape tests use the real model zoo with reduced iteration
-counts.
+paper-claims table uses the real model zoo at the scale each claim
+states.  The result cache lives in a per-session temporary directory, so
+a test run neither reads nor fills the user's ``~/.cache/repro``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.models.layers import LayerSpec, ModelSpec, ParamTensor
 from repro.models.registry import available_models, register_model
 from repro.net.tcp import TCPParams
 from repro.quantities import Gbps, MB
+from repro.runner.cache import CACHE_DIR_ENV
 
 TINY_MODEL_NAME = "tiny-test-model"
 
@@ -42,6 +44,14 @@ def _build_tiny_model() -> ModelSpec:
 
 if TINY_MODEL_NAME not in available_models():
     register_model(TINY_MODEL_NAME, _build_tiny_model)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_result_cache(tmp_path_factory):
+    """Point ``run_grid``'s default cache at a fresh session directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("results")))
+        yield
 
 
 @pytest.fixture

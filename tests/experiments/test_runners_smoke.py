@@ -1,148 +1,29 @@
-"""Smoke tests: every experiment runner executes end-to-end at small scale.
+"""Tier-1 ids of the experiment-runner smoke checks.
 
-The benchmarks exercise the full configurations; these keep `pytest tests/`
-self-sufficient — each paper artifact's code path runs (and its result
-object is structurally sound) in a few seconds total.
+Each test runs the rows of ``tests/claims/test_paper_claims.py`` that hold
+its assertions (result structure: lengths, ranges, finite values, keys).
 """
 
-import numpy as np
-import pytest
+from tests.claims.test_paper_claims import checks
 
-from repro.experiments import (
-    ablations,
-    fig2,
-    fig3,
-    fig8,
-    fig9_10,
-    fig11,
-    fig12,
-    fig13,
-    overhead,
-    table2,
-    table3,
+test_fig2_runner = checks("fig2.series-aligned", "fig2.utilization-range", "fig2.idle-range")
+test_fig3a_runner = checks("fig3a.smoke-points", "fig3a.smoke-best-swept")
+test_fig3b_runner = checks("fig3b.series-aligned", "fig3b.spread-nonnegative")
+test_fig8_runner = checks("fig8.smoke-rows", "fig8.smoke-rates-positive")
+test_fig9_10_runner = checks(
+    "fig9.utilization-range", "fig10.throughput-positive", "fig9.gain-finite", "fig10.gain-finite"
 )
-
-pytestmark = pytest.mark.shape
-
-N = 6  # iterations: enough for a skip-2 measurement window
-
-
-def test_fig2_runner():
-    res = fig2.run(n_iterations=N)
-    assert len(res.times) == len(res.gpu_utilization) == len(res.throughput_mb_s)
-    assert 0 <= res.mean_utilization <= 1
-    assert 0 <= res.idle_fraction <= 1
-
-
-def test_fig3a_runner():
-    res = fig3.run_partition_sweep(partitions_mb=(1.0, 8.0), n_iterations=N)
-    assert len(res.rates) == 2
-    assert res.best_partition_mb in (1.0, 8.0)
-
-
-def test_fig3b_runner():
-    res = fig3.run_autotune(n_iterations=10, tune_every=2)
-    assert len(res.rates) == len(res.iterations) == len(res.credits_mb)
-    assert res.rate_spread >= 0
-
-
-def test_fig8_runner():
-    rows = fig8.run(workloads=(("resnet18", 32),), n_iterations=N)
-    assert len(rows) == 1
-    assert rows[0].prophet_rate > 0 and rows[0].bytescheduler_rate > 0
-
-
-def test_fig9_10_runner():
-    res = fig9_10.run(n_iterations=N)
-    assert 0 <= res.prophet.mean_utilization <= 1
-    assert res.bytescheduler.mean_throughput_mb_s > 0
-    assert np.isfinite(res.utilization_gain)
-    assert np.isfinite(res.throughput_gain)
-
-
-def test_fig11_runner():
-    res = fig11.run(n_iterations=N, skip=2)
-    rows = res.by_strategy()
-    assert set(rows) == {"mxnet-fifo", "bytescheduler", "prophet"}
-    for row in rows.values():
-        assert len(row.grads) == 161
-        assert np.all(np.isfinite(row.wait_ms))
-
-
-def test_fig12_runner():
-    rows = fig12.run(worker_counts=(2,), n_iterations=N)
-    assert rows[0].aggregate_rate == pytest.approx(2 * rows[0].per_worker_rate)
-
-
-def test_fig13_runner():
-    res = fig13.run(profile_iterations=3, n_iterations=10)
-    assert 0 <= res.prophet_early <= 1
-    assert 0 <= res.bytescheduler_late <= 1
-    assert res.prophet_rate > 0
-
-
-def test_table2_runner():
-    res = table2.run(bandwidths_gbps=(3.0,), n_iterations=N)
-    assert len(res.rows) == 1
-    assert set(res.rows[0].rates) == {
-        "mxnet-fifo", "p3", "bytescheduler", "prophet",
-    }
-
-
-def test_table3_runner():
-    rows = table3.run(workloads=(("resnet18", 32),), n_iterations=N)
-    assert len(rows) == 1
-    assert np.isfinite(rows[0].improvement)
-
-
-def test_overhead_runners():
-    rows = overhead.run_profiling_overhead(profile_iterations=3)
-    assert len(rows) == 3
-    assert all(r.profiling_seconds > 0 for r in rows)
-    assert overhead.planning_time() < 0.1
-
-
-def test_ablations_runner():
-    rows = ablations.run(n_iterations=N)
-    names = [r.name for r in rows]
-    assert "baseline (shared channel)" in names
-    assert all(r.rate > 0 for r in rows)
-
-
-def test_experiment_mains_print(capsys):
-    """Each main() prints a table (spot-check two cheap ones)."""
-    from repro.experiments import fig4, fig5
-
-    fig4.main()
-    fig5.main()
-    out = capsys.readouterr().out
-    assert "Fig. 4" in out and "Fig. 5" in out
-
-
-def test_scalability_runner():
-    from repro.experiments import scalability
-
-    rows = scalability.run(
-        server_counts=(1, 2), model="resnet18", batch_size=32, n_iterations=N
-    )
-    assert [r.n_servers for r in rows] == [1, 2]
-    assert all(r.training_rate > 0 for r in rows)
-    # the whole point: widening the PS tier under a per-server NIC cap
-    # shortens iterations
-    assert rows[1].mean_iteration_s < rows[0].mean_iteration_s
-
-
-def test_collective_runner():
-    from repro.experiments import collective
-
-    rows = collective.run(
-        workloads=(("resnet18", 32),),
-        collectives=("ring",),
-        n_workers=3,
-        n_iterations=N,
-    )
-    assert [r.strategy for r in rows] == list(collective.STRATEGIES)
-    assert all(r.training_rate > 0 for r in rows)
-    by_strategy = {r.strategy: r for r in rows}
-    # the whole point: predictable scheduling beats FIFO on the ring too
-    assert by_strategy["prophet"].training_rate > by_strategy["mxnet-fifo"].training_rate
+test_fig11_runner = checks("fig11.strategies", "fig11.gradients", "fig11.waits-finite")
+test_fig12_runner = checks("fig12.aggregate-is-2x-per-worker")
+test_fig13_runner = checks("fig13.early-range", "fig13.late-range", "fig13.rate-positive")
+test_table2_runner = checks("table2.smoke-rows", "table2.smoke-strategies")
+test_table3_runner = checks("table3.smoke-rows", "table3.smoke-finite")
+test_overhead_runners = checks("overhead.workloads", "overhead.positive", "planning.cpu-seconds")
+test_ablations_runner = checks("ablations.has-baseline", "ablations.rates-positive")
+test_experiment_mains_print = checks("mains.print-tables")
+test_scalability_runner = checks(
+    "scalability.servers", "scalability.rates-positive", "scalability.wider-tier-faster"
+)
+test_collective_runner = checks(
+    "collective.strategies", "collective.rates-positive", "collective.prophet-beats-fifo"
+)
