@@ -149,9 +149,6 @@ def ps_push_workload() -> int:
         def enqueue_pull(self, pull) -> None:
             released[0] += 1
 
-        def enqueue_pulls(self, pulls) -> None:
-            released[0] += len(pulls)
-
     size = 1e6
     piece = size / PS_SLICES
     engine = Engine()

@@ -21,7 +21,6 @@ from repro.sched.base import Segment, TransferUnit
 __all__ = ["PullUnit", "PushMessage", "RetryPolicy"]
 
 
-@dataclass(frozen=True)
 class PullUnit:
     """One aggregated parameter range flowing PS → worker.
 
@@ -35,10 +34,12 @@ class PullUnit:
     Eq. (4) ``u = t + 2E`` assumes.
     """
 
-    worker: int
-    iteration: int
-    segment: Segment
-    created: float
+    __slots__ = ("worker", "iteration", "segment")
+
+    def __init__(self, worker: int, iteration: int, segment: Segment):
+        self.worker = worker
+        self.iteration = iteration
+        self.segment = segment
 
     @property
     def total_bytes(self) -> float:

@@ -26,6 +26,10 @@ completed.  Waiting pulls therefore sit in one min-heap per watermark key
 ordered by ``(need, arrival seq)``: a push computes each touched key's
 watermark once and pops exactly the pulls it releases, so its cost scales
 with the releases, not with the pulls still waiting.
+
+A push's releases reach the workers as one engine event per run of equal
+update delays (:func:`~repro.cluster.worker.deliver_pulls`, DESIGN §2).
+BSP aggregation state is grouped by iteration; settled ones drop whole.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.cluster.messages import PullUnit
+from repro.cluster.worker import deliver_pulls
 from repro.errors import ConfigurationError, SimulationError
 from repro.sched.base import TransferUnit
 from repro.sim.engine import Engine
@@ -105,10 +110,10 @@ class ParameterServer:
         self._reorder: dict[int, dict[int, tuple[int, TransferUnit]]] = defaultdict(
             dict
         )
-        # (iteration, grad) -> per-worker cumulative bytes received.
+        # iteration -> grad -> per-worker cumulative bytes received.
         # Plain lists: the hot loop only ever does scalar reads/writes and
         # min() reductions, where numpy's per-element boxing dominates.
-        self._received: dict[tuple[int, int], list[float]] = {}
+        self._received: dict[int, dict[int, list[float]]] = {}
         # grad -> per-worker latest iteration fully pushed (-1 = none).
         self._progress: dict[int, list[int]] = {}
         # Watermark key -> min-heap of waiting ``(need, seq, pull)``; the
@@ -119,17 +124,13 @@ class ParameterServer:
         # Arrival order of waiting pulls: releases within a key go out in
         # it, exactly as a per-gradient list scan would.
         self._pull_seq = itertools.count()
-        # Pending release run: consecutive releases for one (worker,
-        # delay) pair inside a single receive_push coalesce into ONE
-        # engine wakeup (the worker's batched enqueue entry), instead of
-        # one event per pull unit.  ``[worker, delay, [pulls...]]``.
-        self._release_run: list | None = None
+        # Releases of the current receive_push not yet scheduled, all due
+        # after ``_release_delay`` (one deliver_pulls event per flush).
+        self._releases: list[PullUnit] = []
+        self._release_delay: float | None = None
         # Count of units across _waiting — O(1) pending_pulls.
         self._n_waiting = 0
         self._workers: list = []
-        # Highest iteration any push has carried — drives BSP pruning of
-        # settled ``_received`` entries (see receive_push).
-        self._max_push_iteration = -1
         #: Total gradient bytes pushed to the PS (all workers, all iters).
         self.total_push_bytes = 0.0
         #: Observed gradient staleness (iterations) at each pull release
@@ -189,8 +190,8 @@ class ParameterServer:
                     {"worker": worker, "seq": seq, "iteration": iteration},
                 )
             return False
+        pending[seq] = (iteration, unit)
         if seq != self._next_seq[worker]:
-            pending[seq] = (iteration, unit)
             if trace.enabled:
                 trace.instant(
                     "push.reordered",
@@ -200,8 +201,6 @@ class ParameterServer:
                     {"worker": worker, "seq": seq, "expected": self._next_seq[worker]},
                 )
             return True
-        self._next_seq[worker] = seq + 1
-        self.receive_push(worker, iteration, unit)
         while self._next_seq[worker] in pending:
             queued_iter, queued_unit = pending.pop(self._next_seq[worker])
             self._next_seq[worker] += 1
@@ -218,22 +217,20 @@ class ParameterServer:
         watermark covers, in arrival order.
         """
         bsp = self.sync_mode == "bsp"
-        if bsp and iteration > self._max_push_iteration:
-            # Under BSP a push for iteration k implies every worker fully
-            # pushed (and was released for) iteration k-1: the pusher's
-            # forward pass gated on its k-1 pulls, which gate on full
-            # coverage by all workers.  Keys at or below k-2 can never be
-            # written or queried again — drop them so the aggregation
-            # state stays bounded by two iterations' keys.
-            self._max_push_iteration = iteration
-            cutoff = iteration - 2
-            if cutoff >= 0:
-                stale = [key for key in self._received if key[0] <= cutoff]
-                for key in stale:
-                    del self._received[key]
         all_received = self._received
+        iter_received = all_received.get(iteration)
+        if iter_received is None:
+            iter_received = all_received[iteration] = {}
+            if bsp:
+                # Under BSP the first push for iteration k implies every
+                # worker fully pushed (and was released for) iteration
+                # k-1: the pusher's forward pass gated on its k-1 pulls,
+                # which gate on full coverage by all workers.  Iterations
+                # at or below k-2 can never be written or queried again —
+                # drop them, so the state stays bounded by two iterations.
+                for stale in [i for i in all_received if i <= iteration - 2]:
+                    del all_received[stale]
         waiting = self._waiting
-        now = self.engine.now
         touched: set[int] = set()
         # BSP: grad -> the (iteration, grad) watermark after this push's
         # last segment of it — what the release sweep below compares to.
@@ -242,10 +239,9 @@ class ParameterServer:
             grad = seg.grad
             offset = seg.offset
             nbytes = seg.nbytes
-            key = (iteration, grad)
-            received = all_received.get(key)
+            received = iter_received.get(grad)
             if received is None:
-                received = all_received[key] = [0.0] * self.n_workers
+                received = iter_received[grad] = [0.0] * self.n_workers
             size = self._sizes_list[grad]
             got = received[worker]
             if abs(got - offset) > max(_TOL, 1e-6 * nbytes):
@@ -270,9 +266,7 @@ class ParameterServer:
             self.total_push_bytes += nbytes
             touched.add(grad)
 
-            pull = PullUnit(
-                worker=worker, iteration=iteration, segment=seg, created=now
-            )
+            pull = PullUnit(worker, iteration, seg)
             if bsp:
                 mark = marks[grad] = min(received)
                 need = offset + nbytes - _TOL
@@ -282,10 +276,10 @@ class ParameterServer:
                 # hold SSP back; ASP's -1 bound is always met.
                 mark = self._slowest(grad)
                 need = self._ssp_need(iteration)
-                key = grad
             if mark >= need:
                 self._release(pull, mark)
             else:
+                key = (iteration, grad) if bsp else grad
                 heap = waiting.get(key)
                 if heap is None:
                     heap = waiting[key] = []
@@ -368,36 +362,23 @@ class ParameterServer:
             delay += self._faults.ps_release_delay(
                 self.engine.now, self.server_index
             )
-        # Coalesce consecutive releases for the same worker at the same
-        # delay into one run.  Within a ``receive_push`` nothing else
-        # schedules between two releases, so the run's units would have
-        # occupied consecutive sequence numbers at one timestamp — firing
-        # them from a single wakeup that replays the per-unit enqueue+pump
-        # sequence in order is bit-identical, at 1/N the event cost.
-        run = self._release_run
-        if run is not None and run[0] == pull.worker and run[1] == delay:
-            run[2].append(pull)
-        else:
+        if delay != self._release_delay:
             self._flush_releases()
-            self._release_run = [pull.worker, delay, [pull]]
+            self._release_delay = delay
+        self._releases.append(pull)
 
     def _flush_releases(self) -> None:
-        """Schedule the pending release run (if any) as one engine event."""
-        run = self._release_run
-        if run is None:
-            return
-        self._release_run = None
-        worker = self._workers[run[0]]
-        batch = run[2]
-        if len(batch) == 1:
-            self.engine.schedule_after(run[1], worker.enqueue_pull, batch[0])
-        else:
-            self.engine.schedule_after(run[1], worker.enqueue_pulls, batch)
+        """Schedule the pending releases (if any) as one engine event."""
+        if self._releases:
+            self.engine.schedule_after(
+                self._release_delay, deliver_pulls, self._workers, self._releases
+            )
+            self._releases = []
 
     # ------------------------------------------------------------------
     def aggregated_bytes(self, iteration: int, grad: int) -> float:
         """Bytes of ``grad`` aggregated from all workers in ``iteration``."""
-        received = self._received.get((iteration, grad))
+        received = self._received.get(iteration, {}).get(grad)
         return min(received) if received is not None else 0.0
 
     @property

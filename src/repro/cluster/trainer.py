@@ -11,6 +11,7 @@ paired.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from repro.agg.kvstore import KVStore
@@ -83,9 +84,8 @@ class Trainer:
         if engine is None:
             self.engine = engine = Engine()
             if config.trace:
-                self.trace: TraceRecorder | NullRecorder = TraceRecorder(
-                    clock=lambda: engine.now
-                )
+                clock = weakref.ref(engine)  # the engine carries the trace: no cycle
+                self.trace: TraceRecorder | NullRecorder = TraceRecorder(clock=lambda: clock().now)
             else:
                 self.trace = NULL_RECORDER
             self.engine.trace = self.trace

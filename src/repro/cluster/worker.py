@@ -62,13 +62,12 @@ import math
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
 from repro.cluster.messages import PullUnit, PushMessage
-from repro.cluster.ps import ParameterServer
 from repro.cluster.sharding import ShardAssignment, ShardPiece
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
@@ -78,9 +77,18 @@ from repro.net.link import Link
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
-__all__ = ["Worker", "PSPort", "StallProbe"]
+if TYPE_CHECKING:
+    from repro.cluster.ps import ParameterServer
+
+__all__ = ["Worker", "PSPort", "StallProbe", "deliver_pulls"]
 
 _TOL = 1e-9
+
+
+def deliver_pulls(ports: list, pulls: list[PullUnit]) -> None:
+    """One PS release event: each pull to its port, in release order."""
+    for pull in pulls:
+        ports[pull.worker].enqueue_pull(pull)
 
 
 class StallProbe:
@@ -129,8 +137,8 @@ class PSPort(StallProbe):
     scheduler's proposed push and pending pulls, priority-prefix pull
     batching, the stall-probe escape hatch, and (fault mode) the
     reliable-delivery endpoint — its own sequence numbers, retry queue,
-    and drop rolls — sharing the worker's crash state.  The PS calls
-    :meth:`enqueue_pull` on the port directly (ports are what
+    and drop rolls — sharing the worker's crash state.  The PS's release
+    events call :meth:`enqueue_pull` on the port directly (ports are what
     ``attach_workers`` receives).
 
     ``shard`` is ``None`` on the star: the port then traces on the
@@ -181,6 +189,7 @@ class PSPort(StallProbe):
         self._retry_timers: dict[int, object] = {}
         self._inflight_push: PushMessage | None = None
         self._inflight_pulls: dict[Link, list[PullUnit]] = {}
+        # Keyed by identity: a retried pull is the same object.
         self._pull_attempts: dict[PullUnit, int] = {}
         self._push_desc: dict[int, dict[str, object] | None] = {}
         # Channel pumps re-enter via engine callbacks; wire link idleness.
@@ -198,17 +207,6 @@ class PSPort(StallProbe):
             self._pump_downlink()
         else:
             self._pump()
-
-    def enqueue_pulls(self, pulls: list[PullUnit]) -> None:
-        """Batched PS release: one engine wakeup delivering several pulls.
-
-        Replays the exact per-unit ``enqueue_pull`` sequence (enqueue,
-        then pump) in release order, so the observable behaviour — which
-        pull wins the channel, what the batch coalescer sees in the heap
-        at each pump — is bit-identical to one engine event per unit.
-        """
-        for pull in pulls:
-            self.enqueue_pull(pull)
 
     def _enqueue_pull_item(self, pull: PullUnit, arrival: float) -> None:
         if self._pull_by_priority:
@@ -236,15 +234,22 @@ class PSPort(StallProbe):
             # bytes, which every BSP peer is already gated on.
             if self._transmit_next_retry():
                 return
-        now = self.engine.now
+        scheduler = self.scheduler
         head = self._pull_heap[0] if self._pull_heap and self.downlink is None else None
-        push = self.scheduler.propose_unit(now)
+        if head is not None and not scheduler.fifo_channel:
+            # Every proposal carries a ready gradient, so a pull at least
+            # as urgent as the most urgent one wins without proposing.
+            bound = scheduler.most_urgent_ready
+            if bound is None or head[1].priority <= bound:
+                self._send_pull_batch(self.channel)
+                return
+        push = scheduler.propose_unit(self.engine.now)
 
         choose_pull = False
         if head is not None:
             if push is None:
                 choose_pull = True
-            elif self.scheduler.fifo_channel:
+            elif scheduler.fifo_channel:
                 choose_pull = head[2] <= self._push_arrival(push)
             else:
                 choose_pull = head[1].priority <= push.priority
@@ -253,7 +258,7 @@ class PSPort(StallProbe):
             self._send_pull_batch(self.channel)
         elif push is not None:
             self._send_push(push)
-        elif self.scheduler.pending_bytes > 0:
+        elif scheduler.pending_bytes > 0:
             # Idle with unsent gradients and nothing to receive: arm the
             # stall timer so window-based flow control cannot wedge the
             # whole BSP ring (see CommScheduler.grant_probe).

@@ -15,6 +15,7 @@ reclamation — all inside the one event-driven simulation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import Sequence
 
@@ -66,9 +67,8 @@ class FleetSimulator:
         # ``worker0/comm``, ``ps`` and link tracks.
         self.engine = engine = Engine()
         if trace:
-            self.trace: TraceRecorder | NullRecorder = TraceRecorder(
-                clock=lambda: engine.now
-            )
+            clock = weakref.ref(engine)  # the engine carries the trace: no cycle
+            self.trace: TraceRecorder | NullRecorder = TraceRecorder(clock=lambda: clock().now)
         else:
             self.trace = NULL_RECORDER
         self.engine.trace = self.trace

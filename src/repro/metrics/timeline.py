@@ -89,10 +89,6 @@ class GradientRecord:
         return self.push_end - self.push_start
 
 
-#: Per-gradient lifecycle fields, in :class:`GradientRecord` order.
-_GRAD_FIELDS = ("ready", "push_start", "push_end", "pull_end")
-
-
 class Recorder:
     """Accumulates simulation timelines.
 
@@ -114,10 +110,11 @@ class Recorder:
         self.gpu_intervals: list[GpuInterval] = []
         self.iterations: list[IterationRecord] = []
         # Gradient marks as plain data the cycle collector does not track:
-        # (worker, iteration, grad) -> row, and one NaN-filled float column
-        # per lifecycle field.
-        self._grad_rows: dict[tuple[int, int, int], int] = {}
-        self._grad_cols: dict[str, array] = {f: array("d") for f in _GRAD_FIELDS}
+        # worker -> iteration -> grad -> row, and one NaN-filled float
+        # column per lifecycle field, in GradientRecord order.
+        self._grad_rows: dict[int, dict[int, dict[int, int]]] = {}
+        self._grad_cols = tuple(array("d") for _ in range(4))
+        self._ready, self._push_start, self._push_end, self._pull_end = self._grad_cols
 
     # ------------------------------------------------------------------
     # Write side (workers)
@@ -159,9 +156,9 @@ class Recorder:
     # ------------------------------------------------------------------
     # Per-gradient lifecycle marks (the paper's c, t, push end, u)
     # ------------------------------------------------------------------
-    def _mark(
-        self, worker: int, iteration: int, grad: int, field: str, t: float
-    ) -> None:
+    def _mark_row(self, field: str, worker: int, iteration: int, grad: int, t: float):
+        """Mirror one mark into the trace; return the gradient's column row
+        (appended on its first mark), ``None`` if gradients are not kept."""
         if self.trace.enabled:
             self.trace.instant(
                 field,
@@ -171,31 +168,43 @@ class Recorder:
                 {"worker": worker, "iteration": iteration, "grad": grad},
             )
         if not self.record_gradients:
-            return
-        key = (worker, iteration, grad)
-        row = self._grad_rows.get(key)
-        cols = self._grad_cols
+            return None
+        by_iteration = self._grad_rows.get(worker)
+        if by_iteration is None:
+            by_iteration = self._grad_rows[worker] = {}
+        rows = by_iteration.get(iteration)
+        if rows is None:
+            rows = by_iteration[iteration] = {}
+        row = rows.get(grad)
         if row is None:
-            row = self._grad_rows[key] = len(cols[field])
-            for col in cols.values():
+            row = rows[grad] = len(self._ready)
+            for col in self._grad_cols:
                 col.append(np.nan)
-        cols[field][row] = t
+        return row
 
     def mark_ready(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Gradient flushed by the KV store (the paper's ``c(i)``)."""
-        self._mark(worker, iteration, grad, "ready", t)
+        row = self._mark_row("ready", worker, iteration, grad, t)
+        if row is not None:
+            self._ready[row] = t
 
     def mark_push_start(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """First byte entered the channel (the paper's ``t(i)``)."""
-        self._mark(worker, iteration, grad, "push_start", t)
+        row = self._mark_row("push_start", worker, iteration, grad, t)
+        if row is not None:
+            self._push_start[row] = t
 
     def mark_push_end(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Last byte pushed."""
-        self._mark(worker, iteration, grad, "push_end", t)
+        row = self._mark_row("push_end", worker, iteration, grad, t)
+        if row is not None:
+            self._push_end[row] = t
 
     def mark_pull_end(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Updated parameters applied locally (the paper's ``u(i)``)."""
-        self._mark(worker, iteration, grad, "pull_end", t)
+        row = self._mark_row("pull_end", worker, iteration, grad, t)
+        if row is not None:
+            self._pull_end[row] = t
 
     # ------------------------------------------------------------------
     # Read side (harnesses)
@@ -212,14 +221,16 @@ class Recorder:
     ) -> list[GradientRecord]:
         """Gradient records filtered by worker and/or iteration, built
         fresh on each call in ``(worker, iteration, grad)`` order."""
-        ready, push_start, push_end, pull_end = self._grad_cols.values()
+        ready, push_start, push_end, pull_end = self._grad_cols
         return [
             GradientRecord(
                 w, i, g, ready[row], push_start[row], push_end[row], pull_end[row]
             )
-            for (w, i, g), row in sorted(self._grad_rows.items())
-            if (worker is None or w == worker)
-            and (iteration is None or i == iteration)
+            for w, by_iteration in sorted(self._grad_rows.items())
+            if worker is None or w == worker
+            for i, rows in sorted(by_iteration.items())
+            if iteration is None or i == iteration
+            for g, row in sorted(rows.items())
         ]
 
     def gpu_busy_intervals(self, worker: int) -> np.ndarray:
@@ -278,11 +289,7 @@ def recorder_from_trace(events: Iterable[TraceEvent]) -> Recorder:
             iter_rows[(worker, iteration)] = row
         elif ev.ph == INSTANT and ev.cat == "gradient":
             if ev.name in ("ready", "push_start", "push_end", "pull_end"):
-                rec._mark(
-                    worker,
-                    int(ev.args["iteration"]),
-                    int(ev.args["grad"]),
-                    ev.name,
-                    ev.ts,
+                getattr(rec, f"mark_{ev.name}")(
+                    worker, int(ev.args["iteration"]), int(ev.args["grad"]), ev.ts
                 )
     return rec

@@ -218,6 +218,11 @@ class CommScheduler:
         """Ready gradients with un-pushed bytes, most urgent first."""
         return list(self._ready_order)
 
+    @property
+    def most_urgent_ready(self) -> int | None:
+        """The most urgent ready gradient: a lower bound on any proposal's priority."""
+        return self._ready_order[0] if self._ready_order else None
+
     def remaining_bytes(self, grad: int) -> float:
         """Un-pushed bytes of ``grad`` (0 when fully sent or not ready)."""
         return self._remaining.get(grad, 0.0)

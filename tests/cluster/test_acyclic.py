@@ -61,6 +61,7 @@ def _fleet():
 
 SHAPES = {
     "star": _train,
+    "traced-star": lambda c: _train(replace(c, trace=True)),
     "sharded": lambda c: _train(replace(c, n_servers=2)),
     "ring": lambda c: _train(replace(c, backend="allreduce")),
     "hierarchical": lambda c: _train(

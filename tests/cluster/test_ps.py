@@ -120,3 +120,21 @@ def test_attach_wrong_worker_count_raises():
     ps = ParameterServer(engine, n_workers=3, sizes=np.ones(2))
     with pytest.raises(SimulationError):
         ps.attach_workers([FakeWorker()])
+
+
+def test_completing_push_schedules_one_release_event():
+    """The push that completes a range for N workers releases N pulls
+    through one engine event, in worker order."""
+    engine = Engine()
+    n = 4
+    ps = ParameterServer(engine, n_workers=n, sizes=np.array([100.0]), update_fixed=1e-3)
+    workers = [FakeWorker() for _ in range(n)]
+    ps.attach_workers(workers)
+    for w in range(n - 1):
+        ps.receive_push(w, 0, _unit(0, 0.0, 100.0))
+    assert engine.pending() == 0
+    ps.receive_push(n - 1, 0, _unit(0, 0.0, 100.0))
+    assert engine.pending() == 1
+    engine.run()
+    assert engine.events_processed == 1
+    assert [len(w.pulls) for w in workers] == [1] * n

@@ -163,10 +163,11 @@ class TestDeterminism:
 
 class TestEventBudget:
     def test_budget_grows_with_jobs_placed_mid_pump(self):
-        # `repro fleet --n-jobs 16 --iterations 40 --workers 4`: every job
+        # `repro fleet --n-jobs 16 --iterations 56 --workers 4`: every job
         # is placed inside the first engine pump, whose limit was the
-        # 200k-event floor in force before any job existed.
-        result = run_fleet(FleetSpec(n_jobs=16, n_iterations=40, n_workers=4))
+        # 200k-event floor in force before any job existed.  The run fires
+        # about 277k events, 1.39x that floor.
+        result = run_fleet(FleetSpec(n_jobs=16, n_iterations=56, n_workers=4))
         assert len(result.records) == 16
         assert result.events_processed > 200_000
 

@@ -3,13 +3,16 @@ per-pull scan it replaced.
 
 :class:`ReferencePS` keeps the original release rule: after every push it
 re-tests each waiting pull of each touched gradient, one ``min()`` over
-the workers per test.  Both servers are driven by the same random input —
-N workers, random gradient slicing (with offsets off by less than the
-PS's offset tolerance), multi-segment units, BSP/SSP/ASP, through
-``receive_push`` or through ``deliver_push`` with out-of-order and
-duplicate sequence numbers — and must agree on every release (worker,
-iteration, gradient, offset, firing time) in order, on ``pending_pulls``
-after every push, and on the staleness samples.
+the workers per test, and schedules one engine event per released pull
+(the real server batches a push's releases into one event).  Its
+aggregation state is one flat ``(iteration, gradient)`` map, pruned by a
+scan.  Both servers are driven by the same random input — N workers,
+random gradient slicing (with offsets off by less than the PS's offset
+tolerance), multi-segment units, BSP/SSP/ASP, through ``receive_push`` or
+through ``deliver_push`` with out-of-order and duplicate sequence numbers
+— and must agree on every release (worker, iteration, gradient, offset,
+firing time) in firing order, on ``pending_pulls`` and every key's
+``aggregated_bytes`` after every push, and on the staleness samples.
 """
 
 from collections import defaultdict
@@ -29,19 +32,29 @@ _TOL = 1e-9
 UPDATE_S = 1e-3
 #: Gaps between pushes: same instant, inside one update delay, after it.
 GAPS = (0.0, 0.4e-3, 2e-3)
+#: Per-byte update costs: with one, the releases of one push wait
+#: different delays and split into several release events.
+PER_BYTE = (0.0, 1e-6)
 
 
 class ReferencePS(ParameterServer):
-    """The per-pull scan: one waiting list per gradient, re-tested in full."""
+    """The per-pull scan: one waiting list per gradient, re-tested in full,
+    and one release event per pull."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lists = defaultdict(list)
+        self._bytes: dict[tuple[int, int], list[float]] = {}
+        self._max_push_iteration = -1
+
+    def aggregated_bytes(self, iteration: int, grad: int) -> float:
+        received = self._bytes.get((iteration, grad))
+        return min(received) if received is not None else 0.0
 
     def _releasable(self, pull: PullUnit) -> bool:
         seg = pull.segment
         if self.sync_mode == "bsp":
-            received = self._received.get((pull.iteration, seg.grad))
+            received = self._bytes.get((pull.iteration, seg.grad))
             if received is None:
                 return False
             return min(received) >= seg.offset + seg.nbytes - _TOL
@@ -56,20 +69,24 @@ class ReferencePS(ParameterServer):
         return min(progress) >= bound
 
     def _respond(self, pull: PullUnit) -> None:
-        progress = self._progress.get(pull.segment.grad)
-        self._release(pull, min(progress) if progress is not None else -1)
+        if self.sync_mode != "bsp":
+            progress = self._progress.get(pull.segment.grad)
+            slowest = min(progress) if progress is not None else -1
+            self.staleness_samples.append(max(0, pull.iteration - 1 - slowest))
+        delay = self.update_fixed + self.update_per_byte * pull.total_bytes
+        self.engine.schedule_after(delay, self._workers[pull.worker].enqueue_pull, pull)
 
     def receive_push(self, worker, iteration, unit):
         if self.sync_mode == "bsp" and iteration > self._max_push_iteration:
             self._max_push_iteration = iteration
-            for key in [k for k in self._received if k[0] <= iteration - 2]:
-                del self._received[key]
+            for key in [k for k in self._bytes if k[0] <= iteration - 2]:
+                del self._bytes[key]
         touched = set()
         for seg in unit.segments:
             key = (iteration, seg.grad)
-            received = self._received.get(key)
+            received = self._bytes.get(key)
             if received is None:
-                received = self._received[key] = [0.0] * self.n_workers
+                received = self._bytes[key] = [0.0] * self.n_workers
             size = self._sizes_list[seg.grad]
             if abs(received[worker] - seg.offset) > max(_TOL, 1e-6 * seg.nbytes):
                 raise SimulationError("out-of-order offset")
@@ -81,9 +98,7 @@ class ReferencePS(ParameterServer):
                 progress[worker] = max(progress[worker], iteration)
             self.total_push_bytes += seg.nbytes
             touched.add(seg.grad)
-            pull = PullUnit(
-                worker=worker, iteration=iteration, segment=seg, created=self.engine.now
-            )
+            pull = PullUnit(worker, iteration, seg)
             if self._releasable(pull):
                 self._respond(pull)
             else:
@@ -98,7 +113,6 @@ class ReferencePS(ParameterServer):
                 else:
                     still_waiting.append(pull)
             self._lists[grad] = still_waiting
-        self._flush_releases()
 
 
 class _Sink:
@@ -113,10 +127,6 @@ class _Sink:
         self.log.append(
             ("release", pull.worker, pull.iteration, seg.grad, seg.offset, self.engine.now)
         )
-
-    def enqueue_pulls(self, pulls) -> None:
-        for pull in pulls:
-            self.enqueue_pull(pull)
 
 
 @st.composite
@@ -211,18 +221,20 @@ def _deliver_calls(data, streams) -> list:
     return calls
 
 
-def _drive(cls, mode: str, staleness: int, sizes, n_workers: int, calls):
+def _drive(cls, mode: str, staleness: int, per_byte: float, sizes, n_workers: int, calls):
     engine = Engine()
     ps = cls(
         engine,
         n_workers=n_workers,
         sizes=np.asarray(sizes, dtype=float),
         update_fixed=UPDATE_S,
+        update_per_byte=per_byte,
         sync_mode=mode,
         staleness=staleness,
     )
     log: list = []
     ps.attach_workers([_Sink(engine, log) for _ in range(n_workers)])
+    keys = sorted({(call[1], g) for call in calls for g in range(len(sizes))})
     try:
         for worker, iteration, unit, seq, gap in calls:
             if seq is None:
@@ -230,6 +242,7 @@ def _drive(cls, mode: str, staleness: int, sizes, n_workers: int, calls):
             else:
                 log.append(("new", ps.deliver_push(worker, iteration, unit, seq)))
             log.append(("pending", ps.pending_pulls))
+            log.append(("aggregated", [ps.aggregated_bytes(*key) for key in keys]))
             engine.run(until=engine.now + gap)
         engine.run()
     except SimulationError:
@@ -237,10 +250,11 @@ def _drive(cls, mode: str, staleness: int, sizes, n_workers: int, calls):
     return log, ps.staleness_samples
 
 
-def _assert_same(mode: str, staleness: int, sizes, streams, calls) -> None:
+def _assert_same(mode: str, staleness: int, sizes, streams, calls, data) -> None:
     n_workers = len(streams)
-    new = _drive(ParameterServer, mode, staleness, sizes, n_workers, calls)
-    ref = _drive(ReferencePS, mode, staleness, sizes, n_workers, calls)
+    per_byte = data.draw(st.sampled_from(PER_BYTE))
+    new = _drive(ParameterServer, mode, staleness, per_byte, sizes, n_workers, calls)
+    ref = _drive(ReferencePS, mode, staleness, per_byte, sizes, n_workers, calls)
     assert new == ref
 
 
@@ -250,7 +264,7 @@ def _assert_same(mode: str, staleness: int, sizes, streams, calls) -> None:
 def test_receive_push_releases_like_the_scan(mode, plan, staleness, data):
     sizes, streams = plan
     calls = _receive_calls(data, streams, bsp=mode == "bsp")
-    _assert_same(mode, staleness, sizes, streams, calls)
+    _assert_same(mode, staleness, sizes, streams, calls, data)
 
 
 @pytest.mark.parametrize("mode", ["bsp", "ssp", "asp"])
@@ -260,4 +274,4 @@ def test_deliver_push_releases_like_the_scan(mode, plan, staleness, data):
     # Two iterations keep BSP pruning (keys <= k-2) out of reach however
     # far the reorder buffer lets one worker run ahead.
     sizes, streams = plan
-    _assert_same(mode, staleness, sizes, streams, _deliver_calls(data, streams))
+    _assert_same(mode, staleness, sizes, streams, _deliver_calls(data, streams), data)
