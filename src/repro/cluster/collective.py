@@ -65,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
-from repro.cluster.worker import StallProbe, Worker
+from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
@@ -110,7 +110,7 @@ class EffectiveBandwidthView:
         return self._monitor.sample_age()
 
 
-class CollectiveController(StallProbe):
+class CollectiveController:
     """Coordinator: negotiates worker readiness, drives the one scheduler.
 
     The controller is the collective analogue of the worker's channel
@@ -126,7 +126,6 @@ class CollectiveController(StallProbe):
         executor: RingExecutor | HierarchicalExecutor,
         recorder: Recorder,
         n_workers: int,
-        stall_timeout: float = 5e-3,
         faults=None,
         view: "EffectiveBandwidthView | None" = None,
     ):
@@ -136,8 +135,6 @@ class CollectiveController(StallProbe):
         self.recorder = recorder
         self.n_workers = n_workers
         self.workers: list[CollectiveWorker] = []
-        self._stall_timeout = stall_timeout
-        self._stall_timer = None
         self._comm_track = "collective/comm"
         self._iteration = -1
         self._end_span = 0.0
@@ -291,23 +288,18 @@ class CollectiveController(StallProbe):
     # Driving the executor
     # ------------------------------------------------------------------
     def pump(self) -> None:
-        if self.executor.busy or self._all_done():
+        """Launch the scheduler's next unit if the executor is idle.
+
+        No stall timer: a completed operation credits every byte it
+        carried back to the scheduler (:meth:`_op_done`), so a
+        window-based strategy never holds while the executor is idle.
+        """
+        if self.executor.busy:
             return
         now = self.engine.now
         unit = self.scheduler.propose_unit(now)
         if unit is not None:
             self._send_unit(unit, now)
-        elif self.scheduler.pending_bytes > 0:
-            self._arm_stall_timer()
-
-    def _all_done(self) -> bool:
-        return bool(self.workers) and all(w.done for w in self.workers)
-
-    def _pump(self) -> None:
-        self.pump()
-
-    def _stall_blocked(self) -> bool:
-        return self._all_done() or self.executor.busy
 
     def _send_unit(self, unit: TransferUnit, now: float) -> None:
         self.scheduler.commit_unit(unit, now)

@@ -23,11 +23,13 @@ desynchronizes workers and exercises BSP straggler effects.
 **Ports.**  All communication runs through :class:`PSPort` agents, one per
 parameter server.  The paper's star is the one-port case; the BytePS-style
 key-sharded tier (``n_servers > 1``) gives every worker one port per
-shard, each with its own scheduler instance, uplink, optional downlink,
-pull queue, and stall timer — so a head-of-line block on one shard (e.g. a
-large low-priority tensor in flight) never delays another shard's urgent
-gradients.  The compute path and the recorder run on **global** gradient
-indices; each port's scheduler, PS, and messages run on the shard's
+shard, each with its own scheduler instance, uplink, optional downlink
+and pull queue — so a head-of-line block on one shard (e.g. a large
+low-priority tensor in flight) never delays another shard's urgent
+gradients.  Only a port whose scheduler has a credit window (overrides
+:meth:`~repro.sched.base.CommScheduler.grant_probe`: ByteScheduler) keeps
+a stall timer.  The compute path and the recorder run on **global**
+gradient indices; each port's scheduler, PS, and messages run on the shard's
 **local** piece indices (dense, priority-ordered — see
 :mod:`repro.cluster.sharding`; on the star local == global).  Ports
 translate at the boundary: a committed push credits global ``_pushed``
@@ -80,9 +82,11 @@ from repro.sim.engine import Engine
 if TYPE_CHECKING:
     from repro.cluster.ps import ParameterServer
 
-__all__ = ["Worker", "PSPort", "StallProbe", "deliver_pulls"]
+__all__ = ["Worker", "PSPort", "deliver_pulls"]
 
 _TOL = 1e-9
+#: Idle time after which a port probes a window-based scheduler.
+_STALL_TIMEOUT = 5e-3
 
 
 def deliver_pulls(ports: list, pulls: list[PullUnit]) -> None:
@@ -91,53 +95,14 @@ def deliver_pulls(ports: list, pulls: list[PullUnit]) -> None:
         ports[pull.worker].enqueue_pull(pull)
 
 
-class StallProbe:
-    """The stall-probe escape hatch of a channel pump, shared by the PS
-    ports and the collective controller.
-
-    Window-based flow control can leave a channel idle with unsent
-    gradients and nothing to receive, with every BSP peer waiting on the
-    others.  An idle pump arms a timer; if the channel is still idle when
-    it fires, the scheduler is granted a probe
-    (:meth:`~repro.sched.base.CommScheduler.grant_probe`) and the pump
-    retries.  Hosts provide ``engine``, ``scheduler``,
-    ``_stall_timeout``, ``_stall_timer``, ``_comm_track``, ``_pump`` and
-    ``_stall_blocked``.
-    """
-
-    def _arm_stall_timer(self) -> None:
-        if self._stall_timer is not None and self._stall_timer.alive:
-            return
-        self._stall_timer = self.engine.schedule_after(
-            self._stall_timeout, self._stall_check
-        )
-
-    def _stall_check(self) -> None:
-        self._stall_timer = None
-        if self._stall_blocked() or self.scheduler.pending_bytes <= 0:
-            return
-        now = self.engine.now
-        trace = self.engine.trace
-        if trace.enabled:
-            trace.instant(
-                "stall.probe",
-                "sched",
-                now,
-                self._comm_track,
-                {"pending_bytes": self.scheduler.pending_bytes},
-            )
-        self.scheduler.grant_probe(now)
-        self._pump()
-
-
-class PSPort(StallProbe):
+class PSPort:
     """Communication agent of one worker towards one parameter server.
 
     Owns the channel logic: shared-channel arbitration between the
     scheduler's proposed push and pending pulls, priority-prefix pull
-    batching, the stall-probe escape hatch, and (fault mode) the
-    reliable-delivery endpoint — its own sequence numbers, retry queue,
-    and drop rolls — sharing the worker's crash state.  The PS's release
+    batching, the stall probe of a credit-window scheduler, and (fault
+    mode) the reliable-delivery endpoint — its own sequence numbers,
+    retry queue, and drop rolls — sharing the worker's crash state.  The PS's release
     events call :meth:`enqueue_pull` on the port directly (ports are what
     ``attach_workers`` receives).
 
@@ -161,7 +126,6 @@ class PSPort(StallProbe):
         self.worker_id = worker.worker_id
         self.recorder = worker.recorder
         self._faults = worker._faults
-        self._stall_timeout = worker._stall_timeout
         self.shard = shard
         self.scheduler = scheduler
         self.channel = channel
@@ -181,6 +145,8 @@ class PSPort(StallProbe):
         self._pull_heap: list[tuple[tuple, PullUnit, float]] = []
         self._pull_seq = itertools.count()
         self._pull_by_priority = (downlink is not None) or not scheduler.fifo_channel
+        # Only a scheduler that acts on a probe gets a stall timer.
+        self._probes = type(scheduler).grant_probe is not CommScheduler.grant_probe
         self._stall_timer = None
         # Fault-mode delivery state (unused — but cheap — without faults).
         self._push_seq = itertools.count()
@@ -258,19 +224,38 @@ class PSPort(StallProbe):
             self._send_pull_batch(self.channel)
         elif push is not None:
             self._send_push(push)
-        elif scheduler.pending_bytes > 0:
+        elif self._probes and self._stall_timer is None and scheduler.pending_bytes > 0:
             # Idle with unsent gradients and nothing to receive: arm the
             # stall timer so window-based flow control cannot wedge the
             # whole BSP ring (see CommScheduler.grant_probe).
-            self._arm_stall_timer()
+            self._stall_timer = self.engine.schedule_after(
+                _STALL_TIMEOUT, self._stall_check
+            )
 
-    def _stall_blocked(self) -> bool:
-        return (
+    def _stall_check(self) -> None:
+        """Still idle a stall timeout later: grant a probe and re-pump."""
+        self._stall_timer = None
+        scheduler = self.scheduler
+        if (
             self.worker._done
             or self.worker._suspended
             or self.channel.busy
-            or bool(self._pull_heap)
-        )
+            or self._pull_heap
+            or scheduler.pending_bytes <= 0
+        ):
+            return
+        now = self.engine.now
+        trace = self.engine.trace
+        if trace.enabled:
+            trace.instant(
+                "stall.probe",
+                "sched",
+                now,
+                self._comm_track,
+                {"pending_bytes": scheduler.pending_bytes},
+            )
+        scheduler.grant_probe(now)
+        self._pump()
 
     def _pump_downlink(self) -> None:
         """Duplex ablation: pulls on their own link, by priority."""
@@ -687,7 +672,6 @@ class Worker:
         jitter_std: float = 0.0,
         compute_scale: float = 1.0,
         on_done: Callable[[int], None] | None = None,
-        stall_timeout: float = 5e-3,
         faults=None,
     ):
         self._init_compute(
@@ -703,7 +687,6 @@ class Worker:
             on_done,
             faults,
         )
-        self._stall_timeout = stall_timeout
         n_shards = assignment.n_servers
         if not (
             len(shard_schedules) == len(schedulers) == len(channels)

@@ -1,6 +1,7 @@
 """Scheduler interface and shared bookkeeping.
 
-The worker's communication agent drives its scheduler through three hooks:
+The worker's communication agent (a PS port, or the collective controller)
+drives its scheduler through these hooks:
 
 * :meth:`CommScheduler.begin_iteration` — backward propagation is starting;
   the per-iteration push state resets (all of the previous iteration's
@@ -8,9 +9,10 @@ The worker's communication agent drives its scheduler through three hooks:
   can only start after the next forward pass, which needs every parameter).
 * :meth:`CommScheduler.gradient_ready` — the KV store flushed gradient
   ``i``; it may now be pushed.
-* :meth:`CommScheduler.next_unit` — the uplink is idle; return the next
+* :meth:`CommScheduler.propose_unit` — the uplink is idle; return the next
   :class:`TransferUnit` to send, or ``None`` to deliberately leave the link
   idle (Prophet does this to protect an imminent higher-priority gradient).
+  The agent calls :meth:`CommScheduler.commit_unit` if it sends the unit.
 
 A :class:`TransferUnit` is one serialized network message: it pays one TCP
 setup (handshake + slow start) regardless of how many gradient segments it
@@ -182,9 +184,13 @@ class CommScheduler:
         Credit-style flow control across BSP workers can deadlock when
         workers' send orders diverge (each worker's outstanding window
         missing segments another worker is withholding).  Real engines
-        break such stalls with asynchronous timeouts; the worker calls
-        this hook after ``stall_timeout`` of forced idleness.  Default:
-        no-op (only window-based strategies need it)."""
+        break such stalls with asynchronous timeouts.  Here a PS port
+        (:class:`~repro.cluster.worker.PSPort`) calls this hook, then
+        re-pumps, once its channel has sat idle for 5 ms with unsent
+        gradients and no pending pull.  A port arms that timer only for
+        a scheduler whose class overrides this method.  The collective
+        controller never calls it: every finished operation returns its
+        credit at once."""
 
     def end_iteration(self, iteration: int, iteration_time: float, now: float) -> None:
         """Notification of a completed iteration (for auto-tuners)."""

@@ -11,8 +11,31 @@ from repro.sched.fifo import FIFOScheduler
 from repro.workloads.presets import (
     bytescheduler_factory,
     fifo_factory,
+    mgwfbp_factory,
+    p3_factory,
     prophet_factory,
 )
+
+#: The star, the sharded tier and both collectives, on the tiny model.
+TOPOLOGIES = {
+    "star": {},
+    "sharded": {"n_servers": 2},
+    "ring": {"n_workers": 4, "backend": "allreduce", "collective": "ring"},
+    "hierarchical": {
+        "n_workers": 4,
+        "backend": "allreduce",
+        "collective": "hierarchical",
+        "collective_group_size": 2,
+    },
+}
+
+
+def tiny_credit_bytescheduler():
+    return bytescheduler_factory(credit=1024 * 512, partition_size=1024 * 256)
+
+
+def probe_count(result) -> int:
+    return sum(event.name == "stall.probe" for event in result.trace.events)
 
 
 class _BatchingFIFO(FIFOScheduler):
@@ -71,12 +94,32 @@ class TestForwardGating:
 
 class TestStallTimer:
     def test_stall_probe_unwedges_flow_control(self, tiny_config):
-        """With a tiny credit, ByteScheduler relies on probes to finish."""
+        """With a tiny credit, ByteScheduler relies on probes to finish on
+        the PS tiers; a collective finishes without any, because every
+        completed operation hands its credit back."""
         config = replace(tiny_config, jitter_std=0.05, n_iterations=4)
-        result = run_training(
-            config, bytescheduler_factory(credit=1024 * 512, partition_size=1024 * 256)
-        )
-        assert result.training_rate(skip=1) > 0
+        for name, shape in TOPOLOGIES.items():
+            result = run_training(replace(config, **shape), tiny_credit_bytescheduler())
+            assert result.training_rate(skip=1) > 0, name
+
+    def test_only_window_strategies_are_probed(self, tiny_config):
+        """Only a scheduler that overrides ``grant_probe`` gets a stall
+        timer, and only on a PS port."""
+        config = replace(tiny_config, jitter_std=0.05, n_iterations=4, trace=True)
+        strategies = {
+            "fifo": fifo_factory(),
+            "p3": p3_factory(),
+            "mgwfbp": mgwfbp_factory(),
+            "prophet": prophet_factory(),
+        }
+        for name, shape in TOPOLOGIES.items():
+            shaped = replace(config, **shape)
+            for strategy, factory in strategies.items():
+                assert probe_count(run_training(shaped, factory)) == 0, (strategy, name)
+            if shaped.backend == "allreduce":
+                windowed = run_training(shaped, tiny_credit_bytescheduler())
+                assert probe_count(windowed) == 0, name
+        assert probe_count(run_training(config, tiny_credit_bytescheduler())) > 0
 
 
 class TestWorkerAccessors:

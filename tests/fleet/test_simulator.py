@@ -166,7 +166,7 @@ class TestEventBudget:
         # `repro fleet --n-jobs 16 --iterations 56 --workers 4`: every job
         # is placed inside the first engine pump, whose limit was the
         # 200k-event floor in force before any job existed.  The run fires
-        # about 277k events, 1.39x that floor.
+        # 242,470 events, 1.21x that floor.
         result = run_fleet(FleetSpec(n_jobs=16, n_iterations=56, n_workers=4))
         assert len(result.records) == 16
         assert result.events_processed > 200_000

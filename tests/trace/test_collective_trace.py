@@ -21,8 +21,8 @@ from repro.trace import chrome_trace_dict
 
 #: Digests of :func:`trace_digest` for each collective shape.
 PINNED = {
-    "ring": "c715f6edf553c8965c33616d80d479169645c51917c3249f4d04b853755ba1da",
-    "hierarchical": "8ddf1f4e555d3df8da025d78975c692bf53cf4b42b212cdc4b186485005d7715",
+    "ring": "63c4086c52854acf1a7bf9e4aa6daecb3d69b1bda7fa957f2667fe9b5beaa18a",
+    "hierarchical": "c4dc9333367d2cae6c55041056306e2db35cf8f60997593ad7c44f1cd12028ff",
 }
 
 
