@@ -209,6 +209,17 @@ def _backend_suffix(args: argparse.Namespace) -> str:
     return f", {_resolved_collective(args)} allreduce"
 
 
+def _add_workload_args(parser: argparse.ArgumentParser, **gbps) -> None:
+    """The workload flags of ``compare``, ``sched`` and ``sweep``;
+    ``gbps`` overrides the ``--gbps`` default (a sweep takes several)."""
+    parser.add_argument("--model", default="resnet50")
+    parser.add_argument("--batch", type=int, default=64)
+    parser.add_argument("--gbps", type=float, **(gbps or {"default": 3.0}))
+    parser.add_argument("--workers", type=int, default=3)
+    parser.add_argument("--iterations", type=int, default=12)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
@@ -237,13 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="compare all strategies on one workload"
     )
-    compare.add_argument("--model", default="resnet50")
-    compare.add_argument("--batch", type=int, default=64)
-    compare.add_argument("--gbps", type=float, default=3.0)
-    compare.add_argument("--workers", type=int, default=3)
-    compare.add_argument("--iterations", type=int, default=12)
+    _add_workload_args(compare)
     compare.add_argument("--sync", default="bsp", choices=("bsp", "asp", "ssp"))
-    compare.add_argument("--seed", type=int, default=0)
     _add_ps_tier_args(compare)
     _add_backend_args(compare)
     _add_jitter_arg(compare)
@@ -256,13 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="communication-scheduling strategy to simulate "
         f"(one of: {', '.join(sorted(EXTENDED_FACTORIES))})",
     )
-    sched.add_argument("--model", default="resnet50")
-    sched.add_argument("--batch", type=int, default=64)
-    sched.add_argument("--gbps", type=float, default=3.0)
-    sched.add_argument("--workers", type=int, default=3)
-    sched.add_argument("--iterations", type=int, default=12)
+    _add_workload_args(sched)
     sched.add_argument("--sync", default="bsp", choices=("bsp", "asp", "ssp"))
-    sched.add_argument("--seed", type=int, default=0)
     _add_ps_tier_args(sched)
     _add_backend_args(sched)
     _add_jitter_arg(sched)
@@ -278,12 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="bandwidth sweep for one workload")
-    sweep.add_argument("--model", default="resnet50")
-    sweep.add_argument("--batch", type=int, default=64)
-    sweep.add_argument("--gbps", type=float, nargs="+", default=[1.0, 3.0, 10.0])
-    sweep.add_argument("--workers", type=int, default=3)
-    sweep.add_argument("--iterations", type=int, default=12)
-    sweep.add_argument("--seed", type=int, default=0)
+    _add_workload_args(sweep, nargs="+", default=[1.0, 3.0, 10.0])
     _add_ps_tier_args(sweep)
 
     chaos = sub.add_parser(
@@ -655,8 +651,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     result = run_fleet(spec)
     summary = result.summary()
-    oversub = (args.n_jobs and
-               spec.n_workers * spec.nic_bandwidth / spec.core_bandwidth)
+    oversub = spec.n_workers * spec.nic_bandwidth / spec.core_bandwidth
     rows = [
         ["jobs", f"{int(summary['n_jobs'])}"],
         ["makespan", f"{summary['makespan_s']:.2f} s"],
@@ -666,7 +661,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ["Jain fairness", f"{summary['jain_fairness']:.4f}"],
         ["mean queueing delay", f"{summary['mean_queueing_delay_s']:.2f} s"],
         ["max queueing delay", f"{summary['max_queueing_delay_s']:.2f} s"],
-        ["per-job NIC demand", f"{oversub:.2f}x core" if oversub else "-"],
+        ["per-job NIC demand", f"{oversub:.2f}x core"],
     ]
     print(
         format_table(

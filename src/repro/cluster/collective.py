@@ -12,11 +12,12 @@ executes the same sequence.
 This module mirrors that shape.  A :class:`CollectiveController` owns the
 single :class:`~repro.sched.base.CommScheduler` instance for the job and
 the collective step executor of :mod:`repro.net.collective`.
-:class:`CollectiveWorker` reuses the entire compute path of
-:class:`~repro.cluster.worker.Worker` (forward gating, bucket flushes,
-iteration bookkeeping, and the compute-state initializer) with no PS
-ports, and overrides the scheduler fan-out hooks to *report* to the
-controller instead of driving a private scheduler:
+:class:`CollectiveWorker` is a :class:`~repro.cluster.worker.Worker`
+built by the same trainer loop with the same arguments, plus its
+controller: it keeps the entire compute path (forward gating, bucket
+flushes, iteration bookkeeping), is never given PS ports, and overrides
+the scheduler fan-out hooks to *report* to the controller instead of
+driving a private scheduler:
 
 * ``begin_iteration(k)`` fires on the scheduler when the **last** worker
   enters backward ``k`` (the negotiated backward start);
@@ -60,15 +61,11 @@ is bit-identical to a build without the fault layer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
-
-import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
-from repro.models.compute import ComputeProfile
 from repro.net.collective import HierarchicalExecutor, RingExecutor
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
@@ -367,34 +364,8 @@ class CollectiveController:
 class CollectiveWorker(Worker):
     """Worker whose communication is a negotiated collective (no PS)."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        worker_id: int,
-        compute: ComputeProfile,
-        gen_schedule: GenerationSchedule,
-        controller: CollectiveController,
-        recorder: Recorder,
-        n_iterations: int,
-        jitter_rng: np.random.Generator,
-        jitter_std: float = 0.0,
-        compute_scale: float = 1.0,
-        on_done: Callable[[int], None] | None = None,
-        faults=None,
-    ):
-        self._init_compute(
-            engine,
-            worker_id,
-            compute,
-            gen_schedule,
-            recorder,
-            n_iterations,
-            jitter_rng,
-            jitter_std,
-            compute_scale,
-            on_done,
-            faults,
-        )
+    def __init__(self, *args, controller: CollectiveController, **kwargs):
+        super().__init__(*args, **kwargs)
         self.controller = controller
 
     # ------------------------------------------------------------------

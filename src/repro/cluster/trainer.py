@@ -1,17 +1,24 @@
 """Trainer: wires config + scheduler factory into a running simulation.
 
-Build order mirrors the real deployment: model → compute profile → KV
-store (generation schedule) → network topology → parameter server →
-workers (each with its own scheduler instance and bandwidth monitor).  The
-same :class:`~repro.agg.kvstore.GenerationSchedule` template is shared by
-all workers (identical model/device), individualized per iteration by each
-worker's jitter factor — so scheduler comparisons under the same seed are
-paired.
+Every backend builds through one path, in deployment order: model →
+compute profile → KV store (generation schedule) → topology → fault
+injector → communication tier (parameter servers, or the collective
+executor and controller) → one loop building every rank's worker from the
+same arguments.  :meth:`Trainer._scheduler` builds each scheduler with its
+bandwidth monitor and oracle profile (paper Fig. 7).  All workers share
+one :class:`~repro.agg.kvstore.GenerationSchedule` template, scaled per
+iteration by each worker's jitter factor — so scheduler comparisons under
+the same seed are paired.
+
+Build order is part of determinism: a monitor schedules its first sample
+when built, so same-instant ties follow it.  PS monitors are built
+worker-major, server-minor; the collective's before its controller;
+``FaultInjector.install`` runs last.
 """
 
 from __future__ import annotations
 
-import weakref
+from functools import partial
 from typing import Callable
 
 from repro.agg.kvstore import KVStore
@@ -25,6 +32,7 @@ from repro.cluster.result import TrainingResult
 from repro.cluster.sharding import (
     assign_shards,
     restrict_generation_schedule,
+    restrict_profile,
 )
 from repro.cluster.worker import Worker
 from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
@@ -40,11 +48,12 @@ from repro.net.collective import (
     RingExecutor,
     RingTopology,
 )
+from repro.net.link import Link
 from repro.net.monitor import BandwidthMonitor
 from repro.net.topology import ShardedTopology
+from repro.sched.base import CommScheduler
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_rng
-from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = ["Trainer", "run_training"]
 
@@ -82,16 +91,10 @@ class Trainer:
         self.finished_time: float | None = None
         self._external_engine = engine is not None
         if engine is None:
-            self.engine = engine = Engine()
-            if config.trace:
-                clock = weakref.ref(engine)  # the engine carries the trace: no cycle
-                self.trace: TraceRecorder | NullRecorder = TraceRecorder(clock=lambda: clock().now)
-            else:
-                self.trace = NULL_RECORDER
-            self.engine.trace = self.trace
-        else:
-            self.engine = engine
-            self.trace = engine.trace
+            engine = Engine()
+            engine.attach_trace(config.trace)
+        self.engine = engine
+        self.trace = engine.trace
         self.recorder = Recorder(
             record_gradients=config.record_gradients, trace=self.trace
         )
@@ -104,145 +107,161 @@ class Trainer:
 
         self.monitors: list[BandwidthMonitor] = []
         self.workers: list[Worker] = []
-        self.schedulers = []
-        self.injector: FaultInjector | None = None
+        self.schedulers: list[CommScheduler] = []
         self._done_count = 0
-        if config.backend == "allreduce":
-            self._build_collective(scheduler_factory)
-        else:
-            self._build_ps(scheduler_factory)
-
-    # ------------------------------------------------------------------
-    def _make_injector(self) -> None:
-        """Instantiate the fault injector iff the plan injects anything.
-
-        Only a non-empty plan creates any fault machinery — with
-        ``self.injector`` left ``None`` every fault branch in the workers,
-        ports, PSs, executors, and controller stays on the ``is None``
-        fast path and the event sequence is bit-identical to a fault-free
-        build, on every backend.
-        """
-        plan = self.config.faults
-        if plan is not None and not plan.is_empty:
-            self.injector = FaultInjector(
-                self.engine,
-                plan,
-                n_workers=self.config.n_workers,
-                rng=spawn_rng(self.config.seed, "faults"),
-            )
-
-    def _build_ps(self, scheduler_factory: SchedulerFactory) -> None:
-        """The PS tier: the paper's star (``n_servers=1``) or the
-        BytePS-style tier of ``n_servers`` key-sharded PSs.
-
-        Per worker and server: a dedicated duplex link pair, a bandwidth
-        monitor on the uplink, and an independent scheduler instance over
-        the server's locally re-indexed generation schedule (its own RNG
-        stream, ``("sched", worker, shard)``).  Each PS holds its shard's
-        piece sizes and attaches the workers' ports.  The star is the
-        one-port case with its own identity: PS ``ps``, RNG stream
-        ``("sched", worker)``, the worker's undivided gradients (slicing
-        only applies to a sharded tier), and worker-level trace tracks.
-        """
-        config = self.config
-        n_shards = config.n_servers
-        star = n_shards == 1
-        self.topology = ShardedTopology(
-            self.engine,
+        collective = config.backend == "allreduce"
+        net = dict(
             n_workers=config.n_workers,
             bandwidth=config.bandwidth,
             tcp=config.tcp,
             worker_bandwidth=config.worker_bandwidth,
-            ps_bandwidth=config.ps_bandwidth,
             seed=config.seed,
             noise_std=config.bandwidth_noise_std,
-            n_servers=n_shards,
         )
-        if star:
-            self.assignment = assign_shards(self.gen_schedule.sizes, 1)
-            templates = [self.gen_schedule]
-            profiles = [self.oracle_profile]
+        if not collective:
+            self.topology = ShardedTopology(
+                self.engine,
+                ps_bandwidth=config.ps_bandwidth,
+                n_servers=config.n_servers,
+                **net,
+            )
+        elif config.collective == "hierarchical":
+            self.topology = HierarchicalTopology(
+                self.engine, group_size=config.collective_group_size, **net
+            )
+        else:
+            self.topology = RingTopology(self.engine, **net)
+        # Only a non-empty plan creates fault machinery: with no injector
+        # every fault branch stays on its ``is None`` fast path, and the
+        # event sequence is bit-identical to a fault-free build.
+        plan = config.faults
+        self.injector: FaultInjector | None = None
+        if plan is not None and not plan.is_empty:
+            self.injector = FaultInjector(
+                self.engine,
+                plan,
+                n_workers=config.n_workers,
+                rng=spawn_rng(config.seed, "faults"),
+            )
+
+        # The communication tier.  Allreduce: one executor and one
+        # negotiated scheduler, planning from worker 0's link through a
+        # view scaled by the collective's per-byte cost (see
+        # repro.cluster.collective).  PS: the paper's star
+        # (``n_servers=1``) or a tier of key-sharded servers, each holding
+        # its shard's piece sizes.  The star keeps its own identity: PS
+        # ``ps``, no slicing, the undivided schedule and oracle profile.
+        n_shards = config.n_servers
+        star = n_shards == 1
+        if collective:
+            executor_cls = (
+                HierarchicalExecutor
+                if config.collective == "hierarchical"
+                else RingExecutor
+            )
+            self.executor = executor_cls(self.topology)
+            if self.injector is not None:
+                self.executor.set_faults(self.injector)
+            scheduler, view = self._scheduler(
+                scheduler_factory,
+                0,
+                self.topology.worker_uplinks(0)[0],
+                self.oracle_profile,
+                ("sched", 0),
+                cost=self.executor.efficiency_factor,
+            )
+            self.controller = CollectiveController(
+                self.engine,
+                scheduler,
+                self.executor,
+                self.recorder,
+                n_workers=config.n_workers,
+                faults=self.injector,
+                view=view,
+            )
+            self.ps = None
+            self.servers = []
+            worker_cls = partial(CollectiveWorker, controller=self.controller)
         else:
             self.assignment = assign_shards(
-                self.gen_schedule.sizes, n_shards, config.shard_slice_bytes
+                self.gen_schedule.sizes,
+                n_shards,
+                None if star else config.shard_slice_bytes,
             )
-            templates = [
-                restrict_generation_schedule(self.gen_schedule, self.assignment, s)
+            if star:
+                templates = [self.gen_schedule]
+                profiles = [self.oracle_profile]
+            else:
+                templates = [
+                    restrict_generation_schedule(self.gen_schedule, self.assignment, s)
+                    for s in range(n_shards)
+                ]
+                profiles = [
+                    restrict_profile(self.oracle_profile, self.assignment, s)
+                    for s in range(n_shards)
+                ]
+            self.servers = [
+                ParameterServer(
+                    self.engine,
+                    n_workers=config.n_workers,
+                    sizes=templates[s].sizes,
+                    sync_mode=config.sync_mode,
+                    staleness=config.ssp_staleness,
+                    faults=self.injector,
+                    name="ps" if star else f"ps{s}",
+                    server_index=None if star else s,
+                )
                 for s in range(n_shards)
             ]
-            profiles = [JobProfile.from_generation_schedule(t) for t in templates]
-        self._make_injector()
-        self.servers = [
-            ParameterServer(
-                self.engine,
-                n_workers=config.n_workers,
-                sizes=templates[s].sizes,
-                sync_mode=config.sync_mode,
-                staleness=config.ssp_staleness,
-                faults=self.injector,
-                name="ps" if star else f"ps{s}",
-                server_index=None if star else s,
-            )
-            for s in range(n_shards)
-        ]
-        self.ps = self.servers[0]
+            self.ps = self.servers[0]
+            worker_cls = Worker
 
         compute_scale = dict(config.worker_compute_scale or {})
         for w in range(config.n_workers):
-            # Each worker's oracle profile reflects *its own* compute pace
-            # (the real profiler runs per worker) — a compute straggler's
-            # generation times are proportionally later.
             scale = compute_scale.get(w, 1.0)
-            uplinks = self.topology.worker_uplinks(w)
-            schedulers: list = []
-            for s in range(n_shards):
-                monitor = BandwidthMonitor(
-                    self.engine, uplinks[s], interval=config.monitor_interval
-                )
-                self.monitors.append(monitor)
-                profile = profiles[s]
-                if scale != 1.0:
-                    profile = JobProfile(
-                        c=profile.c * scale, sizes=profile.sizes, iterations=0
-                    )
-                stream = ("sched", w) if star else ("sched", w, s)
-                ctx = WorkerContext(
-                    worker_id=w,
-                    monitor=monitor,
-                    oracle_profile=profile,
-                    tcp=config.tcp,
-                    rng=spawn_rng(config.seed, *stream),
-                    engine=self.engine,
-                )
-                schedulers.append(scheduler_factory(ctx))
-            self.schedulers.extend(schedulers)
-            worker = Worker(
-                engine=self.engine,
-                worker_id=w,
-                compute=self.compute,
-                gen_schedule=self.gen_schedule,
-                assignment=self.assignment,
-                shard_schedules=templates,
-                schedulers=schedulers,
-                channels=uplinks,
-                downlinks=(
-                    self.topology.worker_downlinks(w) if config.duplex else None
-                ),
-                servers=self.servers,
-                recorder=self.recorder,
-                n_iterations=config.n_iterations,
-                jitter_rng=spawn_rng(config.seed, "jitter", w),
-                jitter_std=config.jitter_std,
-                compute_scale=scale,
-                on_done=self._worker_done,
-                faults=self.injector,
+            worker = worker_cls(
+                self.engine,
+                w,
+                self.compute,
+                self.gen_schedule,
+                self.recorder,
+                config.n_iterations,
+                spawn_rng(config.seed, "jitter", w),
+                config.jitter_std,
+                scale,
+                self._worker_done,
+                self.injector,
             )
+            if not collective:
+                uplinks = self.topology.worker_uplinks(w)
+                schedulers = [
+                    self._scheduler(
+                        scheduler_factory,
+                        w,
+                        uplinks[s],
+                        profiles[s],
+                        ("sched", w) if star else ("sched", w, s),
+                        scale=scale,
+                    )[0]
+                    for s in range(n_shards)
+                ]
+                worker.attach_servers(
+                    self.assignment,
+                    templates,
+                    schedulers,
+                    uplinks,
+                    self.topology.worker_downlinks(w) if config.duplex else None,
+                    self.servers,
+                )
             self.workers.append(worker)
+        if collective:
+            self.controller.attach_workers(self.workers)
         for s, ps in enumerate(self.servers):
             ps.attach_workers([worker.port(s) for worker in self.workers])
         if self.injector is not None:
-            # A flapped worker degrades on every uplink at once (its NIC,
-            # not one flow, is what the fault models).
+            # A flapped worker's whole NIC degrades: every uplink it owns
+            # (one per shard; ring, or local + global for a leader) flaps
+            # together.
             self.injector.install(
                 self.workers,
                 {
@@ -252,101 +271,44 @@ class Trainer:
                 servers=self.servers,
             )
 
-    def _build_collective(self, scheduler_factory: SchedulerFactory) -> None:
-        """The allreduce tier: a collective topology, one executor, and a
-        single negotiated scheduler instance (see
-        :mod:`repro.cluster.collective`).
+    def _scheduler(
+        self,
+        factory: SchedulerFactory,
+        worker_id: int,
+        link: Link,
+        profile: JobProfile,
+        stream: tuple,
+        *,
+        scale: float = 1.0,
+        cost: float | None = None,
+    ) -> tuple[CommScheduler, BandwidthMonitor | EffectiveBandwidthView]:
+        """One scheduler instance and the bandwidth monitor it plans from
+        (the per-worker components of the paper's prototype, Fig. 7).
 
-        The scheduler factory gets worker 0's context with a bandwidth
-        view scaled by the collective's per-byte cost, so strategies that
-        plan from a bandwidth estimate (Prophet) predict operation times
-        on the ring as accurately as they predict PS pushes.
+        The monitor samples ``link``; with a collective ``cost`` the
+        scheduler sees it through an :class:`EffectiveBandwidthView`.  A
+        compute straggler's oracle profile is stretched by its ``scale``
+        (the real profiler runs per worker).  ``stream`` names the
+        scheduler's RNG stream.  Returns the scheduler and what it
+        monitors.
         """
-        config = self.config
-        if config.collective == "hierarchical":
-            self.topology = HierarchicalTopology(
-                self.engine,
-                n_workers=config.n_workers,
-                group_size=config.collective_group_size,
-                bandwidth=config.bandwidth,
-                tcp=config.tcp,
-                worker_bandwidth=config.worker_bandwidth,
-                seed=config.seed,
-                noise_std=config.bandwidth_noise_std,
-            )
-            self.executor = HierarchicalExecutor(self.topology)
-            monitor_link = self.topology.local_links[0]
-        else:
-            self.topology = RingTopology(
-                self.engine,
-                n_workers=config.n_workers,
-                bandwidth=config.bandwidth,
-                tcp=config.tcp,
-                worker_bandwidth=config.worker_bandwidth,
-                seed=config.seed,
-                noise_std=config.bandwidth_noise_std,
-            )
-            self.executor = RingExecutor(self.topology)
-            monitor_link = self.topology.links[0]
-        self.ps = None
-        self.servers = []
-        self._make_injector()
-        if self.injector is not None:
-            self.executor.set_faults(self.injector)
-
         monitor = BandwidthMonitor(
-            self.engine, monitor_link, interval=config.monitor_interval
+            self.engine, link, interval=self.config.monitor_interval
         )
         self.monitors.append(monitor)
-        view = EffectiveBandwidthView(monitor, self.executor.efficiency_factor)
+        if scale != 1.0:
+            profile = JobProfile(c=profile.c * scale, sizes=profile.sizes, iterations=0)
         ctx = WorkerContext(
-            worker_id=0,
-            monitor=view,
-            oracle_profile=self.oracle_profile,
-            tcp=config.tcp,
-            rng=spawn_rng(config.seed, "sched", 0),
+            worker_id=worker_id,
+            monitor=monitor if cost is None else EffectiveBandwidthView(monitor, cost),
+            oracle_profile=profile,
+            tcp=self.config.tcp,
+            rng=spawn_rng(self.config.seed, *stream),
             engine=self.engine,
         )
-        scheduler = scheduler_factory(ctx)
+        scheduler = factory(ctx)
         self.schedulers.append(scheduler)
-        self.controller = CollectiveController(
-            self.engine,
-            scheduler,
-            self.executor,
-            self.recorder,
-            n_workers=config.n_workers,
-            faults=self.injector,
-            view=view,
-        )
-
-        compute_scale = dict(config.worker_compute_scale or {})
-        for w in range(config.n_workers):
-            worker = CollectiveWorker(
-                engine=self.engine,
-                worker_id=w,
-                compute=self.compute,
-                gen_schedule=self.gen_schedule,
-                controller=self.controller,
-                recorder=self.recorder,
-                n_iterations=config.n_iterations,
-                jitter_rng=spawn_rng(config.seed, "jitter", w),
-                jitter_std=config.jitter_std,
-                compute_scale=compute_scale.get(w, 1.0),
-                on_done=self._worker_done,
-                faults=self.injector,
-            )
-            self.workers.append(worker)
-        self.controller.attach_workers(self.workers)
-        if self.injector is not None:
-            # A flapped worker's whole NIC degrades: every transmit link it
-            # owns (ring; local + global for a leader) flaps together.
-            self.injector.install(
-                self.workers,
-                {
-                    w: self.topology.worker_uplinks(w)
-                    for w in range(config.n_workers)
-                },
-            )
+        return scheduler, ctx.monitor
 
     def _worker_done(self, worker_id: int) -> None:
         self._done_count += 1

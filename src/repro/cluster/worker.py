@@ -20,8 +20,11 @@ Per-iteration compute jitter is a log-normal factor applied to both passes
 (and to the generation schedule), independent per worker — this is what
 desynchronizes workers and exercises BSP straggler effects.
 
-**Ports.**  All communication runs through :class:`PSPort` agents, one per
-parameter server.  The paper's star is the one-port case; the BytePS-style
+**Ports.**  The :class:`Worker` constructor builds the compute pipeline
+alone, which :class:`~repro.cluster.collective.CollectiveWorker` inherits
+unchanged; :meth:`Worker.attach_servers` then gives a PS worker its
+:class:`PSPort` agents, one per parameter server, through which all of
+its communication runs.  The paper's star is the one-port case; the BytePS-style
 key-sharded tier (``n_servers > 1``) gives every worker one port per
 shard, each with its own scheduler instance, uplink, optional downlink
 and pull queue — so a head-of-line block on one shard (e.g. a large
@@ -649,7 +652,8 @@ class PSPort:
 
 class Worker:
     """One worker node: a compute pipeline plus one :class:`PSPort` per
-    PS (one on the star, one per key shard on the sharded tier)."""
+    PS (one on the star, one per key shard on the sharded tier), built by
+    :meth:`attach_servers`."""
 
     #: Communication ports (a collective worker has none).
     _ports: "list[PSPort] | tuple[()]" = ()
@@ -660,12 +664,6 @@ class Worker:
         worker_id: int,
         compute: ComputeProfile,
         gen_schedule: GenerationSchedule,
-        assignment: ShardAssignment,
-        shard_schedules: list[GenerationSchedule],
-        schedulers: list[CommScheduler],
-        channels: list[Link],
-        downlinks: list[Link] | None,
-        servers: list[ParameterServer],
         recorder: Recorder,
         n_iterations: int,
         jitter_rng: np.random.Generator,
@@ -674,61 +672,6 @@ class Worker:
         on_done: Callable[[int], None] | None = None,
         faults=None,
     ):
-        self._init_compute(
-            engine,
-            worker_id,
-            compute,
-            gen_schedule,
-            recorder,
-            n_iterations,
-            jitter_rng,
-            jitter_std,
-            compute_scale,
-            on_done,
-            faults,
-        )
-        n_shards = assignment.n_servers
-        if not (
-            len(shard_schedules) == len(schedulers) == len(channels)
-            == len(servers) == n_shards
-        ) or (downlinks is not None and len(downlinks) != n_shards):
-            raise SimulationError(
-                f"worker {worker_id}: PS wiring mismatch ({n_shards} servers)"
-            )
-        #: Per-port generation schedule templates (scaled per iteration by
-        #: the jitter factor); the star's one template is ``gen_schedule``.
-        self._shard_schedules = list(shard_schedules)
-        self._ports = [
-            PSPort(
-                self,
-                shard=None if n_shards == 1 else s,
-                pieces=assignment.by_shard[s],
-                scheduler=schedulers[s],
-                channel=channels[s],
-                downlink=downlinks[s] if downlinks is not None else None,
-                ps=servers[s],
-            )
-            for s in range(n_shards)
-        ]
-        #: Global gradient -> its pieces (shared by every worker).
-        self._grad_pieces = assignment.by_grad
-
-    def _init_compute(
-        self,
-        engine: Engine,
-        worker_id: int,
-        compute: ComputeProfile,
-        gen_schedule: GenerationSchedule,
-        recorder: Recorder,
-        n_iterations: int,
-        jitter_rng: np.random.Generator,
-        jitter_std: float,
-        compute_scale: float,
-        on_done: Callable[[int], None] | None,
-        faults,
-    ) -> None:
-        """Compute-pipeline state, shared with
-        :class:`~repro.cluster.collective.CollectiveWorker`."""
         self.engine = engine
         self.worker_id = worker_id
         self.compute = compute
@@ -770,6 +713,44 @@ class Worker:
         self._faults = faults
         self._suspended = False
         self._deferred: list[tuple[Callable, tuple]] = []
+
+    def attach_servers(
+        self,
+        assignment: ShardAssignment,
+        shard_schedules: list[GenerationSchedule],
+        schedulers: list[CommScheduler],
+        channels: list[Link],
+        downlinks: list[Link] | None,
+        servers: list[ParameterServer],
+    ) -> None:
+        """Build one :class:`PSPort` per server of ``assignment``'s tier,
+        each with its shard's schedule template, scheduler, uplink and
+        (duplex) downlink."""
+        n_shards = assignment.n_servers
+        if not (
+            len(shard_schedules) == len(schedulers) == len(channels)
+            == len(servers) == n_shards
+        ) or (downlinks is not None and len(downlinks) != n_shards):
+            raise SimulationError(
+                f"worker {self.worker_id}: PS wiring mismatch ({n_shards} servers)"
+            )
+        #: Per-port generation schedule templates (scaled per iteration by
+        #: the jitter factor); the star's one template is ``gen_schedule``.
+        self._shard_schedules = list(shard_schedules)
+        self._ports = [
+            PSPort(
+                self,
+                shard=None if n_shards == 1 else s,
+                pieces=assignment.by_shard[s],
+                scheduler=schedulers[s],
+                channel=channels[s],
+                downlink=downlinks[s] if downlinks is not None else None,
+                ps=servers[s],
+            )
+            for s in range(n_shards)
+        ]
+        #: Global gradient -> its pieces (shared by every worker).
+        self._grad_pieces = assignment.by_grad
 
     # ------------------------------------------------------------------
     @property

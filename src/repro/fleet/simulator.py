@@ -15,7 +15,6 @@ reclamation — all inside the one event-driven simulation.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 from typing import Sequence
 
@@ -30,7 +29,6 @@ from repro.net.topology import ClusterFabric
 from repro.runner.registry import build_factory
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_rng
-from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.workloads.presets import paper_config
 
 __all__ = ["FleetSimulator", "build_fleet_jobs", "run_fleet"]
@@ -65,13 +63,8 @@ class FleetSimulator:
         # Jobs share one engine but do not namespace their trace tracks or
         # transfer tags: in a traced fleet every job writes to the same
         # ``worker0/comm``, ``ps`` and link tracks.
-        self.engine = engine = Engine()
-        if trace:
-            clock = weakref.ref(engine)  # the engine carries the trace: no cycle
-            self.trace: TraceRecorder | NullRecorder = TraceRecorder(clock=lambda: clock().now)
-        else:
-            self.trace = NULL_RECORDER
-        self.engine.trace = self.trace
+        self.engine = Engine()
+        self.trace = self.engine.attach_trace(trace)
         self.fabric = ClusterFabric(core_bandwidth)
         self.scheduler = FleetScheduler(
             self.engine, self.pool, self.fabric, policy, spawn=self._spawn

@@ -8,7 +8,8 @@ otherwise — resolves the name here and calls the registered **builder**
 (e.g. :func:`repro.workloads.presets.p3_factory`) with those kwargs to
 obtain the actual :data:`~repro.config.SchedulerFactory`.
 
-The preset strategies are registered at import time.  Extensions (custom
+The preset strategies (:data:`~repro.workloads.presets.STRATEGY_BUILDERS`)
+are registered at import time.  Extensions (custom
 schedulers, ablation variants) call :func:`register_strategy`; for
 parallel execution the registering module must be importable in the child
 — put the registration at module top level and name the module in
@@ -21,13 +22,7 @@ from typing import Any, Callable, Mapping
 
 from repro.config import SchedulerFactory
 from repro.errors import ConfigurationError
-from repro.workloads.presets import (
-    bytescheduler_factory,
-    fifo_factory,
-    mgwfbp_factory,
-    p3_factory,
-    prophet_factory,
-)
+from repro.workloads.presets import STRATEGY_BUILDERS
 
 __all__ = [
     "register_strategy",
@@ -35,8 +30,12 @@ __all__ = [
     "build_factory",
 ]
 
-#: name -> builder; a builder maps kwargs to a SchedulerFactory.
-_BUILDERS: dict[str, Callable[..., SchedulerFactory]] = {}
+#: name -> builder; a builder maps kwargs to a SchedulerFactory.  Starts
+#: with the preset strategies, plus ``fifo`` as an alias of ``mxnet-fifo``.
+_BUILDERS: dict[str, Callable[..., SchedulerFactory]] = {
+    **STRATEGY_BUILDERS,
+    "fifo": STRATEGY_BUILDERS["mxnet-fifo"],
+}
 
 
 def register_strategy(
@@ -68,13 +67,3 @@ def build_factory(
         ) from None
     return builder(**dict(kwargs or {}))
 
-
-# ----------------------------------------------------------------------
-# Preset strategies (the names used by STRATEGY_FACTORIES / the CLI).
-# ----------------------------------------------------------------------
-register_strategy("mxnet-fifo", fifo_factory)
-register_strategy("fifo", fifo_factory)
-register_strategy("p3", p3_factory)
-register_strategy("bytescheduler", bytescheduler_factory)
-register_strategy("prophet", prophet_factory)
-register_strategy("mg-wfbp", mgwfbp_factory)

@@ -32,6 +32,7 @@ and one run loop.  Design points that matter for this reproduction:
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from math import inf
@@ -157,6 +158,18 @@ class Engine:
     def events_processed(self) -> int:
         """Number of events that have fired so far."""
         return self._events_processed
+
+    def attach_trace(self, enabled: bool) -> TraceRecorder | NullRecorder:
+        """Give the engine a fresh trace recorder (:data:`NULL_RECORDER`
+        unless ``enabled``) and return it.  The engine carries the
+        recorder, so the recorder's clock holds the engine only by weak
+        reference: a traced run has no cycle either."""
+        if enabled:
+            clock = weakref.ref(self)
+            self.trace = TraceRecorder(clock=lambda: clock().now)
+        else:
+            self.trace = NULL_RECORDER
+        return self.trace
 
     # ------------------------------------------------------------------
     # Scheduling

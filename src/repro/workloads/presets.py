@@ -17,7 +17,7 @@ Two kinds of knobs live here:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
 from repro.models.device import DeviceSpec, TESLA_M60
@@ -41,6 +41,7 @@ __all__ = [
     "bytescheduler_factory",
     "prophet_factory",
     "mgwfbp_factory",
+    "STRATEGY_BUILDERS",
     "STRATEGY_FACTORIES",
     "EXTENDED_FACTORIES",
 ]
@@ -218,16 +219,23 @@ def mgwfbp_factory(merge_bytes: float = 16 * MB) -> SchedulerFactory:
     return factory
 
 
-#: Name → default factory, for sweep harnesses.
-STRATEGY_FACTORIES: Mapping[str, SchedulerFactory] = {
-    "mxnet-fifo": fifo_factory(),
-    "p3": p3_factory(),
-    "bytescheduler": bytescheduler_factory(),
-    "prophet": prophet_factory(),
+#: Name → factory builder of every preset strategy: the paper's four
+#: first, then the related-work baselines.  The one place a strategy is
+#: named; the dicts below and the runner's registry derive from it.
+STRATEGY_BUILDERS: Mapping[str, Callable[..., SchedulerFactory]] = {
+    "mxnet-fifo": fifo_factory,
+    "p3": p3_factory,
+    "bytescheduler": bytescheduler_factory,
+    "prophet": prophet_factory,
+    "mg-wfbp": mgwfbp_factory,
 }
 
-#: Extended set including related-work baselines beyond the paper's four.
+#: Name → default factory of every preset strategy.
 EXTENDED_FACTORIES: Mapping[str, SchedulerFactory] = {
-    **STRATEGY_FACTORIES,
-    "mg-wfbp": mgwfbp_factory(),
+    name: build() for name, build in STRATEGY_BUILDERS.items()
 }
+
+#: The paper's four strategies, for sweep harnesses.
+STRATEGY_FACTORIES: Mapping[str, SchedulerFactory] = dict(
+    list(EXTENDED_FACTORIES.items())[:4]
+)

@@ -42,3 +42,16 @@ def test_duplicate_registration_requires_overwrite():
 def test_empty_name_rejected():
     with pytest.raises(ConfigurationError):
         register_strategy("", lambda: None)
+
+
+def test_one_strategy_table_feeds_every_name_map():
+    from repro.workloads.presets import (
+        EXTENDED_FACTORIES,
+        STRATEGY_BUILDERS,
+        STRATEGY_FACTORIES,
+    )
+
+    assert list(EXTENDED_FACTORIES) == list(STRATEGY_BUILDERS)
+    assert list(STRATEGY_FACTORIES) == ["mxnet-fifo", "p3", "bytescheduler", "prophet"]
+    assert all(STRATEGY_FACTORIES[n] is EXTENDED_FACTORIES[n] for n in STRATEGY_FACTORIES)
+    assert set(available_strategies()) >= {*STRATEGY_BUILDERS, "fifo"}

@@ -230,3 +230,26 @@ def test_cancel_after_firing_is_a_no_op():
     ev.cancel()
     assert eng.pending() == 0
     assert not ev.alive
+
+
+def test_attach_trace_reads_the_engine_clock_by_weak_reference():
+    import gc
+    import weakref
+
+    from repro.trace.recorder import NULL_RECORDER, TraceRecorder
+
+    eng = Engine()
+    assert eng.attach_trace(False) is NULL_RECORDER is eng.trace
+    trace = eng.attach_trace(True)
+    assert isinstance(trace, TraceRecorder) and eng.trace is trace
+    eng.schedule(2.5, lambda: None)
+    eng.run()
+    assert trace.now() == 2.5
+    # The recorder's clock does not keep the engine alive: no cycle.
+    gc.disable()
+    try:
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
