@@ -256,7 +256,7 @@ def test_ring_allreduce_step_pump(benchmark):
     step through the event loop, step-barrier bookkeeping, and operation
     completion — 2(N-1) steps per operation on a 4-worker ring.
     """
-    from repro.net.collective import RingExecutor, RingTopology
+    from repro.net.collective import HierarchicalExecutor, RingTopology
 
     n_workers = 4
     n_ops = 100
@@ -265,7 +265,7 @@ def test_ring_allreduce_step_pump(benchmark):
     def run():
         eng = Engine()
         topo = RingTopology(eng, n_workers=n_workers, bandwidth=3 * Gbps)
-        executor = RingExecutor(topo)
+        executor = HierarchicalExecutor(topo)
         count = 0
 
         def pump():

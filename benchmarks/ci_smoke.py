@@ -290,7 +290,7 @@ def _measure_collective() -> tuple[dict[str, float], dict[str, float]]:
     """Collective-backend scalars: deterministic rates + ring-step timing."""
     from repro.agg.fusion import MGWFBPFusionPolicy
     from repro.cluster.trainer import run_training
-    from repro.net.collective import RingExecutor, RingTopology
+    from repro.net.collective import HierarchicalExecutor, RingTopology
     from repro.quantities import Gbps
     from repro.sim.engine import Engine
     from repro.workloads.presets import EXTENDED_FACTORIES, PAPER_TCP, paper_config
@@ -338,7 +338,7 @@ def _measure_collective() -> tuple[dict[str, float], dict[str, float]]:
     def ring_ops() -> int:
         eng = Engine()
         topo = RingTopology(eng, n_workers=n, bandwidth=bandwidth)
-        executor = RingExecutor(topo)
+        executor = HierarchicalExecutor(topo)
         count = 0
 
         def pump() -> None:

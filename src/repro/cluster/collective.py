@@ -66,7 +66,7 @@ from repro.agg.kvstore import GenerationSchedule
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
-from repro.net.collective import HierarchicalExecutor, RingExecutor
+from repro.net.collective import HierarchicalExecutor
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
@@ -120,7 +120,7 @@ class CollectiveController:
         self,
         engine: Engine,
         scheduler: CommScheduler,
-        executor: RingExecutor | HierarchicalExecutor,
+        executor: HierarchicalExecutor,
         recorder: Recorder,
         n_workers: int,
         faults=None,

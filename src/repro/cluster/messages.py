@@ -101,4 +101,3 @@ class PushMessage:
     unit: TransferUnit
     attempts: int = 0
     acked: bool = False
-    delivered: bool = False

@@ -22,7 +22,7 @@ from repro.metrics.throughput import windowed_throughput
 from repro.metrics.timeline import GradientRecord, Recorder
 from repro.metrics.utilization import mean_utilization, windowed_utilization
 from repro.models.compute import ComputeProfile
-from repro.net.collective import HierarchicalTopology, RingTopology
+from repro.net.collective import HierarchicalTopology
 from repro.net.link import TransferRecord
 from repro.net.topology import ShardedTopology
 from repro.trace.export import summarize_trace, write_chrome_trace, write_trace_jsonl
@@ -48,7 +48,7 @@ class TrainingResult:
 
     config: TrainingConfig
     recorder: Recorder
-    topology: ShardedTopology | RingTopology | HierarchicalTopology
+    topology: ShardedTopology | HierarchicalTopology
     schedulers: list
     gen_schedule: GenerationSchedule
     compute: ComputeProfile

@@ -42,12 +42,7 @@ from repro.faults.injector import FaultInjector
 from repro.metrics.timeline import Recorder
 from repro.models.compute import build_compute_profile
 from repro.models.registry import get_model
-from repro.net.collective import (
-    HierarchicalExecutor,
-    HierarchicalTopology,
-    RingExecutor,
-    RingTopology,
-)
+from repro.net.collective import HierarchicalExecutor, HierarchicalTopology
 from repro.net.link import Link
 from repro.net.monitor import BandwidthMonitor
 from repro.net.topology import ShardedTopology
@@ -125,12 +120,16 @@ class Trainer:
                 n_servers=config.n_servers,
                 **net,
             )
-        elif config.collective == "hierarchical":
-            self.topology = HierarchicalTopology(
-                self.engine, group_size=config.collective_group_size, **net
-            )
         else:
-            self.topology = RingTopology(self.engine, **net)
+            # The flat ring is the one-group hierarchical allreduce.
+            hierarchical = config.collective == "hierarchical"
+            self.topology = HierarchicalTopology(
+                self.engine,
+                group_size=(
+                    config.collective_group_size if hierarchical else config.n_workers
+                ),
+                **net,
+            )
         # Only a non-empty plan creates fault machinery: with no injector
         # every fault branch stays on its ``is None`` fast path, and the
         # event sequence is bit-identical to a fault-free build.
@@ -154,12 +153,7 @@ class Trainer:
         n_shards = config.n_servers
         star = n_shards == 1
         if collective:
-            executor_cls = (
-                HierarchicalExecutor
-                if config.collective == "hierarchical"
-                else RingExecutor
-            )
-            self.executor = executor_cls(self.topology)
+            self.executor = HierarchicalExecutor(self.topology)
             if self.injector is not None:
                 self.executor.set_faults(self.injector)
             scheduler, view = self._scheduler(
@@ -315,6 +309,8 @@ class Trainer:
         if self._done_count == self.config.n_workers:
             for monitor in self.monitors:
                 monitor.stop()
+            if self.injector is not None:
+                self.injector.job_finished()
             self.finished_time = self.engine.now
             if self.on_finished is not None:
                 self.on_finished(self)

@@ -153,7 +153,6 @@ class PSPort:
         self._stall_timer = None
         # Fault-mode delivery state (unused — but cheap — without faults).
         self._push_seq = itertools.count()
-        self._outstanding: dict[int, PushMessage] = {}
         self._retry_queue: deque[PushMessage] = deque()
         self._retry_timers: dict[int, object] = {}
         self._inflight_push: PushMessage | None = None
@@ -389,7 +388,6 @@ class PSPort:
             )
             return
         msg = PushMessage(seq=next(self._push_seq), iteration=iteration, unit=unit)
-        self._outstanding[msg.seq] = msg
         self._push_desc[msg.seq] = desc
         self._transmit_push(msg)
 
@@ -540,7 +538,6 @@ class PSPort:
             self.worker_id, msg.iteration, msg.unit, msg.seq
         )
         if applied:
-            msg.delivered = True
             self._account_push(msg, start)
         else:
             self._faults.count("duplicate_pushes")
@@ -555,7 +552,6 @@ class PSPort:
         if msg.acked:
             return
         msg.acked = True
-        self._outstanding.pop(msg.seq, None)
         self._push_desc.pop(msg.seq, None)
         timer = self._retry_timers.pop(msg.seq, None)
         if timer is not None:

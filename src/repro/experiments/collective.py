@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.agg.fusion import MGWFBPFusionPolicy
 from repro.experiments.common import FAST_ITERATIONS
 from repro.metrics.report import format_table
+from repro.net.collective import allreduce_cost
 from repro.quantities import Gbps
 from repro.runner import RunSpec, run_grid
 from repro.workloads.presets import PAPER_TCP, paper_config
@@ -56,13 +57,11 @@ class CollectiveRow:
 
 
 def _ring_cost_factor(n_workers: int, collective: str, group_size: int) -> float:
-    """Serialized bytes per payload byte on one link (see the executors)."""
+    """Serialized bytes per payload byte on one link (1 for one worker)."""
     if n_workers == 1:
         return 1.0
-    if collective == "hierarchical":
-        g, m = group_size, n_workers // group_size
-        return 2.0 * (g - 1) / g + 2.0 * (m - 1) / (g * m)
-    return 2.0 * (n_workers - 1) / n_workers
+    g = group_size if collective == "hierarchical" else n_workers
+    return allreduce_cost(g, n_workers // g)
 
 
 def run(

@@ -101,6 +101,8 @@ class FaultInjector:
         #: ``(time, kind, detail)`` log of every discrete fault event.
         self.log: list[tuple[float, str, dict]] = []
         self._stalls = tuple(sorted(plan.ps_stalls, key=lambda s: s.at))
+        # Every scheduled fault event, cancelled by job_finished().
+        self._events: list = []
 
     @property
     def retry(self):
@@ -143,19 +145,20 @@ class FaultInjector:
                 worker_links = (worker_links,)
             for link in worker_links:
                 link.schedule = FlappedSchedule(link.schedule, flaps)
+        schedule = self._schedule
         seen_flap_windows = set()
         for flap in self.plan.flaps:
             window = (flap.start, flap.duration, flap.factor, flap.worker)
             if window in seen_flap_windows:
                 continue
             seen_flap_windows.add(window)
-            self.engine.schedule(flap.start, self._flap_started, flap)
-            self.engine.schedule(flap.end, self._flap_ended, flap)
+            schedule(flap.start, self._flap_started, flap)
+            schedule(flap.end, self._flap_ended, flap)
         for crash in self.plan.crashes:
-            self.engine.schedule(crash.at, self._crash, workers[crash.worker], crash)
+            schedule(crash.at, self._crash, workers[crash.worker], crash)
         for stall in self._stalls:
-            self.engine.schedule(stall.at, self._stall_started, stall)
-            self.engine.schedule(stall.end, self._stall_ended, stall)
+            schedule(stall.at, self._stall_started, stall)
+            schedule(stall.end, self._stall_ended, stall)
         if self.plan.server_crashes:
             if servers is None:
                 raise SimulationError(
@@ -163,10 +166,19 @@ class FaultInjector:
                     "servers"
                 )
             for sc in self.plan.server_crashes:
-                self.engine.schedule(sc.at, self._server_crash, servers[sc.server], sc)
-                self.engine.schedule(
-                    sc.end, self._server_failover, servers[sc.server], sc
-                )
+                schedule(sc.at, self._server_crash, servers[sc.server], sc)
+                schedule(sc.end, self._server_failover, servers[sc.server], sc)
+
+    def _schedule(self, time: float, fn, *args) -> None:
+        self._events.append(self.engine.schedule(time, fn, *args))
+
+    def job_finished(self) -> None:
+        """The job's last worker finished: cancel every fault event still
+        pending, so :attr:`stats` and :attr:`log` count only the faults
+        that hit the run (on a shared fleet engine, too)."""
+        for event in self._events:
+            event.cancel()
+        self._events.clear()
 
     # ------------------------------------------------------------------
     # Queries served to the delivery layer
@@ -232,7 +244,9 @@ class FaultInjector:
             {"worker": crash.worker, "restart_after": crash.restart_after},
         )
         worker.crash()
-        self.engine.schedule_after(crash.restart_after, self._restart, worker, crash)
+        self._events.append(
+            self.engine.schedule_after(crash.restart_after, self._restart, worker, crash)
+        )
 
     def _restart(self, worker, crash) -> None:
         self.stats["restarts"] += 1

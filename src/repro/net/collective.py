@@ -1,16 +1,22 @@
-"""Allreduce collective topologies and their step executors.
+"""Allreduce collective topology and its step executor.
 
 The PS star moves a gradient twice over one worker NIC (push up, pull
 down).  A ring allreduce instead moves it as ``2(N-1)`` pipelined chunk
 steps of ``S/N`` bytes around a ring of worker-to-neighbor links — the
 reduce-scatter then all-gather decomposition — so each worker NIC carries
 ``2(N-1)/N · S`` bytes per operation regardless of cluster size.  The
-hierarchical variant splits the ring into ``m`` groups of ``g`` workers
+hierarchical shape splits the ring into ``m`` groups of ``g`` workers
 (``N = m·g``): an intra-group reduce-scatter (``g-1`` steps of ``S/g``),
 an inter-group ring allreduce among the group leaders (``2(m-1)`` steps of
 ``S/(g·m)``), and an intra-group all-gather (``g-1`` steps of ``S/g``) —
 fewer inter-node steps at the cost of extra intra-group traffic, the
 classic two-level NCCL/Horovod shape.
+
+There is one topology and one executor: the flat ring is the one-group
+hierarchical allreduce (:class:`RingTopology` is the one-group
+:class:`HierarchicalTopology`), and its cost ``2(N-1)/N`` is
+:func:`allreduce_cost` with no inter-group term.  An elastic shrink
+re-plans the same way, as one group of the survivors.
 
 Every chunk step is a real message on a real :class:`~repro.net.link.Link`
 through the same TCP model as the PS path: it pays the Eq. 10 handshake +
@@ -20,7 +26,7 @@ pushes).  Small transfer units therefore suffer the paper's small-message
 penalty **per step**, which makes the tensor-fusion tradeoff the
 MG-WFBP policy optimizes genuinely present in the collective backend.
 
-The executors duck-type a PS uplink: ``busy``, ``tcp`` and
+The executor duck-types a PS uplink: ``busy``, ``tcp`` and
 ``send_unit(nbytes, tag, on_complete, extra_time)`` mirror
 :meth:`Link.send <repro.net.link.Link.send>`, so the collective tier hands
 them scheduler-committed :class:`~repro.sched.base.TransferUnit`s exactly
@@ -44,49 +50,23 @@ from repro.sim.engine import Engine
 __all__ = [
     "RingTopology",
     "HierarchicalTopology",
-    "RingExecutor",
     "HierarchicalExecutor",
+    "allreduce_cost",
 ]
 
 
-class RingTopology:
-    """``n_workers`` in a ring; one next-neighbor link per worker.
+def allreduce_cost(group_size: int, n_groups: int) -> float:
+    """Critical-path bytes per payload byte on one link of an allreduce
+    over ``n_groups`` groups of ``group_size`` workers: the intra phases
+    move ``2(g-1)/g``, the inter-group ring ``2(m-1)/(g·m)``.  One group
+    is the flat ring, ``2(N-1)/N``; one worker moves nothing (0).
 
-    ``links[w]`` is worker ``w``'s transmit link towards worker
-    ``(w+1) % n_workers``.  Chunk steps occupy every ring link at once, so
-    the slowest link paces the collective — the ring analogue of the
-    star's "slowest worker gates BSP".
+    Schedulers that plan transfer times from a bandwidth estimate
+    (Prophet) divide the link bandwidth by this factor to get the
+    collective's *effective* per-byte rate.
     """
-
-    def __init__(
-        self,
-        engine: Engine,
-        n_workers: int,
-        bandwidth: float | BandwidthSchedule,
-        tcp: TCPParams | None = None,
-        worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
-    ):
-        schedules = worker_schedules(n_workers, bandwidth, worker_bandwidth)
-        self.engine = engine
-        self.n_workers = n_workers
-        self.tcp = tcp if tcp is not None else TCPParams()
-        self.links: list[Link] = [
-            worker_link(engine, sched, self.tcp, seed, noise_std, w, "ring")
-            for w, sched in enumerate(schedules)
-        ]
-
-    # ------------------------------------------------------------------
-    def worker_uplinks(self, worker: int) -> list[Link]:
-        """All transmit links of ``worker`` (topology-generic accessor)."""
-        return [self.links[worker]]
-
-    def worker_downlinks(self, worker: int) -> list[Link]:
-        """Receive side: ring traffic is accounted on the transmit links
-        (every byte sent is a byte received by the neighbor), so this is
-        empty — mirroring the half-duplex PS accounting."""
-        return []
+    g, m = group_size, n_groups
+    return 2.0 * (g - 1) / g + 2.0 * (m - 1) / (g * m)
 
 
 class HierarchicalTopology:
@@ -94,8 +74,12 @@ class HierarchicalTopology:
 
     Groups are contiguous blocks (group ``i`` holds workers
     ``[i·g, (i+1)·g)``); worker ``i·g`` is group ``i``'s leader.  Every
-    worker gets a *local* link for the intra-group phases; every leader
-    additionally gets a *global* link for the inter-group ring.
+    worker gets a *local* link for the intra-group phases; with more than
+    one group every leader additionally gets a *global* link for the
+    inter-group ring.  One group spanning every worker is the flat ring
+    (:class:`RingTopology`): ``local_links[w]`` is worker ``w``'s transmit
+    link towards ``(w+1) % n_workers``, named ``worker{w}-ring``, and
+    there is no global link.
     """
 
     def __init__(
@@ -125,11 +109,14 @@ class HierarchicalTopology:
         def _mk(w: int, kind: str) -> Link:
             return worker_link(engine, schedules[w], self.tcp, seed, noise_std, w, kind)
 
+        ring = self.n_groups == 1
         #: Intra-group transmit link of every worker.
-        self.local_links: list[Link] = [_mk(w, "local") for w in range(n_workers)]
+        self.local_links: list[Link] = [
+            _mk(w, "ring" if ring else "local") for w in range(n_workers)
+        ]
         #: Inter-group transmit link of each group leader, group order.
         self.global_links: list[Link] = [
-            _mk(i * group_size, "global") for i in range(self.n_groups)
+            _mk(i * group_size, "global") for i in range(self.n_groups) if not ring
         ]
 
     # ------------------------------------------------------------------
@@ -143,17 +130,42 @@ class HierarchicalTopology:
         """All transmit links of ``worker`` (local; plus global for a
         group leader)."""
         links = [self.local_links[worker]]
-        if worker % self.group_size == 0:
+        if self.global_links and worker % self.group_size == 0:
             links.append(self.global_links[worker // self.group_size])
         return links
 
     def worker_downlinks(self, worker: int) -> list[Link]:
-        """Receive side — empty, as for :class:`RingTopology`."""
+        """Receive side: collective traffic is accounted on the transmit
+        links (every byte sent is a byte received by the neighbor), so
+        this is empty — mirroring the half-duplex PS accounting."""
         return []
 
 
+class RingTopology(HierarchicalTopology):
+    """``n_workers`` in one ring: the one-group :class:`HierarchicalTopology`.
+
+    Chunk steps occupy every ring link at once, so the slowest link paces
+    the collective — the ring analogue of the star's "slowest worker
+    gates BSP".
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        n_workers: int,
+        bandwidth: float | BandwidthSchedule,
+        tcp: TCPParams | None = None,
+        worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
+        seed: int | None = 0,
+        noise_std: float = 0.0,
+    ):
+        super().__init__(
+            engine, n_workers, n_workers, bandwidth, tcp, worker_bandwidth, seed, noise_std
+        )
+
+
 # ----------------------------------------------------------------------
-# Executors
+# Executor
 # ----------------------------------------------------------------------
 
 #: Step watchdog: a chunk step is declared stalled once it has run for
@@ -169,13 +181,14 @@ _MAX_STEP_RETRIES = 2
 class _StepExecutor:
     """Shared machinery: run a unit as barrier-synchronized link steps.
 
-    Subclasses provide :meth:`_plan`, the list of ``(links, chunk_bytes)``
-    steps for one operation of ``nbytes``.  Each step launches one chunk
-    send on every participating link; the step's barrier releases when the
-    slowest send finishes, and the next step starts inside that completion
-    callback — so back-to-back steps on the same link are gap-free and the
-    TCP window stays warm, while idle gaps (a busy scheduler, a slow peer
-    phase) cool it down exactly as on the PS path.
+    :class:`HierarchicalExecutor` provides :meth:`_plan`, the list of
+    ``(links, chunk_bytes)`` steps for one operation of ``nbytes`` over the
+    active membership.  Each step launches one chunk send on every
+    participating link; the step's barrier releases when the slowest send
+    finishes, and the next step starts inside that completion callback —
+    so back-to-back steps on the same link are gap-free and the TCP window
+    stays warm, while idle gaps (a busy scheduler, a slow peer phase) cool
+    it down exactly as on the PS path.
 
     **Fault-free steps** go through :func:`~repro.net.link.send_batch`,
     which calls :meth:`_step_done` once per step.  On a homogeneous quiet
@@ -200,14 +213,16 @@ class _StepExecutor:
     * a per-step watchdog detects stragglers — steps exceeding
       ``_STEP_TIMEOUT_FACTOR ×`` their launch-time estimate — and
       mitigates with bounded abort-and-resend rounds on the lagging links;
-    * :meth:`remove_worker` (subclasses) shrinks the membership after a
-      rank crash, rebuilding the step plan over the survivors; the
-      in-flight operation must be :meth:`abort`-ed first.
+    * :meth:`remove_worker` shrinks the membership after a rank crash,
+      rebuilding the step plan over the survivors; the in-flight
+      operation must be :meth:`abort`-ed first.
     """
 
-    def __init__(self, engine: Engine, tcp: TCPParams):
+    def __init__(self, engine: Engine, tcp: TCPParams, n_workers: int):
         self.engine = engine
         self.tcp = tcp
+        #: Active members, ascending rank order.
+        self._members = list(range(n_workers))
         self._inflight_tag: object | None = None
         self._steps: list[tuple[Sequence[Link], float]] = []
         self._step_idx = 0
@@ -260,12 +275,12 @@ class _StepExecutor:
         self._members.remove(worker_id)
         self.removed.add(worker_id)
         self._plan_cache.clear()
-        self._shrunk()
         if self._faults is not None:
             self._owner_of = self._link_owners()
 
-    def _shrunk(self) -> None:
-        """Subclass hook run after a membership change."""
+    @property
+    def members(self) -> list[int]:
+        return list(self._members)
 
     # -- send interface (duck-types Link.send) -------------------------
     @property
@@ -485,79 +500,28 @@ class _StepExecutor:
         self._arm_watchdog(links, chunk)
 
 
-class RingExecutor(_StepExecutor):
-    """Flat ring allreduce: ``2(N-1)`` steps of ``S/N`` bytes each.
-
-    ``N`` is the *active* membership: after an elastic shrink
-    (:meth:`remove_worker`) the ring rebuilds over the ``k`` survivors —
-    ``2(k-1)`` steps of ``S/k`` on the survivors' links, and the
-    efficiency factor rescales to ``2(k-1)/k``.
-    """
-
-    def __init__(self, topology: RingTopology):
-        super().__init__(topology.engine, topology.tcp)
-        self.topology = topology
-        #: Active ring members, ascending rank order.
-        self._members = list(range(topology.n_workers))
-
-    @property
-    def members(self) -> list[int]:
-        return list(self._members)
-
-    def _link_owners(self) -> dict[Link, int]:
-        return {self.topology.links[w]: w for w in self._members}
-
-    @property
-    def efficiency_factor(self) -> float:
-        """Serialized bytes per payload byte on one link: ``2(N-1)/N``.
-
-        Schedulers that plan transfer times from a bandwidth estimate
-        (Prophet) divide the link bandwidth by this factor to get the
-        collective's *effective* per-byte rate.
-        """
-        n = len(self._members)
-        if n == 1:
-            return 0.0
-        return 2.0 * (n - 1) / n
-
-    def _plan(self, nbytes: float) -> list[tuple[Sequence[Link], float]]:
-        members = self._members
-        n = len(members)
-        if n == 1 or nbytes <= 0.0:
-            return []
-        chunk = nbytes / n
-        links = [self.topology.links[w] for w in members]
-        return [(links, chunk)] * (2 * (n - 1))
-
-
 class HierarchicalExecutor(_StepExecutor):
     """Two-level allreduce: intra reduce-scatter, inter ring, intra
-    all-gather (``2(g-1) + 2(m-1)`` steps total).
+    all-gather (``2(g-1) + 2(m-1)`` steps of ``S/g`` and ``S/(g·m)``).
 
-    The two-level shape assumes full groups; a crashed rank punches a
-    hole in its group, so an elastic shrink degrades the executor to a
-    **flat ring over the survivors' local links** — the simple shape that
-    tolerates arbitrary membership, at flat-ring cost ``2(k-1)/k``.
+    One group is the flat ring: ``2(N-1)`` steps of ``S/N``, the
+    reduce-scatter then the all-gather.  The two-level shape assumes full
+    groups; a crashed rank punches a hole in its group, so after an
+    elastic shrink the executor plans over **one group of the
+    survivors**, on their local links — a flat ring at ``2(k-1)/k``.
     """
 
     def __init__(self, topology: HierarchicalTopology):
-        super().__init__(topology.engine, topology.tcp)
+        super().__init__(topology.engine, topology.tcp, topology.n_workers)
         self.topology = topology
-        self._members = list(range(topology.n_workers))
-        # Set by the first removal: plan as a flat ring over survivors.
-        self._flat = False
 
-    @property
-    def members(self) -> list[int]:
-        return list(self._members)
-
-    @property
-    def degraded_flat(self) -> bool:
-        """Whether a shrink degraded the two-level shape to a flat ring."""
-        return self._flat
-
-    def _shrunk(self) -> None:
-        self._flat = True
+    def _groups(self) -> tuple[int, int]:
+        """``(group size, group count)`` of the active membership."""
+        topo = self.topology
+        n = len(self._members)
+        if n == topo.n_workers:
+            return topo.group_size, topo.n_groups
+        return n, 1
 
     def _link_owners(self) -> dict[Link, int]:
         topo = self.topology
@@ -568,36 +532,16 @@ class HierarchicalExecutor(_StepExecutor):
 
     @property
     def efficiency_factor(self) -> float:
-        """Critical-path bytes per payload byte: intra phases move
-        ``2(g-1)/g``, the inter-group ring ``2(m-1)/(g·m)`` (flat-ring
-        ``2(k-1)/k`` after an elastic shrink)."""
-        topo = self.topology
-        n = len(self._members)
-        if n == 1:
-            return 0.0
-        if self._flat:
-            return 2.0 * (n - 1) / n
-        g = topo.group_size
-        m = topo.n_groups
-        return 2.0 * (g - 1) / g + 2.0 * (m - 1) / (g * m)
+        """Critical-path bytes per payload byte (:func:`allreduce_cost`)."""
+        return allreduce_cost(*self._groups())
 
     def _plan(self, nbytes: float) -> list[tuple[Sequence[Link], float]]:
-        topo = self.topology
-        n = len(self._members)
-        if n == 1 or nbytes <= 0.0:
+        if len(self._members) == 1 or nbytes <= 0.0:
             return []
-        if self._flat:
-            chunk = nbytes / n
-            links = [topo.local_links[w] for w in self._members]
-            return [(links, chunk)] * (2 * (n - 1))
-        g = topo.group_size
-        m = topo.n_groups
-        steps: list[tuple[Sequence[Link], float]] = []
-        intra = [(topo.local_links, nbytes / g)] * (g - 1)
-        steps.extend(intra)  # reduce-scatter within every group
-        if m > 1:
-            steps.extend(
-                [(topo.global_links, nbytes / (g * m))] * (2 * (m - 1))
-            )
-        steps.extend(intra)  # all-gather within every group
-        return steps
+        g, m = self._groups()
+        local = [self.topology.local_links[w] for w in self._members]
+        intra = [(local, nbytes / g)] * (g - 1)
+        # Reduce-scatter within every group, the inter-group ring among
+        # the leaders, all-gather within every group.
+        inter = [(self.topology.global_links, nbytes / (g * m))] * (2 * (m - 1))
+        return intra + inter + intra

@@ -216,9 +216,6 @@ class Link:
         # (see :class:`TransferRecord` for why not the named tuple).
         self._log: list[tuple[float, float, float, object]] = []
         self.total_bytes = 0.0
-        #: Transfers cut short by :meth:`abort` (worker crashes) — the
-        #: bytes never arrive and are not credited anywhere.
-        self.aborted_transfers = 0
         self.on_idle: Callable[[], None] | None = None
         self._last_end: float | None = None
         # Running busy-time total: O(1) utilization for the trace counter.
@@ -367,7 +364,6 @@ class Link:
             self._finish_event = None
         self._inflight = None
         self._last_end = None
-        self.aborted_transfers += 1
         trace = self.engine.trace
         if trace.enabled:
             trace.instant(

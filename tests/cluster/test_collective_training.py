@@ -40,7 +40,7 @@ def test_all_strategies_run_on_ring(ring_config, strategy):
     factor = 2.0 * (n - 1) / n
     model_bytes = float(result.gen_schedule.sizes.sum())
     per_iter = factor * model_bytes
-    for link in result.topology.links:
+    for link in result.topology.local_links:
         total = sum(r.nbytes for r in link.records)
         assert total == pytest.approx(per_iter * ring_config.n_iterations)
 
@@ -99,7 +99,7 @@ def test_ring_size_one_is_communication_free(tiny_config):
     for strategy in STRATEGIES:
         result = run_training(config, EXTENDED_FACTORIES[strategy])
         # No bytes moved: the one-worker allreduce is the identity.
-        assert all(link.records == [] for link in result.topology.links)
+        assert all(link.records == [] for link in result.topology.local_links)
         spans = result.iteration_spans(0, skip=1)
         # Iterations are pure compute (+ the generation schedule's fixed
         # assembly tail) — no transfer or handshake time anywhere.

@@ -81,7 +81,7 @@ class TestElasticShrink:
         model_bytes = float(result.gen_schedule.sizes.sum())
         per_link = factor * model_bytes * config.n_iterations
         for w in range(n):
-            total = sum(r.nbytes for r in result.topology.links[w].records)
+            total = sum(r.nbytes for r in result.topology.local_links[w].records)
             if w == 1:
                 assert total == 0.0  # the dead rank never transmitted
             else:
@@ -175,7 +175,8 @@ class TestChunkLoss:
             * config.n_iterations
         )
         totals = [
-            sum(r.nbytes for r in link.records) for link in result.topology.links
+            sum(r.nbytes for r in link.records)
+            for link in result.topology.local_links
         ]
         assert sum(totals) > clean_per_link * n
         assert result.end_time > clean_ring.end_time
@@ -249,15 +250,20 @@ class TestHierarchicalDegrade:
         )
         trainer = Trainer(config, fifo_factory())
         result = trainer.run()
-        assert trainer.executor.degraded_flat
         assert result.fault_stats["shrinks"] == 1
         counts = _survivor_iteration_counts(result, config, crashed=1)
         assert set(counts.values()) == {config.n_iterations}
-        # The flat ring runs over the survivors' *local* links only; the
-        # two-level plan is gone, so each surviving local link carries the
-        # flat-ring share 2(k-1)/k with k = 5 survivors.
+        # The shrink re-plans as one group of the survivors: a flat ring
+        # over their *local* links, 2(k-1) steps per operation at the
+        # flat-ring share 2(k-1)/k with k = 5 survivors.  The two-level
+        # plan is gone, so no global link ever carries a byte.
+        executor = trainer.executor
         survivors = config.n_workers - 1
         factor = 2.0 * (survivors - 1) / survivors
+        assert executor.members == [0, 2, 3, 4, 5]
+        assert executor.efficiency_factor == pytest.approx(factor)
+        assert executor.steps_completed == 2 * (survivors - 1) * executor.ops_completed
+        assert all(link.records == [] for link in result.topology.global_links)
         per_link = (
             factor * float(result.gen_schedule.sizes.sum()) * config.n_iterations
         )

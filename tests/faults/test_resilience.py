@@ -276,3 +276,85 @@ class TestShardedTier:
         )
         assert stalled.fault_stats["ps_stalls"] == 1
         assert stalled.end_time > clean.end_time
+
+
+class TestFaultsAfterCompletion:
+    """Once the last worker finishes, the injector's pending flap, stall,
+    server-crash and restart events are cancelled: ``fault_stats`` and
+    ``fault_log`` count only the faults that hit the run."""
+
+    @pytest.mark.parametrize(
+        "strategy,end_time",
+        [("prophet", 2.597156905112909), ("bytescheduler", 2.6430617852529448)],
+    )
+    def test_sharded_chaos_counts_only_faults_inside_the_run(
+        self, strategy, end_time
+    ):
+        # The flap (4.0-5.0 s) and the PS stall (6.0-6.3 s) of the chaos
+        # plan both fall after this run's end.
+        from repro.experiments.chaos import default_plan
+        from repro.quantities import Gbps
+        from repro.runner.registry import build_factory
+        from repro.workloads.presets import paper_config
+
+        config = paper_config(
+            "resnet18",
+            16,
+            bandwidth=2 * Gbps,
+            n_workers=2,
+            n_iterations=6,
+            n_servers=2,
+            faults=default_plan(crash_at=0.8, restart_after=0.3, drop=0.03),
+        )
+        trainer = Trainer(config, build_factory(strategy))
+        result = trainer.run()
+        assert result.end_time == end_time
+        assert result.fault_stats["crashes"] == 1
+        assert result.fault_stats["restarts"] == 1
+        assert result.fault_stats["link_flaps"] == 0
+        assert result.fault_stats["ps_stalls"] == 0
+        assert all(t <= end_time for t, _, _ in result.fault_log)
+        assert trainer.engine.now == end_time
+
+    @pytest.mark.parametrize("backend", ["ps", "allreduce"])
+    def test_shared_engine_cancels_a_finished_jobs_faults(
+        self, tiny_config_module, backend
+    ):
+        """On an engine that keeps running after the job (a fleet's), the
+        job's late flap, stall, server crash and restart never fire.  A
+        crashed collective rank leaves the ring, so its job finishes
+        before the restart; a PS worker must restart to finish."""
+        from repro.faults.plan import ServerCrash
+        from repro.sim.engine import Engine
+
+        late = 100.0
+        flaps = [LinkFlap(start=late, duration=1.0, factor=0.5)]
+        if backend == "ps":
+            plan = FaultPlan(
+                crashes=[WorkerCrash(worker=1, at=0.5, restart_after=0.1)],
+                flaps=flaps,
+                ps_stalls=[PSStall(at=late, duration=1.0)],
+                server_crashes=[ServerCrash(server=0, at=late, failover_after=1.0)],
+            )
+            config = replace(tiny_config_module, n_servers=2, faults=plan)
+        else:
+            plan = FaultPlan(
+                crashes=[WorkerCrash(worker=1, at=0.5, restart_after=late)],
+                flaps=flaps,
+            )
+            config = replace(
+                tiny_config_module, n_workers=3, backend="allreduce", faults=plan
+            )
+        engine = Engine()
+        trainer = Trainer(config, fifo_factory(), engine=engine)
+        trainer.start()
+        engine.schedule(2 * late, lambda: None)  # another tenant's event
+        engine.run()
+        result = trainer.finalize()
+        assert engine.now == 2 * late
+        assert result.end_time < late
+        assert result.fault_stats["crashes"] == 1
+        for key in ("link_flaps", "ps_stalls", "server_crashes", "failovers"):
+            assert result.fault_stats[key] == 0, key
+        assert result.fault_stats["restarts"] == (backend == "ps")
+        assert all(t <= result.end_time for t, _, _ in result.fault_log)

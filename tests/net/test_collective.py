@@ -7,7 +7,9 @@ The invariants that make the collective cost model trustworthy:
 * the hierarchical plan is intra reduce-scatter, inter ring, intra
   all-gather, with the advertised per-phase chunk sizes;
 * degenerate shapes (one worker, one group, groups of one) collapse to
-  the right flat structure instead of special-casing;
+  the right flat structure instead of special-casing — the flat ring is
+  the one-group hierarchical topology, and an elastic shrink re-plans as
+  one group of the survivors;
 * the executor runs one operation at a time, completion through the
   event loop.
 """
@@ -17,10 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.collective import _ring_cost_factor
 from repro.net.collective import (
     HierarchicalExecutor,
     HierarchicalTopology,
-    RingExecutor,
     RingTopology,
 )
 from repro.net.tcp import TCPParams
@@ -47,9 +49,11 @@ def _run_op(executor, nbytes):
 
 def test_ring_topology_shape():
     topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
-    assert len(topo.links) == 4
-    assert topo.links[1].name == "worker1-ring"
-    assert topo.worker_uplinks(3) == [topo.links[3]]
+    assert len(topo.local_links) == 4
+    assert topo.local_links[1].name == "worker1-ring"
+    assert topo.global_links == []  # one group: no inter-group ring
+    assert topo.worker_uplinks(0) == [topo.local_links[0]]
+    assert topo.worker_uplinks(3) == [topo.local_links[3]]
     assert topo.worker_downlinks(3) == []
 
 
@@ -58,8 +62,8 @@ def test_ring_min_bandwidth_sees_slow_worker():
         Engine(), n_workers=3, bandwidth=3 * Gbps, tcp=TCP,
         worker_bandwidth={1: 1 * Gbps},
     )
-    assert topo.links[1].current_bandwidth() == pytest.approx(1 * Gbps)
-    assert topo.links[0].current_bandwidth() == pytest.approx(3 * Gbps)
+    assert topo.local_links[1].current_bandwidth() == pytest.approx(1 * Gbps)
+    assert topo.local_links[0].current_bandwidth() == pytest.approx(3 * Gbps)
 
 
 def test_ring_topology_validation():
@@ -91,13 +95,13 @@ def test_hierarchical_group_size_must_divide():
 
 
 # ----------------------------------------------------------------------
-# Ring executor: byte conservation and step structure
+# The ring (one group): byte conservation and step structure
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_workers", [2, 3, 4, 7])
 def test_ring_bytes_per_link(n_workers):
     topo = RingTopology(Engine(), n_workers=n_workers, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     nbytes = 12 * MB
     _run_op(executor, nbytes)
 
@@ -105,7 +109,7 @@ def test_ring_bytes_per_link(n_workers):
     assert executor.steps_completed == expected_steps
     assert executor.ops_completed == 1
     per_link = 2.0 * (n_workers - 1) / n_workers * nbytes
-    for link in topo.links:
+    for link in topo.local_links:
         assert len(link.records) == expected_steps
         assert sum(r.nbytes for r in link.records) == pytest.approx(per_link)
     assert executor.efficiency_factor == pytest.approx(
@@ -116,18 +120,18 @@ def test_ring_bytes_per_link(n_workers):
 def test_ring_size_one_is_identity():
     """A one-worker ring moves no bytes and completes in zero sim time."""
     topo = RingTopology(Engine(), n_workers=1, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     t = _run_op(executor, 12 * MB)
     assert t == 0.0
     assert executor.steps_completed == 0
     assert executor.ops_completed == 1
-    assert topo.links[0].records == []
+    assert topo.local_links[0].records == []
     assert executor.efficiency_factor == 0.0
 
 
 def test_ring_executor_rejects_concurrent_ops():
     topo = RingTopology(Engine(), n_workers=3, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     executor.send_unit(1 * MB, tag="a")
     assert executor.busy
     with pytest.raises(SimulationError):
@@ -136,7 +140,7 @@ def test_ring_executor_rejects_concurrent_ops():
 
 def test_ring_back_to_back_ops_complete_in_order():
     topo = RingTopology(Engine(), n_workers=2, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     times = []
 
     def second():
@@ -156,15 +160,15 @@ def test_ring_abort_mid_step_fires_nothing():
     """abort() during a lockstep step: the step's drain event still fires,
     but finds no link carrying its row — no barrier, no step, no op."""
     topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     done = []
     executor.send_unit(12 * MB, tag="a", on_complete=lambda: done.append(1))
-    first_end = topo.links[0].busy_until
+    first_end = topo.local_links[0].busy_until
     topo.engine.run(until=first_end)  # step 0 done, step 1 launched
-    second_end = topo.links[0].busy_until
+    second_end = topo.local_links[0].busy_until
     topo.engine.run(until=(first_end + second_end) / 2)
     assert executor.steps_completed == 1
-    assert all(link.busy for link in topo.links)
+    assert all(link.busy for link in topo.local_links)
 
     executor.abort()
     topo.engine.run()
@@ -172,22 +176,22 @@ def test_ring_abort_mid_step_fires_nothing():
     assert executor.steps_completed == 1
     assert executor.ops_completed == 0
     assert not executor.busy
-    assert not any(link.busy for link in topo.links)
-    assert all(len(link.records) == 1 for link in topo.links)
+    assert not any(link.busy for link in topo.local_links)
+    assert all(len(link.records) == 1 for link in topo.local_links)
 
 
 def test_ring_op_started_after_abort_ignores_the_stale_drain():
     """A fresh op launched at the abort instant runs every step at full
     length: the aborted step's drain event must not complete its links."""
     topo = RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP)
-    executor = RingExecutor(topo)
+    executor = HierarchicalExecutor(topo)
     executor.send_unit(12 * MB, tag="a")
-    topo.engine.run(until=topo.links[0].busy_until / 2)
+    topo.engine.run(until=topo.local_links[0].busy_until / 2)
     executor.abort()
     t0 = topo.engine.now
     t = _run_op(executor, 12 * MB)
 
-    fresh = RingExecutor(RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP))
+    fresh = HierarchicalExecutor(RingTopology(Engine(), n_workers=4, bandwidth=3 * Gbps, tcp=TCP))
     assert t - t0 == pytest.approx(_run_op(fresh, 12 * MB))
     assert executor.steps_completed == fresh.steps_completed == 6
     assert executor.ops_completed == 1
@@ -230,8 +234,13 @@ def test_hierarchical_single_group_is_flat_ring():
     nbytes = 8 * MB
     _run_op(executor, nbytes)
     assert executor.steps_completed == 2 * (g - 1)
-    for link in topo.global_links:
-        assert link.records == []
+    # It is the ring: its links take the ring's names, and there is no
+    # global link to leave idle.
+    assert topo.global_links == []
+    ring = RingTopology(Engine(), n_workers=g, bandwidth=3 * Gbps)
+    assert [link.name for link in topo.local_links] == [
+        link.name for link in ring.local_links
+    ]
     assert executor.efficiency_factor == pytest.approx(2.0 * (g - 1) / g)
 
 
@@ -248,3 +257,42 @@ def test_hierarchical_groups_of_one_is_flat_ring():
     for link in topo.local_links:
         assert link.records == []
     assert executor.efficiency_factor == pytest.approx(2.0 * (m - 1) / m)
+
+
+def test_hierarchical_shrink_replans_as_one_group_of_survivors():
+    """After a rank leaves, the plan is a flat ring over the survivors'
+    local links: ``2(k-1)`` steps of ``S/k`` at cost ``2(k-1)/k``."""
+    topo = HierarchicalTopology(
+        Engine(), n_workers=6, group_size=3, bandwidth=3 * Gbps, tcp=TCP
+    )
+    executor = HierarchicalExecutor(topo)
+    executor.remove_worker(1)
+    assert executor.members == [0, 2, 3, 4, 5]
+    k, nbytes = 5, 10 * MB
+    _run_op(executor, nbytes)
+    assert executor.steps_completed == 2 * (k - 1)
+    assert executor.efficiency_factor == 2.0 * (k - 1) / k
+    assert topo.local_links[1].records == []
+    for w in executor.members:
+        records = topo.local_links[w].records
+        assert [r.nbytes for r in records] == [nbytes / k] * (2 * (k - 1))
+    for link in topo.global_links:
+        assert link.records == []
+
+
+@pytest.mark.parametrize(
+    "n_workers,collective,group_size",
+    [(1, "ring", 2), (2, "ring", 2), (4, "ring", 2), (7, "ring", 3),
+     (4, "hierarchical", 2), (6, "hierarchical", 3), (4, "hierarchical", 1),
+     (4, "hierarchical", 4)],
+)
+def test_cost_factor_matches_the_executor(n_workers, collective, group_size):
+    """The experiments' planning factor is the executor's cost (1 instead
+    of 0 for one worker, where nothing moves)."""
+    g = group_size if collective == "hierarchical" else n_workers
+    topo = HierarchicalTopology(
+        Engine(), n_workers=n_workers, group_size=g, bandwidth=3 * Gbps
+    )
+    cost = HierarchicalExecutor(topo).efficiency_factor
+    expected = 1.0 if n_workers == 1 else cost
+    assert _ring_cost_factor(n_workers, collective, group_size) == expected
