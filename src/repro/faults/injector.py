@@ -7,7 +7,9 @@ drawn from a dedicated RNG stream (``spawn_rng(seed, "faults")``).  All
 fault occurrences are counted in :attr:`FaultInjector.stats` and recorded
 as ``fault``-category trace instants when tracing is enabled, so a chaos
 run's Perfetto view shows exactly when each failure fired and when the
-cluster recovered.
+cluster recovered.  Events still pending when the job's last worker
+finishes are cancelled (:meth:`FaultInjector.job_finished`): a fault
+after the end hits no work and is not counted.
 
 Link flaps are layered onto the links' existing bandwidth schedules via
 :class:`FlappedSchedule`, which multiplies the base schedule's value inside
@@ -145,20 +147,19 @@ class FaultInjector:
                 worker_links = (worker_links,)
             for link in worker_links:
                 link.schedule = FlappedSchedule(link.schedule, flaps)
-        schedule = self._schedule
         seen_flap_windows = set()
         for flap in self.plan.flaps:
             window = (flap.start, flap.duration, flap.factor, flap.worker)
             if window in seen_flap_windows:
                 continue
             seen_flap_windows.add(window)
-            schedule(flap.start, self._flap_started, flap)
-            schedule(flap.end, self._flap_ended, flap)
+            self._schedule(flap.start, self._flap_started, flap)
+            self._schedule(flap.end, self._flap_ended, flap)
         for crash in self.plan.crashes:
-            schedule(crash.at, self._crash, workers[crash.worker], crash)
+            self._schedule(crash.at, self._crash, workers[crash.worker], crash)
         for stall in self._stalls:
-            schedule(stall.at, self._stall_started, stall)
-            schedule(stall.end, self._stall_ended, stall)
+            self._schedule(stall.at, self._stall_started, stall)
+            self._schedule(stall.end, self._stall_ended, stall)
         if self.plan.server_crashes:
             if servers is None:
                 raise SimulationError(
@@ -166,8 +167,8 @@ class FaultInjector:
                     "servers"
                 )
             for sc in self.plan.server_crashes:
-                schedule(sc.at, self._server_crash, servers[sc.server], sc)
-                schedule(sc.end, self._server_failover, servers[sc.server], sc)
+                self._schedule(sc.at, self._server_crash, servers[sc.server], sc)
+                self._schedule(sc.end, self._server_failover, servers[sc.server], sc)
 
     def _schedule(self, time: float, fn, *args) -> None:
         self._events.append(self.engine.schedule(time, fn, *args))

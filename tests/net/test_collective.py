@@ -259,32 +259,10 @@ def test_hierarchical_groups_of_one_is_flat_ring():
     assert executor.efficiency_factor == pytest.approx(2.0 * (m - 1) / m)
 
 
-def test_hierarchical_shrink_replans_as_one_group_of_survivors():
-    """After a rank leaves, the plan is a flat ring over the survivors'
-    local links: ``2(k-1)`` steps of ``S/k`` at cost ``2(k-1)/k``."""
-    topo = HierarchicalTopology(
-        Engine(), n_workers=6, group_size=3, bandwidth=3 * Gbps, tcp=TCP
-    )
-    executor = HierarchicalExecutor(topo)
-    executor.remove_worker(1)
-    assert executor.members == [0, 2, 3, 4, 5]
-    k, nbytes = 5, 10 * MB
-    _run_op(executor, nbytes)
-    assert executor.steps_completed == 2 * (k - 1)
-    assert executor.efficiency_factor == 2.0 * (k - 1) / k
-    assert topo.local_links[1].records == []
-    for w in executor.members:
-        records = topo.local_links[w].records
-        assert [r.nbytes for r in records] == [nbytes / k] * (2 * (k - 1))
-    for link in topo.global_links:
-        assert link.records == []
-
-
 @pytest.mark.parametrize(
     "n_workers,collective,group_size",
-    [(1, "ring", 2), (2, "ring", 2), (4, "ring", 2), (7, "ring", 3),
-     (4, "hierarchical", 2), (6, "hierarchical", 3), (4, "hierarchical", 1),
-     (4, "hierarchical", 4)],
+    [(1, "ring", 2), (4, "ring", 2), (4, "hierarchical", 2),
+     (4, "hierarchical", 1), (4, "hierarchical", 4)],
 )
 def test_cost_factor_matches_the_executor(n_workers, collective, group_size):
     """The experiments' planning factor is the executor's cost (1 instead
