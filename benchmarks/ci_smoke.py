@@ -548,9 +548,9 @@ def measure(
         cache=False,
     )
     for row in rows:
-        key = f"fig8.{row.model}.bs{row.batch_size}"
-        deterministic[f"{key}.prophet_rate"] = row.prophet_rate
-        deterministic[f"{key}.bytescheduler_rate"] = row.bytescheduler_rate
+        key = f"fig8.{row.config.model}.bs{row.config.batch_size}"
+        deterministic[f"{key}.prophet_rate"] = row.rates["prophet"]
+        deterministic[f"{key}.bytescheduler_rate"] = row.rates["bytescheduler"]
 
     from repro.experiments import chaos
 

@@ -15,10 +15,11 @@ Subcommands::
     python -m repro cache                    # result-cache stats
     python -m repro cache clear              # drop every cached result
 
-``run`` accepts any experiment name from :mod:`repro.experiments` and
-invokes its ``main()``; ``-j/--jobs`` and ``--no-cache`` reach the
-:mod:`repro.runner` fan-out through the ``REPRO_JOBS`` / ``REPRO_NO_CACHE``
-environment variables, so they apply to every grid the experiment issues.
+``run`` accepts any experiment name from the registry
+:data:`repro.experiments.EXPERIMENTS` and prints its tables; ``-j/--jobs``
+and ``--no-cache`` reach the :mod:`repro.runner` fan-out through the
+``REPRO_JOBS`` / ``REPRO_NO_CACHE`` environment variables for the
+duration of the run, so they apply to every grid the experiment issues.
 ``compare`` and ``sweep`` build ad-hoc configs on the paper's calibrated
 presets.  ``sched`` runs one strategy on one preset workload and can
 export the structured trace as Chrome trace-event JSON (open in Perfetto /
@@ -47,11 +48,14 @@ traceback or a silently ignored flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.cluster.trainer import run_training
 from repro.errors import ConfigurationError, ReproError, TracingError
+from repro.experiments import EXPERIMENTS
 from repro.metrics.report import format_table, format_trace_summary
 from repro.models.gradients import gradient_table
 from repro.models.registry import available_models, get_model
@@ -59,14 +63,6 @@ from repro.quantities import Gbps, fmt_bytes
 from repro.workloads.presets import EXTENDED_FACTORIES, paper_config
 
 __all__ = ["main", "build_parser"]
-
-EXPERIMENTS = (
-    "fig2", "fig3", "fig4", "fig5", "fig8", "fig9_10", "fig11", "fig12",
-    "fig13", "table2", "table3", "hetero", "overhead", "ablations", "asp",
-    "devices", "dynamic", "convergence", "chaos", "scalability", "collective",
-    "fleet",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose failures match the CLI's error contract.
@@ -451,23 +447,35 @@ def _cmd_info(model_name: str) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    import importlib
-    import os
+@contextlib.contextmanager
+def _environ(updates: Mapping[str, str]) -> Iterator[None]:
+    """Set environment variables for the block, then restore them."""
+    saved = {key: os.environ.get(key) for key in updates}
+    os.environ.update(updates)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
+
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import JOBS_ENV, NO_CACHE_ENV, resolve_jobs
 
     _validate_choice("experiment", args.experiment, EXPERIMENTS)
     resolve_jobs(args.jobs)  # validate eagerly, before any training run
-    # Experiments' main() entry points take no arguments; the runner picks
-    # the knobs up from the environment, so they reach every grid the
-    # experiment fans out — including nested helper calls.
+    # The runner picks the knobs up from the environment, so they reach
+    # every grid the experiment fans out — including nested helper calls.
+    env = {}
     if args.jobs is not None:
-        os.environ[JOBS_ENV] = str(args.jobs)
+        env[JOBS_ENV] = str(args.jobs)
     if args.no_cache:
-        os.environ[NO_CACHE_ENV] = "1"
-    module = importlib.import_module(f"repro.experiments.{args.experiment}")
-    module.main()
+        env[NO_CACHE_ENV] = "1"
+    with _environ(env):
+        EXPERIMENTS[args.experiment].report()
     return 0
 
 
@@ -613,7 +621,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         drop=args.drop,
         backend=args.backend,
     )
-    chaos.main(
+    EXPERIMENTS["chaos"].report(
         model=args.model,
         batch_size=args.batch,
         n_iterations=args.iterations,
@@ -718,8 +726,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(
         format_table(
             ["model", "batch", "Prophet (s/s)", "ByteScheduler (s/s)"],
-            [[r.model, r.batch_size, f"{r.prophet_rate:.1f}",
-              f"{r.bytescheduler_rate:.1f}"] for r in rows],
+            [[r.config.model, r.config.batch_size, f"{r.rates['prophet']:.1f}",
+              f"{r.rates['bytescheduler']:.1f}"] for r in rows],
             title=f"bench — Fig. 8 FAST grid ({n_runs} runs, jobs={jobs})",
         )
     )

@@ -2,7 +2,7 @@
 
 The paper's future work proposes validating Prophet with the ASP model.
 ASP/SSP raise *throughput* (no BSP barrier — see
-:mod:`repro.experiments.asp`) but apply **stale** gradients, which costs
+``repro run asp``) but apply **stale** gradients, which costs
 *statistical* progress per iteration.  Whether asynchrony wins therefore
 depends on **time-to-accuracy** = (seconds per iteration) × (iterations
 to reach the target loss), not on throughput alone.

@@ -41,10 +41,9 @@ from repro.cluster.trainer import run_training
 from repro.config import SchedulerFactory, TrainingConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, LinkFlap, MessageDrops, PSStall, WorkerCrash
-from repro.metrics.report import format_table
 from repro.workloads.presets import STRATEGY_FACTORIES, paper_config
 
-__all__ = ["ChaosResult", "default_plan", "run", "main"]
+__all__ = ["ChaosResult", "default_plan", "run"]
 
 
 @dataclass(frozen=True)
@@ -251,62 +250,3 @@ def run(
         stall_amplification=amplification,
         fault_stats=stats,
     )
-
-
-def main(**kwargs) -> ChaosResult:
-    res = run(**kwargs)
-    rows = []
-    for name in sorted(res.goodput_retained, key=res.goodput_retained.get,
-                       reverse=True):
-        amp = res.stall_amplification[name]
-        rows.append(
-            [
-                name,
-                f"{res.clean_rates[name]:.1f}",
-                f"{res.faulty_rates[name]:.1f}",
-                f"{res.goodput_retained[name] * 100:.1f}%",
-                f"{res.recovery_time[name] * 1e3:.0f}",
-                str(res.retries[name]),
-                "-" if math.isnan(amp) else f"{amp * 100:.2f}%",
-            ]
-        )
-    plan = res.plan
-    if plan.crashes:
-        crash = plan.crashes[0]
-        blurb = (
-            f"worker {crash.worker} crash @ {crash.at:g}s "
-            f"(+{crash.restart_after:g}s restart), drops, flap"
-        )
-        if plan.ps_stalls:
-            blurb += ", PS stall"
-    else:
-        blurb = "drops, flap (no crash)"
-    config = res.config
-    if config.backend == "allreduce":
-        topo = f"allreduce/{config.collective} x{config.n_workers}"
-    elif config.n_servers > 1:
-        topo = f"ps x{config.n_servers} sharded, {config.n_workers} workers"
-    else:
-        topo = f"ps star, {config.n_workers} workers"
-    print(
-        format_table(
-            [
-                "strategy",
-                "clean (samples/s)",
-                "faulty (samples/s)",
-                "goodput retained",
-                "recovery (ms)",
-                "retries",
-                "stall amp.",
-            ],
-            rows,
-            title=(
-                f"Chaos — {config.model} bs{config.batch_size} [{topo}]: {blurb}"
-            ),
-        )
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -23,17 +23,14 @@ question is where each strategy lands between those poles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.agg.fusion import MGWFBPFusionPolicy
-from repro.experiments.common import FAST_ITERATIONS
-from repro.metrics.report import format_table
+from repro.experiments.common import FAST_ITERATIONS, run_labelled
 from repro.net.collective import allreduce_cost
 from repro.quantities import Gbps
-from repro.runner import RunSpec, run_grid
+from repro.runner import RunResult, RunSpec
 from repro.workloads.presets import PAPER_TCP, paper_config
 
-__all__ = ["CollectiveRow", "STRATEGIES", "run", "main"]
+__all__ = ["STRATEGIES", "WORKLOADS", "run"]
 
 #: Strategy names compared, report order.
 STRATEGIES: tuple[str, ...] = ("mxnet-fifo", "mg-wfbp", "prophet")
@@ -44,16 +41,6 @@ WORKLOADS: tuple[tuple[str, int], ...] = (
     ("resnet50", 64),
     ("vgg16", 32),
 )
-
-
-@dataclass(frozen=True)
-class CollectiveRow:
-    model: str
-    batch_size: int
-    collective: str
-    strategy: str
-    training_rate: float
-    mean_iteration_s: float
 
 
 def _ring_cost_factor(n_workers: int, collective: str, group_size: int) -> float:
@@ -73,18 +60,15 @@ def run(
     group_size: int = 2,
     n_iterations: int = FAST_ITERATIONS,
     seed: int = 0,
-    *,
-    jobs: int | None = None,
-) -> list[CollectiveRow]:
-    """All (workload × collective × strategy) combinations, grid-cached.
+) -> dict[tuple[str, int, str, str], RunResult]:
+    """Every (model, batch, collective, strategy) run, grid-cached.
 
     ``n_workers`` defaults to 4 so the hierarchical topology has real
     two-level structure (2 groups of ``group_size=2``).  The MG-WFBP runs
     replace the default module-boundary aggregation with the fusion
     policy, fed the collective's effective per-byte rate.
     """
-    specs = []
-    keys = []
+    specs = {}
     for model, batch_size in workloads:
         for collective in collectives:
             factor = _ring_cost_factor(n_workers, collective, group_size)
@@ -106,51 +90,7 @@ def run(
                     collective_group_size=group_size,
                     **overrides,
                 )
-                specs.append(RunSpec(config=config, strategy=strategy))
-                keys.append((model, batch_size, collective, strategy))
-    results = run_grid(specs, jobs=jobs)
-    return [
-        CollectiveRow(
-            model=model,
-            batch_size=batch_size,
-            collective=collective,
-            strategy=strategy,
-            training_rate=res.training_rate,
-            mean_iteration_s=res.mean_iteration_s,
-        )
-        for (model, batch_size, collective, strategy), res in zip(keys, results)
-    ]
-
-
-def main() -> list[CollectiveRow]:
-    rows = run()
-    by_key = {
-        (r.model, r.batch_size, r.collective, r.strategy): r for r in rows
-    }
-    table = []
-    for model, batch_size in WORKLOADS:
-        for collective in ("ring", "hierarchical"):
-            fifo = by_key[(model, batch_size, collective, "mxnet-fifo")]
-            line = [f"{model} bs{batch_size}", collective]
-            for strategy in STRATEGIES:
-                r = by_key[(model, batch_size, collective, strategy)]
-                line.append(f"{r.training_rate:.1f}")
-            line.append(
-                f"{by_key[(model, batch_size, collective, 'prophet')].training_rate / fifo.training_rate:.2f}x"
-            )
-            table.append(line)
-    print(
-        format_table(
-            ["workload", "collective", *STRATEGIES, "prophet/fifo"],
-            table,
-            title=(
-                "Allreduce backend — training rate (samples/s), "
-                "4 workers, 3 Gbps"
-            ),
-        )
-    )
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+                specs[model, batch_size, collective, strategy] = RunSpec(
+                    config=config, strategy=strategy
+                )
+    return run_labelled(specs)

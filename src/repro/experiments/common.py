@@ -1,39 +1,77 @@
-"""Shared helpers for the experiment runners.
+"""Shared pieces of the experiment registry.
 
-Since PR 3 the rate-oriented helpers here are thin fronts over
-:mod:`repro.runner`: strategy comparisons build plain-data
-:class:`~repro.runner.spec.RunSpec` grids and hand them to
-:func:`~repro.runner.executor.run_grid`, which consults the on-disk
-result cache and fans misses out across worker processes
-(``REPRO_JOBS=N`` or the ``jobs`` argument).  Results are bit-identical
-to in-process execution — the simulator is seed-deterministic and each
-run still executes single-threaded inside one process.  Strategies are
-named by registry entry (:mod:`repro.runner.registry`), never passed as
-callables: a closure can be neither shipped to a worker process nor
-fingerprinted for the cache.
+An :class:`Experiment` is one figure or table: a run at its default
+scale and the :class:`Table` layouts that print its result.  The rate
+helpers are thin fronts over :mod:`repro.runner`: strategy comparisons
+and labelled sweeps build plain-data :class:`~repro.runner.spec.RunSpec`
+grids and hand them to :func:`~repro.runner.executor.run_grid`, which
+consults the on-disk result cache and fans misses out across worker
+processes (``REPRO_JOBS=N`` or the ``jobs`` argument).  Results are
+bit-identical to in-process execution — the simulator is
+seed-deterministic and each run still executes single-threaded inside
+one process.  Strategies are named by registry entry
+(:mod:`repro.runner.registry`), never passed as callables: a closure can
+be neither shipped to a worker process nor fingerprinted for the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
 
 from repro.config import TrainingConfig
+from repro.metrics.report import format_table
 from repro.runner import ResultCache, RunSpec, run_grid
 from repro.workloads.presets import STRATEGY_FACTORIES
 
 __all__ = [
+    "Experiment",
+    "Table",
     "StrategyRates",
+    "run_labelled",
     "run_strategies",
     "run_strategies_grid",
     "FAST_ITERATIONS",
-    "FULL_ITERATIONS",
 ]
 
-#: Iteration counts: FAST keeps a full figure/table regeneration in
-#: seconds (benchmarks, CI); FULL matches a steadier measurement.
+#: Iteration count that keeps a full figure/table regeneration in seconds.
 FAST_ITERATIONS = 12
-FULL_ITERATIONS = 30
+
+K = TypeVar("K", bound=Hashable)
+
+
+@dataclass(frozen=True)
+class Table:
+    """One printed table: its title, column headers and rows of cells."""
+
+    #: A fixed title, or one built from the run's result.
+    title: str | Callable[[Any], str]
+    columns: Sequence[str]
+    #: The run's result -> one list of cells per table row.
+    rows: Callable[[Any], Sequence[Sequence[object]]]
+
+    def render(self, result: Any) -> str:
+        title = self.title if isinstance(self.title, str) else self.title(result)
+        return format_table(self.columns, self.rows(result), title=title)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One figure/table of the evaluation: its run and how it prints."""
+
+    #: Called with no arguments, runs the experiment at its default scale.
+    run: Callable[..., Any]
+    tables: tuple[Table, ...]
+    #: Text printed after the tables, built from the result.
+    note: Callable[[Any], str] | None = None
+
+    def report(self, **overrides: Any) -> Any:
+        """Run with ``overrides``, print the tables and return the result."""
+        result = self.run(**overrides)
+        print("\n\n".join(table.render(result) for table in self.tables))
+        if self.note is not None:
+            print(self.note(result))
+        return result
 
 
 @dataclass(frozen=True)
@@ -46,6 +84,15 @@ class StrategyRates:
     def improvement(self, over: str, of: str = "prophet") -> float:
         """Relative improvement of ``of`` over ``over`` (e.g. 0.36 = +36%)."""
         return self.rates[of] / self.rates[over] - 1.0
+
+
+def run_labelled(specs: Mapping[K, Any]) -> dict[K, Any]:
+    """Run labelled specs as one fan-out grid; results keep their labels.
+
+    A :class:`RunSpec` yields its :class:`~repro.runner.spec.RunResult`,
+    a fleet spec its fleet result.
+    """
+    return dict(zip(specs, run_grid(list(specs.values()))))
 
 
 def run_strategies(
@@ -86,18 +133,8 @@ def run_strategies_grid(
         for config in configs
         for name in names
     ]
-    results = run_grid(specs, jobs=jobs, cache=cache)
-    rows = []
-    for c, config in enumerate(configs):
-        offset = c * len(names)
-        rows.append(
-            StrategyRates(
-                config=config,
-                rates={
-                    name: results[offset + s].training_rate
-                    for s, name in enumerate(names)
-                },
-            )
-        )
-    return rows
-
+    results = iter(run_grid(specs, jobs=jobs, cache=cache))
+    return [
+        StrategyRates(config, {name: next(results).training_rate for name in names})
+        for config in configs
+    ]

@@ -1,6 +1,6 @@
 """Time-to-accuracy under BSP / SSP / ASP — completing future-work item 1.
 
-Throughput alone flatters asynchrony (``experiments/asp.py``); what a
+Throughput alone flatters asynchrony (``repro run asp``); what a
 practitioner cares about is **time to a target loss**.  This runner closes
 the loop:
 
@@ -27,11 +27,10 @@ from repro.convergence.sgd import (
     empirical_staleness_sampler,
     run_stale_sgd,
 )
-from repro.metrics.report import format_table
 from repro.quantities import Gbps
 from repro.workloads.presets import paper_config, prophet_factory
 
-__all__ = ["ConvergenceRow", "run", "main"]
+__all__ = ["ConvergenceRow", "run"]
 
 
 @dataclass(frozen=True)
@@ -97,34 +96,3 @@ def run(
             )
         )
     return rows
-
-
-def main() -> list[ConvergenceRow]:
-    rows = run()
-    print(
-        format_table(
-            ["sync", "s/iteration", "mean staleness", "iters to 1% loss",
-             "time to 1% loss (s)"],
-            [
-                [
-                    r.sync_mode,
-                    f"{r.seconds_per_iteration * 1e3:.0f} ms",
-                    f"{r.mean_staleness:.2f}",
-                    "diverged" if r.iterations_to_target is None
-                    else r.iterations_to_target,
-                    "-" if r.time_to_target_s is None
-                    else f"{r.time_to_target_s:.1f}",
-                ]
-                for r in rows
-            ],
-            title=(
-                "Time-to-accuracy under BSP/SSP/ASP (Prophet-scheduled "
-                "cluster + stale SGD on a reference quadratic)"
-            ),
-        )
-    )
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -17,12 +17,11 @@ from typing import Mapping
 import numpy as np
 
 from repro.cluster.trainer import run_training
-from repro.metrics.report import format_table
 from repro.net.link import BandwidthSchedule
 from repro.quantities import Gbps
 from repro.workloads.presets import STRATEGY_FACTORIES, paper_config
 
-__all__ = ["DynamicResult", "run", "main"]
+__all__ = ["DynamicResult", "run"]
 
 
 @dataclass(frozen=True)
@@ -72,28 +71,3 @@ def run(
         mean_rates=mean_rates,
         worst_iteration_ms=worst,
     )
-
-
-def main() -> DynamicResult:
-    res = run()
-    print(
-        format_table(
-            ["strategy", "mean rate (samples/s)", "worst iteration (ms)"],
-            [
-                [name, f"{res.mean_rates[name]:.1f}",
-                 f"{res.worst_iteration_ms[name]:.0f}"]
-                for name in sorted(res.mean_rates, key=res.mean_rates.get,
-                                   reverse=True)
-            ],
-            title=(
-                "Dynamic network environment — square wave "
-                f"{res.phases[0][1]:g}/{res.phases[1][1]:g} Gbps every "
-                f"{res.phases[1][0] - res.phases[0][0]:g}s (ResNet-50 bs64)"
-            ),
-        )
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.cluster.trainer import run_training
 from repro.experiments.common import FAST_ITERATIONS
-from repro.metrics.report import format_table
 from repro.quantities import Gbps
 from repro.workloads.presets import (
     bytescheduler_factory,
@@ -24,14 +23,13 @@ from repro.workloads.presets import (
     prophet_factory,
 )
 
-__all__ = ["GradientTimelineRow", "Fig11Result", "run", "main"]
+__all__ = ["GradientTimelineRow", "run"]
 
 
 @dataclass(frozen=True)
 class GradientTimelineRow:
     """Per-gradient mean timings for one strategy (ms)."""
 
-    strategy: str
     grads: np.ndarray
     wait_ms: np.ndarray
     transfer_ms: np.ndarray
@@ -50,15 +48,7 @@ class GradientTimelineRow:
         return float(self.wait_ms[mask].mean())
 
 
-@dataclass(frozen=True)
-class Fig11Result:
-    rows: tuple[GradientTimelineRow, ...]
-
-    def by_strategy(self) -> dict[str, GradientTimelineRow]:
-        return {r.strategy: r for r in self.rows}
-
-
-def _collect(strategy: str, factory, config, skip: int) -> GradientTimelineRow:
+def _collect(factory, config, skip: int) -> GradientTimelineRow:
     result = run_training(config, factory)
     recs = [
         r
@@ -73,7 +63,6 @@ def _collect(strategy: str, factory, config, skip: int) -> GradientTimelineRow:
         [np.mean([r.transfer_time for r in recs if r.grad == g]) for g in grads]
     )
     return GradientTimelineRow(
-        strategy=strategy,
         grads=np.asarray(grads),
         wait_ms=wait * 1e3,
         transfer_ms=transfer * 1e3,
@@ -85,38 +74,16 @@ def run(
     n_iterations: int = FAST_ITERATIONS,
     seed: int = 0,
     skip: int = 2,
-) -> Fig11Result:
-    """Per-gradient wait/transfer means for the three strategies."""
+) -> dict[str, GradientTimelineRow]:
+    """Per-gradient wait/transfer means for each of the three strategies."""
     config = paper_config(
         "resnet50", 64, bandwidth=bandwidth, n_iterations=n_iterations, seed=seed
     )
-    rows = tuple(
-        _collect(name, factory, config, skip)
+    return {
+        name: _collect(factory, config, skip)
         for name, factory in (
             ("mxnet-fifo", fifo_factory()),
             ("bytescheduler", bytescheduler_factory()),
             ("prophet", prophet_factory()),
         )
-    )
-    return Fig11Result(rows=rows)
-
-
-def main() -> Fig11Result:
-    res = run()
-    print(
-        format_table(
-            ["strategy", "mean wait (ms)", "mean transfer (ms)",
-             "wait grads 0-80 (ms)"],
-            [
-                [r.strategy, f"{r.mean_wait_ms:.1f}", f"{r.mean_transfer_ms:.1f}",
-                 f"{r.high_priority_mean_wait_ms():.1f}"]
-                for r in res.rows
-            ],
-            title="Fig. 11 — per-gradient communication timings (ResNet-50 bs64)",
-        )
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()
+    }

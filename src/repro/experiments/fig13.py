@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.trainer import run_training
-from repro.metrics.report import format_table
 from repro.metrics.utilization import mean_utilization
 from repro.quantities import Gbps
 from repro.workloads.presets import (
@@ -22,7 +21,7 @@ from repro.workloads.presets import (
     prophet_factory,
 )
 
-__all__ = ["Fig13Result", "run", "main"]
+__all__ = ["Fig13Result", "run"]
 
 
 @dataclass(frozen=True)
@@ -83,29 +82,3 @@ def run(
         bytescheduler_rate=bs_result.training_rate(skip=profile_iterations + 2),
         prophet_activation_time=boundary,
     )
-
-
-def main() -> Fig13Result:
-    res = run()
-    print(
-        format_table(
-            ["strategy", "util during profiling", "util after activation",
-             "steady rate (s/s)"],
-            [
-                ["prophet (online profiling)", f"{res.prophet_early * 100:.1f}%",
-                 f"{res.prophet_late * 100:.1f}%", f"{res.prophet_rate:.1f}"],
-                ["bytescheduler", f"{res.bytescheduler_early * 100:.1f}%",
-                 f"{res.bytescheduler_late * 100:.1f}%",
-                 f"{res.bytescheduler_rate:.1f}"],
-            ],
-            title=(
-                f"Fig. 13 — profiling overhead "
-                f"(profile = first {res.profile_iterations} iterations)"
-            ),
-        )
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -18,26 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.trainer import run_training
-from repro.metrics.report import format_table
+from repro.experiments.common import run_labelled
 from repro.quantities import Gbps, MB
-from repro.runner import RunSpec, run_grid
+from repro.runner import RunResult, RunSpec
 from repro.workloads.presets import bytescheduler_factory, paper_config
 
-__all__ = ["Fig3aResult", "Fig3bResult", "run_partition_sweep", "run_autotune", "main"]
+__all__ = [
+    "Fig3bResult", "best_partition_mb", "run_partition_sweep", "run_autotune",
+]
 
 DEFAULT_PARTITIONS_MB = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-@dataclass(frozen=True)
-class Fig3aResult:
-    """P3 training rate per partition size."""
-
-    partition_mb: tuple[float, ...]
-    rates: tuple[float, ...]
-
-    @property
-    def best_partition_mb(self) -> float:
-        return self.partition_mb[int(np.argmax(self.rates))]
 
 
 @dataclass(frozen=True)
@@ -59,10 +49,8 @@ def run_partition_sweep(
     bandwidth: float = 3 * Gbps,
     n_iterations: int = 12,
     seed: int = 0,
-    *,
-    jobs: int | None = None,
-) -> Fig3aResult:
-    """Fig. 3(a): ResNet-50 bs64 rate vs P3 partition size."""
+) -> dict[float, RunResult]:
+    """Fig. 3(a): ResNet-50 bs64 P3 run per partition size (MB)."""
     config = paper_config(
         "resnet50",
         64,
@@ -71,19 +59,21 @@ def run_partition_sweep(
         seed=seed,
         record_gradients=False,
     )
-    specs = [
-        RunSpec(
-            config=config,
-            strategy="p3",
-            strategy_kwargs={"partition_size": mb * MB},
-        )
-        for mb in partitions_mb
-    ]
-    results = run_grid(specs, jobs=jobs)
-    return Fig3aResult(
-        partition_mb=tuple(partitions_mb),
-        rates=tuple(r.training_rate for r in results),
+    return run_labelled(
+        {
+            mb: RunSpec(
+                config=config,
+                strategy="p3",
+                strategy_kwargs={"partition_size": mb * MB},
+            )
+            for mb in partitions_mb
+        }
     )
+
+
+def best_partition_mb(sweep: dict[float, RunResult]) -> float:
+    """The partition size (MB) with the highest training rate."""
+    return max(sweep, key=lambda mb: sweep[mb].training_rate)
 
 
 def run_autotune(
@@ -111,29 +101,3 @@ def run_autotune(
     iters = tuple(range(1, 1 + len(rates)))
     credits = tuple(history.get(i, np.nan) / MB for i in iters)
     return Fig3bResult(iterations=iters, rates=rates, credits_mb=credits)
-
-
-def main() -> tuple[Fig3aResult, Fig3bResult]:
-    a = run_partition_sweep()
-    print(
-        format_table(
-            ["partition (MB)", "rate (samples/s)"],
-            list(zip(a.partition_mb, a.rates)),
-            title="Fig. 3(a) — P3 rate vs partition size (ResNet-50 bs64, 3 Gbps)",
-        )
-    )
-    b = run_autotune()
-    print()
-    print(
-        format_table(
-            ["iteration", "rate (samples/s)", "credit (MB)"],
-            list(zip(b.iterations, b.rates, b.credits_mb)),
-            title="Fig. 3(b) — ByteScheduler auto-tuning fluctuation",
-        )
-    )
-    print(f"\nrate fluctuation band: {min(b.rates):.1f} - {max(b.rates):.1f} samples/s")
-    return a, b
-
-
-if __name__ == "__main__":
-    main()

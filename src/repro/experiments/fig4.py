@@ -15,12 +15,11 @@ import numpy as np
 from repro.agg.kvstore import KVStore
 from repro.agg.policies import ExplicitGroupsPolicy, ModulePrefixPolicy
 from repro.agg.stepwise import StepwiseSummary, block_summary
-from repro.metrics.report import format_table
 from repro.models.compute import build_compute_profile
 from repro.models.registry import get_model
 from repro.workloads.presets import paper_device
 
-__all__ = ["Fig4Result", "VGG19_PAPER_GROUPS", "run", "main"]
+__all__ = ["Fig4Result", "VGG19_PAPER_GROUPS", "run"]
 
 #: The four VGG-19 gradient blocks the paper reports observing.
 VGG19_PAPER_GROUPS: tuple[tuple[int, ...], ...] = (
@@ -59,39 +58,3 @@ def run(batch_size: int = 64) -> Fig4Result:
         vgg19_c=vgg_sched.c,
         vgg19_summary=block_summary(vgg_sched.c),
     )
-
-
-def main() -> Fig4Result:
-    res = run()
-    for name, summary in (
-        ("ResNet-50 (MXNet module-boundary aggregation)", res.resnet50_summary),
-        ("VGG-19 (paper's observed 4 blocks)", res.vgg19_summary),
-    ):
-        rows = [
-            [
-                i,
-                size,
-                f"{t * 1e3:.1f}",
-                f"{(iv * 1e3 if iv is not None else float('nan')):.1f}",
-            ]
-            for i, (size, t, iv) in enumerate(
-                zip(
-                    summary.block_sizes,
-                    summary.block_times,
-                    list(summary.intervals) + [float("nan")],
-                )
-            )
-        ]
-        print(
-            format_table(
-                ["block", "gradients", "flush time (ms)", "interval to next (ms)"],
-                rows,
-                title=f"Fig. 4 — stepwise pattern: {name}",
-            )
-        )
-        print()
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -12,19 +12,17 @@ wait time and the iteration time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.agg.policies import ExplicitGroupsPolicy
 from repro.cluster.trainer import run_training
 from repro.config import TrainingConfig
-from repro.metrics.report import format_table
 from repro.models.device import DeviceSpec
 from repro.models.layers import LayerSpec, ModelSpec, ParamTensor
 from repro.models.registry import available_models, register_model
 from repro.quantities import Gbps, MB
 from repro.workloads.presets import PAPER_TCP, STRATEGY_FACTORIES
 
-__all__ = ["Fig5Row", "Fig5Result", "run", "main", "TOY_MODEL_NAME"]
+__all__ = ["Fig5Row", "run", "TOY_MODEL_NAME"]
 
 TOY_MODEL_NAME = "toy-fig5"
 
@@ -52,24 +50,15 @@ if TOY_MODEL_NAME not in available_models():
 class Fig5Row:
     """One strategy's outcome on the toy job."""
 
-    strategy: str
     grad0_wait_ms: float
     grad0_update_ms: float
     iteration_ms: float
 
 
-@dataclass(frozen=True)
-class Fig5Result:
-    rows: tuple[Fig5Row, ...]
-
-    def by_strategy(self) -> Mapping[str, Fig5Row]:
-        return {r.strategy: r for r in self.rows}
-
-
 def run(
     bandwidth: float = 1 * Gbps, n_iterations: int = 8, seed: int = 0
-) -> Fig5Result:
-    """Run all four strategies on the 3-gradient toy job (one worker)."""
+) -> dict[str, Fig5Row]:
+    """Each of the four strategies on the 3-gradient toy job (one worker)."""
     config = TrainingConfig(
         model=TOY_MODEL_NAME,
         batch_size=16,
@@ -82,38 +71,16 @@ def run(
         seed=seed,
         jitter_std=0.0,
     )
-    rows = []
+    rows = {}
     for name, factory in STRATEGY_FACTORIES.items():
         result = run_training(config, factory)
         recs = {
             r.grad: r for r in result.gradient_records(worker=0, iteration=n_iterations - 2)
         }
         g0 = recs[0]
-        rows.append(
-            Fig5Row(
-                strategy=name,
-                grad0_wait_ms=(g0.push_start - g0.ready) * 1e3,
-                grad0_update_ms=(g0.pull_end - g0.ready) * 1e3,
-                iteration_ms=float(result.iteration_spans(0, skip=2).mean()) * 1e3,
-            )
+        rows[name] = Fig5Row(
+            grad0_wait_ms=(g0.push_start - g0.ready) * 1e3,
+            grad0_update_ms=(g0.pull_end - g0.ready) * 1e3,
+            iteration_ms=float(result.iteration_spans(0, skip=2).mean()) * 1e3,
         )
-    return Fig5Result(rows=tuple(rows))
-
-
-def main() -> Fig5Result:
-    res = run()
-    print(
-        format_table(
-            ["strategy", "grad0 wait (ms)", "grad0 update (ms)", "iteration (ms)"],
-            [
-                [r.strategy, f"{r.grad0_wait_ms:.2f}", f"{r.grad0_update_ms:.1f}", f"{r.iteration_ms:.1f}"]
-                for r in res.rows
-            ],
-            title="Fig. 5 — illustrative 3-gradient example (1 worker, 1 Gbps)",
-        )
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()
+    return rows

@@ -7,15 +7,12 @@ Inception-v3 at batch sizes 16–64 on the constrained-bandwidth cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.common import FAST_ITERATIONS
-from repro.metrics.report import format_table
+from repro.experiments.common import FAST_ITERATIONS, StrategyRates, run_strategies_grid
 from repro.quantities import Gbps
-from repro.runner import ResultCache, RunSpec, run_grid
+from repro.runner import ResultCache
 from repro.workloads.presets import paper_config
 
-__all__ = ["Fig8Row", "run", "main", "DEFAULT_WORKLOADS"]
+__all__ = ["run", "DEFAULT_WORKLOADS"]
 
 #: (model, batch size) pairs shown in the paper's Fig. 8.
 DEFAULT_WORKLOADS: tuple[tuple[str, int], ...] = (
@@ -30,18 +27,6 @@ DEFAULT_WORKLOADS: tuple[tuple[str, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Fig8Row:
-    model: str
-    batch_size: int
-    prophet_rate: float
-    bytescheduler_rate: float
-
-    @property
-    def improvement(self) -> float:
-        return self.prophet_rate / self.bytescheduler_rate - 1.0
-
-
 def run(
     workloads: tuple[tuple[str, int], ...] = DEFAULT_WORKLOADS,
     bandwidth: float = 3 * Gbps,
@@ -50,16 +35,15 @@ def run(
     *,
     jobs: int | None = None,
     cache: bool | ResultCache | None = None,
-) -> list[Fig8Row]:
+) -> list[StrategyRates]:
     """Prophet-vs-ByteScheduler rates for every (model, batch) pair.
 
     The whole (model, batch) × strategy grid goes through
     :func:`repro.runner.run_grid` as one fan-out, so ``jobs``/
     ``REPRO_JOBS`` parallelizes it and reruns hit the result cache.
     """
-    specs = []
-    for model, batch in workloads:
-        config = paper_config(
+    configs = [
+        paper_config(
             model,
             batch,
             bandwidth=bandwidth,
@@ -67,35 +51,8 @@ def run(
             seed=seed,
             record_gradients=False,
         )
-        specs.append(RunSpec(config=config, strategy="prophet"))
-        specs.append(RunSpec(config=config, strategy="bytescheduler"))
-    results = run_grid(specs, jobs=jobs, cache=cache)
-    return [
-        Fig8Row(
-            model=model,
-            batch_size=batch,
-            prophet_rate=results[2 * i].training_rate,
-            bytescheduler_rate=results[2 * i + 1].training_rate,
-        )
-        for i, (model, batch) in enumerate(workloads)
+        for model, batch in workloads
     ]
-
-
-def main() -> list[Fig8Row]:
-    rows = run()
-    print(
-        format_table(
-            ["model", "batch", "Prophet (s/s)", "ByteScheduler (s/s)", "improvement"],
-            [
-                [r.model, r.batch_size, f"{r.prophet_rate:.1f}",
-                 f"{r.bytescheduler_rate:.1f}", f"{r.improvement * 100:+.1f}%"]
-                for r in rows
-            ],
-            title="Fig. 8 — training rate, Prophet vs ByteScheduler (3 Gbps)",
-        )
+    return run_strategies_grid(
+        configs, ("prophet", "bytescheduler"), jobs=jobs, cache=cache
     )
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.cluster.trainer import run_training
 from repro.experiments.common import FAST_ITERATIONS
-from repro.metrics.report import format_table
 from repro.quantities import Gbps, to_MB
 from repro.workloads.presets import (
     bytescheduler_factory,
@@ -23,7 +22,7 @@ from repro.workloads.presets import (
     prophet_factory,
 )
 
-__all__ = ["StrategyTrace", "Fig910Result", "run", "main"]
+__all__ = ["StrategyTrace", "Fig910Result", "trace", "run"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,11 @@ class StrategyTrace:
     mean_utilization: float
     mean_throughput_mb_s: float
     training_rate: float
+
+    @property
+    def idle_fraction(self) -> float:
+        """Share of the series with the GPU near idle (< 10 % utilization)."""
+        return float((self.gpu_utilization < 0.10).mean())
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ class Fig910Result:
         )
 
 
-def _trace(strategy: str, factory, config) -> StrategyTrace:
+def trace(strategy: str, factory, config) -> StrategyTrace:
+    """Run ``config`` once; worker 0's series over the measured window."""
     result = run_training(config, factory)
     times, util = result.gpu_utilization_series(worker=0, window=0.25, resolution=0.05)
     _, thr = result.throughput_series(worker=0, window=0.25, resolution=0.05)
@@ -91,35 +96,6 @@ def run(
         record_gradients=False,
     )
     return Fig910Result(
-        prophet=_trace("prophet", prophet_factory(), config),
-        bytescheduler=_trace("bytescheduler", bytescheduler_factory(), config),
+        prophet=trace("prophet", prophet_factory(), config),
+        bytescheduler=trace("bytescheduler", bytescheduler_factory(), config),
     )
-
-
-def main() -> Fig910Result:
-    res = run()
-    rows = [
-        [
-            t.strategy,
-            f"{t.mean_utilization * 100:.1f}%",
-            f"{t.mean_throughput_mb_s:.1f}",
-            f"{t.training_rate:.1f}",
-        ]
-        for t in (res.prophet, res.bytescheduler)
-    ]
-    print(
-        format_table(
-            ["strategy", "mean GPU util", "mean throughput (MB/s)", "rate (s/s)"],
-            rows,
-            title="Figs. 9 & 10 — ResNet-50 bs64, Prophet vs ByteScheduler",
-        )
-    )
-    print(
-        f"\nutilization gain: {res.utilization_gain * 100:+.1f} points; "
-        f"throughput gain: {res.throughput_gain * 100:+.1f}%"
-    )
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -14,14 +14,13 @@ parallelizable like every other experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from repro.fleet.spec import FleetSpec
-from repro.metrics.report import format_table
+from repro.experiments.common import run_labelled
+from repro.fleet.spec import FleetResult, FleetSpec
 from repro.quantities import Gbps
-from repro.runner import run_grid
 
-__all__ = ["FleetRow", "MIXES", "BASE_SPEC", "run", "main"]
+__all__ = ["MIXES", "BASE_SPEC", "run"]
 
 #: Strategy mixes compared, report order.  Each value feeds
 #: ``FleetSpec.strategies`` (jobs rotate round-robin through it).
@@ -51,77 +50,16 @@ BASE_SPEC = FleetSpec(
 )
 
 
-@dataclass(frozen=True)
-class FleetRow:
-    mix: str
-    policy: str
-    goodput: float
-    p99_iteration_s: float
-    jain_fairness: float
-    mean_queueing_delay_s: float
-    makespan_s: float
-
-
 def run(
     base: FleetSpec = BASE_SPEC,
     mixes: tuple[tuple[str, tuple[str, ...]], ...] = MIXES,
     policies: tuple[str, ...] = ("fifo", "fair"),
-    *,
-    jobs: int | None = None,
-) -> list[FleetRow]:
-    """All (mix × placement policy) fleets, grid-cached."""
-    specs = []
-    keys = []
-    for policy in policies:
-        for mix_name, strategies in mixes:
-            specs.append(replace(base, policy=policy, strategies=strategies))
-            keys.append((mix_name, policy))
-    results = run_grid(specs, jobs=jobs)
-    return [
-        FleetRow(
-            mix=mix_name,
-            policy=policy,
-            goodput=res.goodput_samples_per_s,
-            p99_iteration_s=res.p99_iteration_s,
-            jain_fairness=res.jain_fairness,
-            mean_queueing_delay_s=res.mean_queueing_delay_s,
-            makespan_s=res.makespan_s,
-        )
-        for (mix_name, policy), res in zip(keys, results)
-    ]
-
-
-def main() -> list[FleetRow]:
-    rows = run()
-    table = [
-        [
-            r.mix,
-            r.policy,
-            f"{r.goodput:.1f}",
-            f"{r.p99_iteration_s * 1e3:.0f}",
-            f"{r.jain_fairness:.4f}",
-            f"{r.mean_queueing_delay_s:.2f}",
-            f"{r.makespan_s:.2f}",
-        ]
-        for r in rows
-    ]
-    print(
-        format_table(
-            [
-                "mix", "policy", "goodput (s/s)", "p99 iter (ms)",
-                "Jain", "mean queue (s)", "makespan (s)",
-            ],
-            table,
-            title=(
-                f"Fleet contention — {BASE_SPEC.n_jobs} x "
-                f"{BASE_SPEC.model} bs{BASE_SPEC.batch_size} on "
-                f"{BASE_SPEC.n_hosts}x{BASE_SPEC.slots_per_host} slots, "
-                f"10 Gbps shared core"
-            ),
-        )
+) -> dict[tuple[str, str], FleetResult]:
+    """Every fleet, keyed by (mix, placement policy), grid-cached."""
+    return run_labelled(
+        {
+            (mix_name, policy): replace(base, policy=policy, strategies=strategies)
+            for policy in policies
+            for mix_name, strategies in mixes
+        }
     )
-    return rows
-
-
-if __name__ == "__main__":
-    main()

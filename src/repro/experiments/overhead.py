@@ -15,19 +15,17 @@ Two components, both reproduced:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.agg.kvstore import KVStore
 from repro.cluster.trainer import run_training
 from repro.core.algorithm import plan_schedule
 from repro.core.profiler import JobProfile
-from repro.metrics.report import format_table
 from repro.models.compute import build_compute_profile
 from repro.models.registry import get_model
 from repro.quantities import Gbps
 from repro.workloads.presets import paper_config, paper_device, prophet_factory
 
-__all__ = ["ProfilingOverheadRow", "run_profiling_overhead", "planning_time", "main"]
+__all__ = ["PAPER_WORKLOADS", "run_profiling_overhead", "planning_time"]
 
 #: The paper's Sec. 5.4 workloads and its reported 50-iteration costs.
 PAPER_WORKLOADS: tuple[tuple[str, int, float], ...] = (
@@ -37,23 +35,15 @@ PAPER_WORKLOADS: tuple[tuple[str, int, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ProfilingOverheadRow:
-    model: str
-    batch_size: int
-    profile_iterations: int
-    profiling_seconds: float
-    paper_seconds: float
-
-
 def run_profiling_overhead(
     profile_iterations: int = 50,
     bandwidth: float = 10 * Gbps,
     seed: int = 0,
-) -> list[ProfilingOverheadRow]:
-    """Simulated wall time of the profiling phase per Sec. 5.4 workload."""
-    rows = []
-    for model, batch, paper_s in PAPER_WORKLOADS:
+) -> list[float]:
+    """Simulated seconds of the profiling phase per Sec. 5.4 workload, in
+    :data:`PAPER_WORKLOADS` order."""
+    seconds = []
+    for model, batch, _ in PAPER_WORKLOADS:
         config = paper_config(
             model,
             batch,
@@ -71,16 +61,8 @@ def run_profiling_overhead(
         )
         recs = result.recorder.worker_iterations(0)
         starts = [r.fwd_start for r in recs]
-        rows.append(
-            ProfilingOverheadRow(
-                model=model,
-                batch_size=batch,
-                profile_iterations=profile_iterations,
-                profiling_seconds=float(starts[profile_iterations] - starts[0]),
-                paper_seconds=paper_s,
-            )
-        )
-    return rows
+        seconds.append(float(starts[profile_iterations] - starts[0]))
+    return seconds
 
 
 def planning_time(model: str = "resnet50", batch_size: int = 64) -> float:
@@ -97,24 +79,3 @@ def planning_time(model: str = "resnet50", batch_size: int = 64) -> float:
         samples.append(time.perf_counter() - start)
     samples.sort()
     return samples[len(samples) // 2]
-
-
-def main() -> list[ProfilingOverheadRow]:
-    rows = run_profiling_overhead()
-    print(
-        format_table(
-            ["model (batch)", "profiling time (s)", "paper (s)"],
-            [
-                [f"{r.model} ({r.batch_size})", f"{r.profiling_seconds:.1f}",
-                 f"{r.paper_seconds:.1f}"]
-                for r in rows
-            ],
-            title="Sec. 5.4 — job-profiling overhead (50 iterations)",
-        )
-    )
-    print(f"\nAlgorithm 1 planning pass: {planning_time() * 1e3:.2f} ms CPU")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -1,7 +1,7 @@
 """cProfile harness over experiment entry points (``repro profile``).
 
-Wraps any :mod:`repro.experiments` module's ``main()`` in
-:mod:`cProfile` and renders a top-N hotspot report via :mod:`pstats`.
+Wraps any registered experiment (:data:`repro.experiments.EXPERIMENTS`)
+in :mod:`cProfile` and renders a top-N hotspot report via :mod:`pstats`.
 Two defaults make the numbers honest:
 
 * **serial execution** — cProfile observes only the calling process, so
@@ -20,7 +20,6 @@ The raw stats can be dumped to a file for flame-graph viewers
 from __future__ import annotations
 
 import cProfile
-import importlib
 import inspect
 import io
 import os
@@ -53,17 +52,17 @@ class ProfileReport:
 
 
 def _accepted_overrides(
-    main: Any, overrides: dict[str, Any]
+    run: Any, overrides: dict[str, Any]
 ) -> dict[str, Any]:
-    """Filter ``overrides`` to what ``main`` can actually receive.
+    """Filter ``overrides`` to what ``run`` can actually receive.
 
-    An experiment opts into topology passthrough by naming the kwarg
-    (``n_workers``/``n_servers``/``backend``) or taking ``**kwargs``
-    (which forwards to its ``run()``).  Asking for an override the
-    entry point cannot take is a hard error, not a silent no-op — a
-    profile captured at the wrong fleet shape is worse than no profile.
+    An experiment opts into topology passthrough when its run names the
+    kwarg (``n_workers``/``n_servers``/``backend``) or takes
+    ``**kwargs``.  Asking for an override the run cannot take is a hard
+    error, not a silent no-op — a profile captured at the wrong fleet
+    shape is worse than no profile.
     """
-    params = inspect.signature(main).parameters
+    params = inspect.signature(run).parameters
     takes_var_kw = any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
     )
@@ -75,7 +74,7 @@ def _accepted_overrides(
     if rejected:
         raise ConfigurationError(
             f"experiment entry point does not accept "
-            f"{', '.join(sorted(rejected))}; its main() takes "
+            f"{', '.join(sorted(rejected))}; its run() takes "
             f"({', '.join(params) or 'no arguments'})"
         )
     return overrides
@@ -90,15 +89,15 @@ def profile_experiment(
     use_cache: bool = False,
     overrides: dict[str, Any] | None = None,
 ) -> ProfileReport:
-    """Run ``repro.experiments.<experiment>.main()`` under cProfile.
+    """Run and print the registered ``experiment`` under cProfile.
 
     The experiment's own stdout (tables, figures) is not captured — it
     prints as usual; the returned report holds only the profile.
 
     ``overrides`` (e.g. ``{"n_workers": 64, "backend": "allreduce"}``)
-    are passed through to the experiment's ``main()`` so hotspots can be
-    captured at fleet shape instead of the demo-sized default; the entry
-    point's signature is inspected and an unsupported override raises
+    are passed through to the experiment's run so hotspots can be
+    captured at fleet shape instead of the demo-sized default; the run's
+    signature is inspected and an unsupported override raises
     :class:`ConfigurationError` up front.
     """
     if sort not in SORT_KEYS:
@@ -114,12 +113,14 @@ def profile_experiment(
     if not use_cache:
         os.environ[NO_CACHE_ENV] = "1"
 
-    module = importlib.import_module(f"repro.experiments.{experiment}")
-    kwargs = _accepted_overrides(module.main, overrides or {})
+    from repro.experiments import EXPERIMENTS
+
+    entry = EXPERIMENTS[experiment]
+    kwargs = _accepted_overrides(entry.run, overrides or {})
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        module.main(**kwargs)
+        entry.report(**kwargs)
     finally:
         profiler.disable()
 

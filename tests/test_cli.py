@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENTS
 
 
 class TestParser:
@@ -23,8 +26,9 @@ class TestParser:
     def test_experiments_list_matches_package(self):
         import repro.experiments as ex
 
-        for name in EXPERIMENTS:
-            assert hasattr(ex, name)
+        assert len(EXPERIMENTS) == 22
+        for experiment in ex.EXPERIMENTS.values():
+            assert callable(experiment.run) and experiment.tables
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -127,6 +131,14 @@ class TestErrorHandling:
         assert main(["profile", "fig99"]) == 2
         self._assert_one_line_error(capsys, "experiment")
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("name", ["common", "fig3a", "main"])
+    def test_only_registry_names_run(self, capsys, command, name):
+        # A module of the package or a panel of a figure is not an entry.
+        assert name not in EXPERIMENTS
+        assert main([command, name]) == 2
+        self._assert_one_line_error(capsys, "experiment")
+
     def test_error_message_lists_alternatives(self, capsys):
         main(["sched", "tcp-fair"])
         err = capsys.readouterr().err
@@ -140,6 +152,14 @@ class TestCommands:
         assert "resnet50" in out
         assert "prophet" in out
         assert "table2" in out
+
+    def test_list_prints_exactly_the_registry(self, capsys):
+        assert main(["list"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("experiments:")
+        )
+        assert line.split(":", 1)[1].strip().split(", ") == list(EXPERIMENTS)
 
     def test_info(self, capsys):
         assert main(["info", "resnet50"]) == 0
@@ -216,6 +236,15 @@ class TestCommands:
 
 
 class TestRunnerCommands:
+    def test_run_restores_runner_environment(self, capsys, monkeypatch):
+        from repro.runner import JOBS_ENV, NO_CACHE_ENV
+
+        monkeypatch.setenv(JOBS_ENV, "2")
+        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+        assert main(["run", "fig4", "-j", "1", "--no-cache"]) == 0
+        assert os.environ[JOBS_ENV] == "2"
+        assert NO_CACHE_ENV not in os.environ
+
     def test_run_rejects_bad_job_count(self, capsys):
         assert main(["run", "fig8", "-j", "0"]) == 2
         err = capsys.readouterr().err

@@ -2,12 +2,11 @@
 
 import os
 import pstats
-import sys
-import types
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import EXPERIMENTS, Experiment
 from repro.profiling import profile_experiment
 from repro.runner import JOBS_ENV, NO_CACHE_ENV
 
@@ -19,9 +18,7 @@ def stub_experiment(monkeypatch):
     def busy_work():
         return sum(i * i for i in range(2_000))
 
-    module = types.ModuleType("repro.experiments.stubprof")
-    module.main = lambda: busy_work()
-    monkeypatch.setitem(sys.modules, "repro.experiments.stubprof", module)
+    monkeypatch.setitem(EXPERIMENTS, "stubprof", Experiment(busy_work, ()))
     # The harness mutates the runner env knobs; keep the test hermetic.
     monkeypatch.delenv(JOBS_ENV, raising=False)
     monkeypatch.delenv(NO_CACHE_ENV, raising=False)
@@ -69,15 +66,13 @@ class TestProfileExperiment:
 
 @pytest.fixture
 def shape_experiment(monkeypatch):
-    """Fake experiment whose main() records the topology it was given."""
+    """Fake experiment whose run records the topology it was given."""
     calls: list[dict] = []
 
-    def main(n_workers=3, backend="ps", **kwargs):
+    def run(n_workers=3, backend="ps", **kwargs):
         calls.append({"n_workers": n_workers, "backend": backend, **kwargs})
 
-    module = types.ModuleType("repro.experiments.shapeprof")
-    module.main = main
-    monkeypatch.setitem(sys.modules, "repro.experiments.shapeprof", module)
+    monkeypatch.setitem(EXPERIMENTS, "shapeprof", Experiment(run, ()))
     monkeypatch.delenv(JOBS_ENV, raising=False)
     monkeypatch.delenv(NO_CACHE_ENV, raising=False)
     return "shapeprof", calls
@@ -100,17 +95,16 @@ class TestTopologyPassthrough:
         assert calls == [{"n_workers": 3, "backend": "ps"}]
 
     def test_unsupported_override_is_a_hard_error(self, stub_experiment):
-        # stubprof's main() takes no arguments at all — asking for a
+        # stubprof's run takes no arguments at all — asking for a
         # fleet shape it cannot honour must fail loudly, not profile
         # the wrong topology.
         with pytest.raises(ConfigurationError, match="n_workers"):
             profile_experiment(stub_experiment, overrides={"n_workers": 64})
 
-    def test_cli_flags_map_to_override_names(self, shape_experiment, monkeypatch):
+    def test_cli_flags_map_to_override_names(self, shape_experiment):
         from repro import cli
 
         name, calls = shape_experiment
-        monkeypatch.setattr(cli, "EXPERIMENTS", (name,))
         rc = cli.main(
             [
                 "profile",
