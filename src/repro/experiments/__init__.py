@@ -654,7 +654,10 @@ EXPERIMENTS: dict[str, Experiment] = {
         _scalability_rows,
     ),)),
     "collective": Experiment(collective.run, (Table(
-        "Allreduce backend — training rate (samples/s), 4 workers, 3 Gbps",
+        lambda res: (
+            "Allreduce backend — training rate (samples/s), "
+            f"{len(next(iter(res.values())).per_worker_rates)} workers, 3 Gbps"
+        ),
         ("workload", "collective", *collective.STRATEGIES, "prophet/fifo"),
         _collective_rows,
     ),)),

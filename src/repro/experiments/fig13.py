@@ -35,17 +35,16 @@ class Fig13Result:
     bytescheduler_late: float
     prophet_rate: float
     bytescheduler_rate: float
-    prophet_activation_time: float
 
 
-def _split_utilization(result, boundary_iteration: int) -> tuple[float, float, float]:
+def _split_utilization(result, boundary_iteration: int) -> tuple[float, float]:
     recs = result.recorder.worker_iterations(0)
     starts = [r.fwd_start for r in recs]
     boundary = starts[min(boundary_iteration, len(starts) - 1)]
     intervals = result.recorder.gpu_busy_intervals(0)
     early = mean_utilization(intervals, starts[1], boundary)
     late = mean_utilization(intervals, boundary, starts[-1])
-    return early, late, boundary
+    return early, late
 
 
 def run(
@@ -68,10 +67,8 @@ def run(
         prophet_factory(oracle_profile=False, profile_iterations=profile_iterations),
     )
     bs_result = run_training(config, bytescheduler_factory())
-    p_early, p_late, boundary = _split_utilization(
-        prophet_result, profile_iterations + 1
-    )
-    b_early, b_late, _ = _split_utilization(bs_result, profile_iterations + 1)
+    p_early, p_late = _split_utilization(prophet_result, profile_iterations + 1)
+    b_early, b_late = _split_utilization(bs_result, profile_iterations + 1)
     return Fig13Result(
         profile_iterations=profile_iterations,
         prophet_early=p_early,
@@ -80,5 +77,4 @@ def run(
         bytescheduler_late=b_late,
         prophet_rate=prophet_result.training_rate(skip=profile_iterations + 2),
         bytescheduler_rate=bs_result.training_rate(skip=profile_iterations + 2),
-        prophet_activation_time=boundary,
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.agg.kvstore import KVStore
 from repro.agg.policies import ExplicitGroupsPolicy, ModulePrefixPolicy
 from repro.agg.stepwise import StepwiseSummary, block_summary
@@ -32,11 +30,9 @@ VGG19_PAPER_GROUPS: tuple[tuple[int, ...], ...] = (
 
 @dataclass(frozen=True)
 class Fig4Result:
-    """Generation staircases for the two example models."""
+    """Block summaries of the two example models' generation staircases."""
 
-    resnet50_c: np.ndarray
     resnet50_summary: StepwiseSummary
-    vgg19_c: np.ndarray
     vgg19_summary: StepwiseSummary
 
 
@@ -53,8 +49,6 @@ def run(batch_size: int = 64) -> Fig4Result:
     ).generation_schedule(vgg_profile)
 
     return Fig4Result(
-        resnet50_c=sched.c,
         resnet50_summary=block_summary(sched.c),
-        vgg19_c=vgg_sched.c,
         vgg19_summary=block_summary(vgg_sched.c),
     )

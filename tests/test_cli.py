@@ -132,7 +132,7 @@ class TestErrorHandling:
         self._assert_one_line_error(capsys, "experiment")
 
     @pytest.mark.parametrize("command", ["run", "profile"])
-    @pytest.mark.parametrize("name", ["common", "fig3a", "main"])
+    @pytest.mark.parametrize("name", ["common", "fig3a"])
     def test_only_registry_names_run(self, capsys, command, name):
         # A module of the package or a panel of a figure is not an entry.
         assert name not in EXPERIMENTS
