@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any
+from typing import Any, Iterable
 
 from repro.agg.policies import ByteThresholdPolicy, ModulePrefixPolicy, TimeWindowPolicy
 from repro.agg.stepwise import StepwiseSummary
@@ -53,15 +53,16 @@ from repro.workloads.presets import fifo_factory, paper_config
 __all__ = ["EXPERIMENTS", "Experiment", "Table", "compute_seconds"]
 
 
-def _sweep(field: str, values, **config) -> list[TrainingConfig]:
+def _sweep(field: str, values: Iterable[Any], **config: Any) -> list[TrainingConfig]:
     """One rates-only :func:`paper_config` per value of the ``field`` override."""
     return [paper_config(record_gradients=False, **config, **{field: v}) for v in values]
 
 
-def _prophet(configs: dict) -> dict[Any, RunResult]:
-    """One cached Prophet run per labelled config."""
+def _prophet(labels: Iterable[Any], configs: Iterable[TrainingConfig]) -> dict[Any, RunResult]:
+    """One cached Prophet run per config, keyed by its label."""
     return run_labelled({
-        label: RunSpec(config=config, strategy="prophet") for label, config in configs.items()
+        label: RunSpec(config=config, strategy="prophet")
+        for label, config in zip(labels, configs)
     })
 
 
@@ -107,7 +108,7 @@ def run_fig12(
     configs = _sweep(
         "n_workers", worker_counts, bandwidth=bandwidth, n_iterations=n_iterations, seed=seed
     )
-    return _prophet(dict(zip(worker_counts, configs)))
+    return _prophet(worker_counts, configs)
 
 
 #: The worker bandwidth limits of the paper's Table 2 (in Gbps).
@@ -338,7 +339,7 @@ def run_scalability(
         seed=seed,
         ps_bandwidth=ps_bandwidth,
     )
-    return _prophet(dict(zip(server_counts, configs)))
+    return _prophet(server_counts, configs)
 
 
 def _pct(fraction: float) -> str:
