@@ -48,10 +48,8 @@ traceback or a silently ignored flag.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from repro.cluster.trainer import run_training
 from repro.errors import ConfigurationError, ReproError, TracingError
@@ -447,23 +445,8 @@ def _cmd_info(model_name: str) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _environ(updates: Mapping[str, str]) -> Iterator[None]:
-    """Set environment variables for the block, then restore them."""
-    saved = {key: os.environ.get(key) for key in updates}
-    os.environ.update(updates)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import JOBS_ENV, NO_CACHE_ENV, resolve_jobs
+    from repro.runner import JOBS_ENV, NO_CACHE_ENV, resolve_jobs, scoped_environ
 
     _validate_choice("experiment", args.experiment, EXPERIMENTS)
     resolve_jobs(args.jobs)  # validate eagerly, before any training run
@@ -474,7 +457,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         env[JOBS_ENV] = str(args.jobs)
     if args.no_cache:
         env[NO_CACHE_ENV] = "1"
-    with _environ(env):
+    with scoped_environ(env):
         EXPERIMENTS[args.experiment].report()
     return 0
 

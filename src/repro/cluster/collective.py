@@ -65,7 +65,6 @@ from functools import partial
 from repro.agg.kvstore import GenerationSchedule
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
-from repro.metrics.timeline import Recorder
 from repro.net.collective import HierarchicalExecutor
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
@@ -121,7 +120,6 @@ class CollectiveController:
         engine: Engine,
         scheduler: CommScheduler,
         executor: HierarchicalExecutor,
-        recorder: Recorder,
         n_workers: int,
         faults=None,
         view: "EffectiveBandwidthView | None" = None,
@@ -129,7 +127,6 @@ class CollectiveController:
         self.engine = engine
         self.scheduler = scheduler
         self.executor = executor
-        self.recorder = recorder
         self.n_workers = n_workers
         self.workers: list[CollectiveWorker] = []
         self._comm_track = "collective/comm"
@@ -221,9 +218,8 @@ class CollectiveController:
         del self._ready_sets[grad]
         self.scheduler.gradient_ready(grad, now)
         for worker in self.workers:
-            if worker.worker_id not in self._active:
-                continue
-            self.recorder.mark_ready(worker.worker_id, self._iteration, grad, now)
+            if worker.worker_id in self._active:
+                worker._ready_log[grad] = now
         self.pump()
 
     # ------------------------------------------------------------------
@@ -304,11 +300,8 @@ class CollectiveController:
         for seg in unit.segments:
             if seg.offset <= _TOL:
                 for worker in self.workers:
-                    if worker.worker_id not in self._active:
-                        continue
-                    self.recorder.mark_push_start(
-                        worker.worker_id, iteration, seg.grad, now
-                    )
+                    if worker.worker_id in self._active:
+                        worker._push_start_log[seg.grad] = now
         desc: dict[str, object] | None = None
         if self.engine.trace.enabled:
             desc = self.scheduler.describe_unit(unit)
@@ -400,10 +393,9 @@ class CollectiveWorker(Worker):
             )
         forward_was_blocked = self._forward_blocked()
         for seg in unit.segments:
-            self._pushed[seg.grad] += seg.nbytes
             self._pulled[seg.grad] += seg.nbytes
             if self._pulled[seg.grad] >= self._sizes[seg.grad] - _TOL:
-                self.recorder.mark_push_end(self.worker_id, iteration, seg.grad, now)
+                self._push_end_log[seg.grad] = now
                 self._tensor_updated(seg.grad, iteration, now)
         self._updates_applied(forward_was_blocked)
 

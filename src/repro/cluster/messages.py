@@ -34,21 +34,15 @@ class PullUnit:
     Eq. (4) ``u = t + 2E`` assumes.
     """
 
-    __slots__ = ("worker", "iteration", "segment")
+    __slots__ = ("worker", "iteration", "segment", "priority", "total_bytes")
 
     def __init__(self, worker: int, iteration: int, segment: Segment):
         self.worker = worker
         self.iteration = iteration
         self.segment = segment
-
-    @property
-    def total_bytes(self) -> float:
-        return self.segment.nbytes
-
-    @property
-    def priority(self) -> int:
-        """The parameter carried (gradient index; smaller = more urgent)."""
-        return self.segment.grad
+        #: The parameter carried (gradient index; smaller = more urgent).
+        self.priority = segment.grad
+        self.total_bytes = segment.nbytes
 
 
 @dataclass(frozen=True)

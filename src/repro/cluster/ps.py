@@ -114,7 +114,8 @@ class ParameterServer:
         # Plain lists: the hot loop only ever does scalar reads/writes and
         # min() reductions, where numpy's per-element boxing dominates.
         self._received: dict[int, dict[int, list[float]]] = {}
-        # grad -> per-worker latest iteration fully pushed (-1 = none).
+        # grad -> per-worker latest iteration fully pushed (-1 = none);
+        # kept under ASP/SSP only, the modes whose releases read it.
         self._progress: dict[int, list[int]] = {}
         # Watermark key -> min-heap of waiting ``(need, seq, pull)``; the
         # key is ``(iteration, grad)`` under BSP and ``grad`` under SSP
@@ -124,10 +125,6 @@ class ParameterServer:
         # Arrival order of waiting pulls: releases within a key go out in
         # it, exactly as a per-gradient list scan would.
         self._pull_seq = itertools.count()
-        # Releases of the current receive_push not yet scheduled, all due
-        # after ``_release_delay`` (one deliver_pulls event per flush).
-        self._releases: list[PullUnit] = []
-        self._release_delay: float | None = None
         # Count of units across _waiting — O(1) pending_pulls.
         self._n_waiting = 0
         self._workers: list = []
@@ -230,11 +227,16 @@ class ParameterServer:
                 # drop them, so the state stays bounded by two iterations.
                 for stale in [i for i in all_received if i <= iteration - 2]:
                     del all_received[stale]
+        # ASP/SSP: the pusher's own bytes are in, so only the staleness bound
+        # holds a pull back: iteration k needs the slowest worker to have
+        # completed k - s - 1 (clock k - s).  ASP's -1 bound is always met.
+        ssp_need = -1 if self.sync_mode == "asp" else iteration - self.staleness - 1
         waiting = self._waiting
         touched: set[int] = set()
         # BSP: grad -> the (iteration, grad) watermark after this push's
         # last segment of it — what the release sweep below compares to.
         marks: dict[int, float] = {}
+        released: list[PullUnit] = []
         for seg in unit.segments:
             grad = seg.grad
             offset = seg.offset
@@ -256,13 +258,6 @@ class ParameterServer:
                     f"worker {worker} over-pushed gradient {grad}: "
                     f"{got} of {size} bytes"
                 )
-            if got >= size - _TOL:
-                progress = self._progress.get(grad)
-                if progress is None:
-                    progress = [-1] * self.n_workers
-                    self._progress[grad] = progress
-                if iteration > progress[worker]:
-                    progress[worker] = iteration
             self.total_push_bytes += nbytes
             touched.add(grad)
 
@@ -271,13 +266,18 @@ class ParameterServer:
                 mark = marks[grad] = min(received)
                 need = offset + nbytes - _TOL
             else:
-                # ASP/SSP: the worker's own bytes are in (they arrived
-                # with this very push), so only the staleness bound can
-                # hold SSP back; ASP's -1 bound is always met.
+                if got >= size - _TOL:
+                    progress = self._progress.get(grad)
+                    if progress is None:
+                        progress = self._progress[grad] = [-1] * self.n_workers
+                    if iteration > progress[worker]:
+                        progress[worker] = iteration
                 mark = self._slowest(grad)
-                need = self._ssp_need(iteration)
+                need = ssp_need
             if mark >= need:
-                self._release(pull, mark)
+                if not bsp:
+                    self.staleness_samples.append(max(0, iteration - 1 - mark))
+                released.append(pull)
             else:
                 key = (iteration, grad) if bsp else grad
                 heap = waiting.get(key)
@@ -306,8 +306,11 @@ class ParameterServer:
             self._n_waiting -= len(ready)
             ready.sort(key=_SEQ)
             for _, _, pull in ready:
-                self._release(pull, mark)
-        self._flush_releases()
+                if not bsp:
+                    self.staleness_samples.append(max(0, pull.iteration - 1 - mark))
+                released.append(pull)
+        if released:
+            self._release(released)
 
         trace = self.engine.trace
         if trace.enabled:
@@ -325,55 +328,42 @@ class ParameterServer:
         progress = self._progress.get(grad)
         return min(progress) if progress is not None else -1
 
-    def _ssp_need(self, iteration: int) -> int:
-        """Slowest completed iteration a non-BSP pull of ``iteration`` needs.
-
-        Clock convention: a worker that completed iteration i has clock
-        i+1; iteration k may proceed when the slowest clock >= k - s.
-        ASP returns -1, which :meth:`_slowest` always meets.
-        """
-        if self.sync_mode == "asp":
-            return -1
-        return iteration - self.staleness - 1
-
-    def _release(self, pull: PullUnit, mark: float) -> None:
-        """Respond to ``pull``; ``mark`` is its key's watermark (under
-        ASP/SSP the slowest completed iteration, sampled as staleness)."""
-        if self.sync_mode != "bsp":
-            self.staleness_samples.append(max(0, pull.iteration - 1 - mark))
-        trace = self.engine.trace
+    def _release(self, pulls: list[PullUnit]) -> None:
+        """Respond to one push's released pulls, in release order: one
+        :func:`deliver_pulls` event per run of equal update delays (a
+        per-byte update cost can split them; a PS stall defers them all)."""
+        engine = self.engine
+        now = engine._now
+        trace = engine.trace
         if trace.enabled:
-            trace.instant(
-                f"release g{pull.segment.grad}",
-                "ps",
-                self.engine.now,
-                self.name,
-                {
-                    "worker": pull.worker,
-                    "iteration": pull.iteration,
-                    "grad": pull.segment.grad,
-                    "nbytes": pull.segment.nbytes,
-                },
-            )
-        delay = self.update_fixed + self.update_per_byte * pull.total_bytes
+            for pull in pulls:
+                trace.instant(
+                    f"release g{pull.segment.grad}",
+                    "ps",
+                    now,
+                    self.name,
+                    {
+                        "worker": pull.worker,
+                        "iteration": pull.iteration,
+                        "grad": pull.segment.grad,
+                        "nbytes": pull.segment.nbytes,
+                    },
+                )
+        stall = 0.0
         if self._faults is not None:
-            # An active PS stall defers the release to the window's end;
-            # queued releases keep their relative order (engine tie-break).
-            delay += self._faults.ps_release_delay(
-                self.engine.now, self.server_index
-            )
-        if delay != self._release_delay:
-            self._flush_releases()
-            self._release_delay = delay
-        self._releases.append(pull)
-
-    def _flush_releases(self) -> None:
-        """Schedule the pending releases (if any) as one engine event."""
-        if self._releases:
-            self.engine.schedule_after(
-                self._release_delay, deliver_pulls, self._workers, self._releases
-            )
-            self._releases = []
+            stall = self._faults.ps_release_delay(now, self.server_index)
+        fixed = self.update_fixed
+        per_byte = self.update_per_byte
+        run: list[PullUnit] = []
+        run_delay = None
+        for pull in pulls:
+            delay = fixed + per_byte * pull.total_bytes + stall
+            if delay != run_delay and run:
+                engine.schedule_after(run_delay, deliver_pulls, self._workers, run)
+                run = []
+            run_delay = delay
+            run.append(pull)
+        engine.schedule_after(run_delay, deliver_pulls, self._workers, run)
 
     # ------------------------------------------------------------------
     def aggregated_bytes(self, iteration: int, grad: int) -> float:

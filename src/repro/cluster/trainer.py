@@ -168,7 +168,6 @@ class Trainer:
                 self.engine,
                 scheduler,
                 self.executor,
-                self.recorder,
                 n_workers=config.n_workers,
                 faults=self.injector,
                 view=view,

@@ -77,7 +77,6 @@ from repro.cluster.sharding import ShardAssignment, ShardPiece
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
-from repro.models.gradients import gradient_table
 from repro.net.link import Link
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
@@ -127,7 +126,6 @@ class PSPort:
         self.worker = worker
         self.engine = worker.engine
         self.worker_id = worker.worker_id
-        self.recorder = worker.recorder
         self._faults = worker._faults
         self.shard = shard
         self.scheduler = scheduler
@@ -148,8 +146,13 @@ class PSPort:
         self._pull_heap: list[tuple[tuple, PullUnit, float]] = []
         self._pull_seq = itertools.count()
         self._pull_by_priority = (downlink is not None) or not scheduler.fifo_channel
-        # Only a scheduler that acts on a probe gets a stall timer.
-        self._probes = type(scheduler).grant_probe is not CommScheduler.grant_probe
+        # Strategy-level blocking sync per message (see CommScheduler).
+        self._sync_time = scheduler.unit_sync_rtts * channel.tcp.rtt
+        # Only a scheduler that acts on a probe gets a stall timer, and
+        # only one that acts on pull feedback hears of each pulled range.
+        cls = type(scheduler)
+        self._probes = cls.grant_probe is not CommScheduler.grant_probe
+        self._pull_feedback = cls.pull_completed is not CommScheduler.pull_completed
         self._stall_timer = None
         # Fault-mode delivery state (unused — but cheap — without faults).
         self._push_seq = itertools.count()
@@ -170,7 +173,7 @@ class PSPort:
     # ------------------------------------------------------------------
     def enqueue_pull(self, pull: PullUnit) -> None:
         """The PS released updated parameters for this worker."""
-        self._enqueue_pull_item(pull, self.engine.now)
+        self._enqueue_pull_item(pull, self.engine._now)
         if self.downlink is not None:
             self._pump_downlink()
         else:
@@ -186,14 +189,14 @@ class PSPort:
     def _push_arrival(self, unit: TransferUnit) -> float:
         """Arrival time of a proposed push = when its head gradient flushed."""
         ready = self.worker._ready_time[self._grad_of[unit.segments[0].grad]]
-        return ready if ready is not None else self.engine.now
+        return ready if ready is not None else self.engine._now
 
     # ------------------------------------------------------------------
     # Channel pumps
     # ------------------------------------------------------------------
     def _pump(self) -> None:
         """Drive the (shared) channel: arbitrate pulls vs the proposed push."""
-        if self.worker._done or self.channel.busy:
+        if self.worker._done or self.channel._inflight is not None:
             return
         if self._faults is not None:
             if self.worker._suspended:
@@ -211,7 +214,7 @@ class PSPort:
             if bound is None or head[1].priority <= bound:
                 self._send_pull_batch(self.channel)
                 return
-        push = scheduler.propose_unit(self.engine.now)
+        push = scheduler.propose_unit(self.engine._now)
 
         choose_pull = False
         if head is not None:
@@ -241,12 +244,12 @@ class PSPort:
         if (
             self.worker._done
             or self.worker._suspended
-            or self.channel.busy
+            or self.channel._inflight is not None
             or self._pull_heap
             or scheduler.pending_bytes <= 0
         ):
             return
-        now = self.engine.now
+        now = self.engine._now
         trace = self.engine.trace
         if trace.enabled:
             trace.instant(
@@ -264,15 +267,11 @@ class PSPort:
         if (
             self.worker._done
             or self.worker._suspended
-            or self.downlink.busy
+            or self.downlink._inflight is not None
             or not self._pull_heap
         ):
             return
         self._send_pull_batch(self.downlink)
-
-    def _unit_sync_time(self) -> float:
-        """Strategy-level blocking sync per message (see CommScheduler)."""
-        return self.scheduler.unit_sync_rtts * self.channel.tcp.rtt
 
     # ------------------------------------------------------------------
     # Pulls
@@ -283,7 +282,8 @@ class PSPort:
         _, head_pull, _ = heappop(self._pull_heap)
         batch = [head_pull]
         total = head_pull.total_bytes
-        limit = self.scheduler.pull_batch_limit(self.engine.now)
+        now = self.engine._now
+        limit = self.scheduler.pull_batch_limit(now)
         if limit is not None:
             if not self._pull_by_priority:
                 raise SimulationError(
@@ -306,12 +306,12 @@ class PSPort:
         link.send(
             total,
             tag=("pull", batch[0].iteration),
-            on_complete=partial(self._pulls_done, link, batch, self.engine.now),
-            extra_time=self._unit_sync_time(),
+            on_complete=partial(self._pulls_done, link, batch, now),
+            extra_time=self._sync_time,
         )
 
     def _pulls_done(self, link: Link, batch: list[PullUnit], start: float) -> None:
-        now = self.engine.now
+        now = self.engine._now
         if self._faults is not None:
             self._inflight_pulls.pop(link, None)
             if self._faults.roll_drop("pull", self.worker_id):
@@ -330,7 +330,8 @@ class PSPort:
                     f"while communicating iteration {comm_iter}"
                 )
             seg = pull.segment
-            self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
+            if self._pull_feedback:
+                self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
             grad = grad_of[seg.grad]
             pulled[grad] += seg.nbytes
             if pulled[grad] >= sizes[grad] - _TOL:
@@ -363,7 +364,7 @@ class PSPort:
     # ------------------------------------------------------------------
     def _send_push(self, unit: TransferUnit) -> None:
         worker = self.worker
-        now = self.engine.now
+        now = self.engine._now
         iteration = worker._comm_iter
         self.scheduler.commit_unit(unit, now)
         for seg in unit.segments:
@@ -372,9 +373,7 @@ class PSPort:
                 # The gradient's true first byte: global offset 0, which
                 # lives in slice 0 on exactly one shard — the mark fires once.
                 if piece.offset <= _TOL:
-                    self.recorder.mark_push_start(
-                        self.worker_id, iteration, piece.grad, now
-                    )
+                    worker._push_start_log[piece.grad] = now
         desc: dict[str, object] | None = None
         if self.engine.trace.enabled:
             desc = self.scheduler.describe_unit(unit)
@@ -384,7 +383,7 @@ class PSPort:
                 unit.total_bytes,
                 tag=("push", iteration),
                 on_complete=partial(self._push_done, iteration, unit, now, desc),
-                extra_time=self._unit_sync_time(),
+                extra_time=self._sync_time,
             )
             return
         msg = PushMessage(seq=next(self._push_seq), iteration=iteration, unit=unit)
@@ -437,13 +436,14 @@ class PSPort:
                 )
 
     def _credit_push(self, unit: TransferUnit, iteration: int, now: float) -> None:
-        pushed = self.worker._pushed
-        sizes = self.worker._sizes
+        worker = self.worker
+        pushed = worker._pushed
+        sizes = worker._sizes
         for seg in unit.segments:
             grad = self._grad_of[seg.grad]
             pushed[grad] += seg.nbytes
             if pushed[grad] >= sizes[grad] - _TOL:
-                self.recorder.mark_push_end(self.worker_id, iteration, grad, now)
+                worker._push_end_log[grad] = now
 
     def _push_sent(
         self,
@@ -472,7 +472,7 @@ class PSPort:
         start: float,
         desc: dict[str, object] | None,
     ) -> None:
-        now = self.engine.now
+        now = self.engine._now
         self._credit_push(unit, iteration, now)
         self._push_sent(iteration, unit, start, desc, now)
         self.ps.receive_push(self.worker_id, iteration, unit)
@@ -489,7 +489,7 @@ class PSPort:
         ``_comm_iter == msg.iteration`` and the per-gradient accounting
         matches the fault-free path exactly.
         """
-        now = self.engine.now
+        now = self.engine._now
         if msg.iteration == self.worker._comm_iter:
             self._credit_push(msg.unit, msg.iteration, now)
         self._push_sent(
@@ -513,12 +513,12 @@ class PSPort:
     def _transmit_push(self, msg: PushMessage) -> None:
         msg.attempts += 1
         self._inflight_push = msg
-        start = self.engine.now
+        start = self.engine._now
         self.channel.send(
             msg.unit.total_bytes,
             tag=("push", msg.iteration),
             on_complete=partial(self._push_attempt_done, msg, start),
-            extra_time=self._unit_sync_time(),
+            extra_time=self._sync_time,
         )
 
     def _push_attempt_done(self, msg: PushMessage, start: float) -> None:
@@ -602,7 +602,7 @@ class PSPort:
     def _requeue_pulls(self, batch: list[PullUnit]) -> None:
         if self.worker._done:
             return
-        now = self.engine.now
+        now = self.engine._now
         for pull in batch:
             self._enqueue_pull_item(pull, now)
         if self.downlink is not None:
@@ -632,7 +632,7 @@ class PSPort:
             elif kind == "pull":
                 batch = self._inflight_pulls.pop(link, None)
                 if batch:
-                    now = self.engine.now
+                    now = self.engine._now
                     for pull in batch:
                         self._enqueue_pull_item(pull, now)
 
@@ -679,13 +679,11 @@ class Worker:
         self._compute_scale = compute_scale
         self._on_done = on_done
 
-        grads = gradient_table(compute.model)
-        self._n_grads = len(grads)
-        self._layer_of = [g.layer_index for g in grads]
-        self._layer_tensor_counts = [0] * len(compute.model.layers)
-        for g in grads:
-            self._layer_tensor_counts[g.layer_index] += 1
-        self._total_tensor_count = sum(self._layer_tensor_counts)
+        # Each gradient's layer, in gradient_table's forward order.
+        layers = compute.model.layers
+        self._layer_of = [i for i, layer in enumerate(layers) for _ in layer.params]
+        self._n_grads = self._total_tensor_count = len(self._layer_of)
+        self._layer_tensor_counts = [len(layer.params) for layer in layers]
         self._sizes = [float(s) for s in gen_schedule.sizes]
 
         # Per-iteration state (set in _begin_forward/_begin_backward).
@@ -901,6 +899,10 @@ class Worker:
         self._pulled = [0.0] * self._n_grads
         self._pushed = [0.0] * self._n_grads
         self._ready_time = [None] * self._n_grads
+        # This pass's mark columns; its ports and the controller write them too.
+        log = self.recorder.gradient_log(self.worker_id, iteration, self._n_grads)
+        self._ready_log, self._push_start_log = log[0], log[1]
+        self._push_end_log, self._pull_end_log = log[2], log[3]
 
         self._sched_begin_iteration(iteration, sched, now)
         backward_time = sched.backward_time
@@ -931,7 +933,7 @@ class Worker:
         for grad in bucket:
             self._sched_gradient_ready(grad, now)
             self._ready_time[grad] = now
-            self.recorder.mark_ready(self.worker_id, iteration, grad, now)
+            self._ready_log[grad] = now
         self._pump_all()
 
     def _backward_done(self, iteration: int) -> None:
@@ -957,7 +959,7 @@ class Worker:
 
     def _tensor_updated(self, grad: int, iteration: int, now: float) -> None:
         """Every byte of ``grad``'s updated parameters arrived."""
-        self.recorder.mark_pull_end(self.worker_id, iteration, grad, now)
+        self._pull_end_log[grad] = now
         layer = self._layer_of[grad]
         self._layer_pending[layer] -= 1
         self._pending_updates -= 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import isnan, nan
 from typing import Iterable
 
 import numpy as np
@@ -67,7 +68,7 @@ class GradientRecord:
     """Per-gradient communication timeline on one worker, one iteration.
 
     Built on read by :meth:`Recorder.gradient_records`; the recorder keeps
-    the marks themselves as columns of floats.
+    the marks themselves in per-(worker, iteration) columns of floats.
     """
 
     worker: int
@@ -89,15 +90,47 @@ class GradientRecord:
         return self.push_end - self.push_start
 
 
+#: One (worker, iteration)'s mark columns, in :class:`GradientRecord` order.
+GradientLog = tuple[array, array, array, array]
+_MARKS = ("ready", "push_start", "push_end", "pull_end")
+
+
+class _TracedColumn(array):
+    """A gradient-log column of a traced run: each store also lands in the
+    trace, as a ``gradient`` instant named after the column's mark."""
+
+    __slots__ = ("trace", "mark", "worker", "iteration")
+
+    def __new__(cls, trace, mark: str, worker: int, iteration: int, n_grads: int):
+        col = super().__new__(cls, "d", [nan] * n_grads)
+        col.trace, col.mark, col.worker, col.iteration = trace, mark, worker, iteration
+        return col
+
+    def __setitem__(self, grad: int, t: float) -> None:
+        array.__setitem__(self, grad, t)
+        self.trace.instant(
+            self.mark,
+            "gradient",
+            t,
+            f"worker{self.worker}/grad",
+            {"worker": self.worker, "iteration": self.iteration, "grad": grad},
+        )
+
+
 class Recorder:
     """Accumulates simulation timelines.
 
-    ``record_gradients=False`` drops per-gradient records (the most
-    memory-hungry signal) for large sweeps that only need rates.
+    Per-gradient marks live in one *gradient log* per (worker, iteration):
+    four NaN-filled ``array('d')`` columns indexed by gradient, which a
+    worker takes from :meth:`gradient_log` as its backward pass starts and
+    writes one indexed store per mark.  ``record_gradients=False`` keeps
+    no marks (the most memory-hungry signal) for sweeps that only need
+    rates: each pass then writes into a scratch log nobody keeps.
 
     ``trace`` mirrors every write into a structured trace recorder
     (default: the shared no-op), putting the numeric timelines and the
-    exportable Chrome trace on one write path.
+    exportable Chrome trace on one write path; a traced run's log columns
+    emit each mark as they store it.
     """
 
     def __init__(
@@ -109,12 +142,9 @@ class Recorder:
         self.trace = trace
         self.gpu_intervals: list[GpuInterval] = []
         self.iterations: list[IterationRecord] = []
-        # Gradient marks as plain data the cycle collector does not track:
-        # worker -> iteration -> grad -> row, and one NaN-filled float
-        # column per lifecycle field, in GradientRecord order.
-        self._grad_rows: dict[int, dict[int, dict[int, int]]] = {}
-        self._grad_cols = tuple(array("d") for _ in range(4))
-        self._ready, self._push_start, self._push_end, self._pull_end = self._grad_cols
+        # (worker, iteration) -> gradient log: plain data the cycle
+        # collector does not track (untraced).
+        self._logs: dict[tuple[int, int], GradientLog] = {}
 
     # ------------------------------------------------------------------
     # Write side (workers)
@@ -156,55 +186,45 @@ class Recorder:
     # ------------------------------------------------------------------
     # Per-gradient lifecycle marks (the paper's c, t, push end, u)
     # ------------------------------------------------------------------
-    def _mark_row(self, field: str, worker: int, iteration: int, grad: int, t: float):
-        """Mirror one mark into the trace; return the gradient's column row
-        (appended on its first mark), ``None`` if gradients are not kept."""
-        if self.trace.enabled:
-            self.trace.instant(
-                field,
-                "gradient",
-                t,
-                f"worker{worker}/grad",
-                {"worker": worker, "iteration": iteration, "grad": grad},
-            )
+    def gradient_log(self, worker: int, iteration: int, n_grads: int) -> GradientLog:
+        """``worker``'s mark columns for ``iteration``, at least ``n_grads``
+        long (a scratch log nobody keeps when gradients are not recorded)."""
         if not self.record_gradients:
-            return None
-        by_iteration = self._grad_rows.get(worker)
-        if by_iteration is None:
-            by_iteration = self._grad_rows[worker] = {}
-        rows = by_iteration.get(iteration)
-        if rows is None:
-            rows = by_iteration[iteration] = {}
-        row = rows.get(grad)
-        if row is None:
-            row = rows[grad] = len(self._ready)
-            for col in self._grad_cols:
-                col.append(np.nan)
-        return row
+            return self._new_log(worker, iteration, n_grads)
+        log = self._logs.get((worker, iteration))
+        if log is None:
+            log = self._new_log(worker, iteration, n_grads)
+            self._logs[worker, iteration] = log
+        elif len(log[0]) < n_grads:
+            pad = array("d", [nan]) * (n_grads - len(log[0]))
+            for col in log:
+                col.extend(pad)
+        return log
 
+    def _new_log(self, worker: int, iteration: int, n_grads: int) -> GradientLog:
+        if not self.trace.enabled:
+            return tuple(array("d", [nan]) * n_grads for _ in _MARKS)
+        return tuple(
+            _TracedColumn(self.trace, m, worker, iteration, n_grads) for m in _MARKS
+        )
+
+    # The simulator writes its logs in place; these keyed writers serve
+    # recorder_from_trace and tests, and bench/tracer.py wraps them by name.
     def mark_ready(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Gradient flushed by the KV store (the paper's ``c(i)``)."""
-        row = self._mark_row("ready", worker, iteration, grad, t)
-        if row is not None:
-            self._ready[row] = t
+        self.gradient_log(worker, iteration, grad + 1)[0][grad] = t
 
     def mark_push_start(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """First byte entered the channel (the paper's ``t(i)``)."""
-        row = self._mark_row("push_start", worker, iteration, grad, t)
-        if row is not None:
-            self._push_start[row] = t
+        self.gradient_log(worker, iteration, grad + 1)[1][grad] = t
 
     def mark_push_end(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Last byte pushed."""
-        row = self._mark_row("push_end", worker, iteration, grad, t)
-        if row is not None:
-            self._push_end[row] = t
+        self.gradient_log(worker, iteration, grad + 1)[2][grad] = t
 
     def mark_pull_end(self, worker: int, iteration: int, grad: int, t: float) -> None:
         """Updated parameters applied locally (the paper's ``u(i)``)."""
-        row = self._mark_row("pull_end", worker, iteration, grad, t)
-        if row is not None:
-            self._pull_end[row] = t
+        self.gradient_log(worker, iteration, grad + 1)[3][grad] = t
 
     # ------------------------------------------------------------------
     # Read side (harnesses)
@@ -220,17 +240,15 @@ class Recorder:
         self, worker: int | None = None, iteration: int | None = None
     ) -> list[GradientRecord]:
         """Gradient records filtered by worker and/or iteration, built
-        fresh on each call in ``(worker, iteration, grad)`` order."""
-        ready, push_start, push_end, pull_end = self._grad_cols
+        fresh on each call in ``(worker, iteration, grad)`` order.  A
+        gradient with no mark in a log has no record."""
         return [
-            GradientRecord(
-                w, i, g, ready[row], push_start[row], push_end[row], pull_end[row]
-            )
-            for w, by_iteration in sorted(self._grad_rows.items())
-            if worker is None or w == worker
-            for i, rows in sorted(by_iteration.items())
-            if iteration is None or i == iteration
-            for g, row in sorted(rows.items())
+            GradientRecord(w, i, g, *marks)
+            for (w, i), log in sorted(self._logs.items())
+            if (worker is None or w == worker)
+            and (iteration is None or i == iteration)
+            for g, marks in enumerate(zip(*log))
+            if not all(map(isnan, marks))
         ]
 
     def gpu_busy_intervals(self, worker: int) -> np.ndarray:
@@ -288,7 +306,7 @@ def recorder_from_trace(events: Iterable[TraceEvent]) -> Recorder:
             row.fwd_start = ev.ts
             iter_rows[(worker, iteration)] = row
         elif ev.ph == INSTANT and ev.cat == "gradient":
-            if ev.name in ("ready", "push_start", "push_end", "pull_end"):
+            if ev.name in _MARKS:
                 getattr(rec, f"mark_{ev.name}")(
                     worker, int(ev.args["iteration"]), int(ev.args["grad"]), ev.ts
                 )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cProfile
 import inspect
 import io
-import os
 import pstats
 from dataclasses import dataclass
 from typing import Any
@@ -107,22 +106,22 @@ def profile_experiment(
     if top <= 0:
         raise ConfigurationError(f"top must be positive, got {top}")
 
-    from repro.runner import JOBS_ENV, NO_CACHE_ENV
-
-    os.environ[JOBS_ENV] = "1"
-    if not use_cache:
-        os.environ[NO_CACHE_ENV] = "1"
-
     from repro.experiments import EXPERIMENTS
+    from repro.runner import JOBS_ENV, NO_CACHE_ENV, scoped_environ
 
     entry = EXPERIMENTS[experiment]
     kwargs = _accepted_overrides(entry.run, overrides or {})
+    # Serial (and, without ``use_cache``, uncached) for this run only.
+    forced = {JOBS_ENV: "1"}
+    if not use_cache:
+        forced[NO_CACHE_ENV] = "1"
     profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        entry.report(**kwargs)
-    finally:
-        profiler.disable()
+    with scoped_environ(forced):
+        profiler.enable()
+        try:
+            entry.report(**kwargs)
+        finally:
+            profiler.disable()
 
     if dump is not None:
         profiler.dump_stats(dump)

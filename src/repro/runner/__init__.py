@@ -29,6 +29,7 @@ from repro.runner.executor import (
     execute,
     resolve_jobs,
     run_grid,
+    scoped_environ,
     shutdown_pools,
 )
 from repro.runner.fingerprint import canonical, fingerprint, key_payload
@@ -45,6 +46,7 @@ __all__ = [
     "run_grid",
     "execute",
     "resolve_jobs",
+    "scoped_environ",
     "shutdown_pools",
     "ResultCache",
     "CacheStats",

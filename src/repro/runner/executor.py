@@ -31,11 +31,12 @@ strategy comparisons — pay the interpreter spawn cost once, not per call.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cluster.trainer import run_training
 from repro.errors import ConfigurationError
@@ -51,6 +52,7 @@ __all__ = [
     "run_grid",
     "execute",
     "resolve_jobs",
+    "scoped_environ",
     "shutdown_pools",
 ]
 
@@ -58,6 +60,22 @@ __all__ = [
 JOBS_ENV = "REPRO_JOBS"
 #: Environment variable disabling the result cache process-wide.
 NO_CACHE_ENV = "REPRO_NO_CACHE"
+
+
+@contextlib.contextmanager
+def scoped_environ(updates: Mapping[str, str]) -> Iterator[None]:
+    """Set environment variables (e.g. the runner's knobs) for the block,
+    then restore each to its value from before, unset ones unset."""
+    saved = {key: os.environ.get(key) for key in updates}
+    os.environ.update(updates)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
 
 def resolve_jobs(jobs: int | None = None) -> int:

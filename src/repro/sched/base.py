@@ -271,13 +271,13 @@ class CommScheduler:
     def _consume(self, unit: TransferUnit) -> None:
         """Validate the unit against ready state and debit its bytes."""
         for seg in unit.segments:
-            if seg.grad not in self._remaining:
+            remaining = self._remaining.get(seg.grad)
+            if remaining is None:
                 raise SchedulingError(
                     f"unit pushes gradient {seg.grad} which is not ready "
                     f"(or already fully sent)"
                 )
-            remaining = self._remaining[seg.grad]
-            sent_so_far = self.size_of(seg.grad) - remaining
+            sent_so_far = self._sizes_list[seg.grad] - remaining
             if abs(seg.offset - sent_so_far) > 1e-9:
                 raise SchedulingError(
                     f"gradient {seg.grad}: segment offset {seg.offset} does not "
@@ -312,5 +312,5 @@ class CommScheduler:
     def _segment_for(self, grad: int, nbytes: float) -> Segment:
         """Next contiguous segment of ``grad`` of at most ``nbytes``."""
         remaining = self._remaining[grad]
-        offset = self.size_of(grad) - remaining
+        offset = self._sizes_list[grad] - remaining
         return Segment(grad=grad, offset=offset, nbytes=min(nbytes, remaining))

@@ -25,6 +25,19 @@ def stub_experiment(monkeypatch):
     return "stubprof"
 
 
+@pytest.fixture
+def env_experiment(monkeypatch):
+    """Fake experiment recording the runner knobs it runs under."""
+    seen: list[dict] = []
+
+    def run():
+        seen.append({key: os.environ.get(key) for key in (JOBS_ENV, NO_CACHE_ENV)})
+
+    monkeypatch.setitem(EXPERIMENTS, "envprof", Experiment(run, ()))
+    monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+    return "envprof", seen
+
+
 class TestProfileExperiment:
     def test_report_fields(self, stub_experiment):
         report = profile_experiment(stub_experiment, top=5)
@@ -34,15 +47,21 @@ class TestProfileExperiment:
         assert "Ordered by: cumulative time" in report.text
         assert report.dump_path is None
 
-    def test_forces_serial_and_no_cache(self, stub_experiment):
-        profile_experiment(stub_experiment)
-        assert os.environ[JOBS_ENV] == "1"
-        assert os.environ[NO_CACHE_ENV] == "1"
+    def test_forces_serial_and_no_cache(self, env_experiment, monkeypatch):
+        name, seen = env_experiment
+        monkeypatch.setenv(JOBS_ENV, "4")
+        before = dict(os.environ)
+        profile_experiment(name)
+        assert seen == [{JOBS_ENV: "1", NO_CACHE_ENV: "1"}]
+        assert dict(os.environ) == before
 
-    def test_use_cache_leaves_cache_enabled(self, stub_experiment):
-        profile_experiment(stub_experiment, use_cache=True)
-        assert os.environ[JOBS_ENV] == "1"
-        assert NO_CACHE_ENV not in os.environ
+    def test_use_cache_leaves_cache_enabled(self, env_experiment, monkeypatch):
+        name, seen = env_experiment
+        monkeypatch.setenv(JOBS_ENV, "4")
+        before = dict(os.environ)
+        profile_experiment(name, use_cache=True)
+        assert seen == [{JOBS_ENV: "1", NO_CACHE_ENV: None}]
+        assert dict(os.environ) == before
 
     def test_sort_key_reaches_report(self, stub_experiment):
         report = profile_experiment(stub_experiment, sort="tottime")
