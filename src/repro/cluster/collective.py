@@ -341,7 +341,6 @@ class CollectiveController:
                 self._comm_track,
                 desc if desc is not None else {},
             )
-        self.scheduler.unit_sent(unit, now)
         # The reduced result is now resident on every worker: the unit's
         # bytes count as both pushed and pulled, and credit-based flow
         # control replenishes as if the PS had mirrored the bytes back.

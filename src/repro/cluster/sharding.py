@@ -23,11 +23,11 @@ one server.  This module implements both, deterministically:
   :class:`~repro.sched.base.CommScheduler` instance run per shard: its
   "smaller index = more urgent" convention holds locally.
 
-:func:`restrict_generation_schedule` and :func:`restrict_profile` project
-the global per-iteration generation schedule / stepwise job profile onto
-one shard's local index space — each piece inherits its parent gradient's
-generation time ``c(i)`` (all slices of a tensor materialize together)
-and carries its own byte size.
+:func:`restrict_generation_schedule` projects the global per-iteration
+generation schedule onto one shard's local index space — each piece
+inherits its parent gradient's generation time ``c(i)`` (all slices of a
+tensor materialize together) and carries its own byte size.  A shard's
+oracle profile is built from that restricted schedule.
 """
 
 from __future__ import annotations
@@ -40,16 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
-from repro.core.profiler import JobProfile
 from repro.errors import ConfigurationError
 
 __all__ = [
     "ShardPiece",
     "ShardAssignment",
     "assign_shards",
-    "failover_assignment",
     "restrict_generation_schedule",
-    "restrict_profile",
 ]
 
 
@@ -96,10 +93,6 @@ class ShardAssignment:
         for piece in self.pieces:
             out[piece.grad].append(piece)
         return tuple(tuple(ps) for ps in out)
-
-    def pieces_of(self, grad: int) -> tuple[ShardPiece, ...]:
-        """All pieces of one gradient, in slice order."""
-        return self.by_grad[grad]
 
     @cached_property
     def loads(self) -> tuple[float, ...]:
@@ -181,65 +174,6 @@ def assign_shards(
     return ShardAssignment(n_servers=n_servers, pieces=tuple(pieces))
 
 
-def failover_assignment(
-    assignment: ShardAssignment, dead: int
-) -> ShardAssignment:
-    """Redistribute a dead shard's keys over the survivors.
-
-    The live tier handles a :class:`~repro.faults.plan.ServerCrash` with a
-    warm standby (same shard id, same keys), so this helper is *not* on
-    the simulation's hot path; it answers the capacity-planning question
-    chaos reports need: if shard ``dead`` were lost for good, how balanced
-    would the survivors be?  The dead shard's pieces are packed onto the
-    survivors with the same greedy LPT as :func:`assign_shards`, seeded
-    with the survivors' existing loads, so surviving keys never move —
-    only orphans do — and the result is a pure function of the input.
-    Local indices are re-densified per shard in ``(grad, part)`` order;
-    the dead shard keeps its slot in ``by_shard`` but owns nothing.
-    """
-    if not 0 <= dead < assignment.n_servers:
-        raise ConfigurationError(
-            f"dead shard {dead} out of range for a {assignment.n_servers}-"
-            "server tier"
-        )
-    if assignment.n_servers < 2:
-        raise ConfigurationError(
-            "cannot fail over a single-server tier (no survivors)"
-        )
-    heap = [
-        (load, shard)
-        for shard, load in enumerate(assignment.loads)
-        if shard != dead
-    ]
-    heapify(heap)
-    orphans = sorted(
-        (p for p in assignment.pieces if p.shard == dead),
-        key=lambda p: (-p.nbytes, p.grad, p.part),
-    )
-    new_shard_of: dict[tuple[int, int], int] = {}
-    for piece in orphans:
-        load, shard = heappop(heap)
-        new_shard_of[(piece.grad, piece.part)] = shard
-        heappush(heap, (load + piece.nbytes, shard))
-
-    next_local = [0] * assignment.n_servers
-    pieces: list[ShardPiece] = []
-    for piece in assignment.pieces:  # already (grad, part)-sorted
-        shard = new_shard_of.get((piece.grad, piece.part), piece.shard)
-        pieces.append(
-            ShardPiece(
-                grad=piece.grad,
-                part=piece.part,
-                offset=piece.offset,
-                nbytes=piece.nbytes,
-                shard=shard,
-                local=next_local[shard],
-            )
-        )
-        next_local[shard] += 1
-    return ShardAssignment(n_servers=assignment.n_servers, pieces=tuple(pieces))
-
-
 def restrict_generation_schedule(
     schedule: GenerationSchedule, assignment: ShardAssignment, shard: int
 ) -> GenerationSchedule:
@@ -280,16 +214,4 @@ def restrict_generation_schedule(
         buckets=tuple(buckets),
         sizes=sizes,
         backward_time=schedule.backward_time,
-    )
-
-
-def restrict_profile(
-    profile: JobProfile, assignment: ShardAssignment, shard: int
-) -> JobProfile:
-    """Project a stepwise job profile onto one shard's local pieces."""
-    local_pieces = assignment.by_shard[shard]
-    return JobProfile(
-        c=np.array([profile.c[p.grad] for p in local_pieces], dtype=float),
-        sizes=np.array([p.nbytes for p in local_pieces], dtype=float),
-        iterations=profile.iterations,
     )

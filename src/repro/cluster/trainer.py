@@ -32,7 +32,6 @@ from repro.cluster.result import TrainingResult
 from repro.cluster.sharding import (
     assign_shards,
     restrict_generation_schedule,
-    restrict_profile,
 )
 from repro.cluster.worker import Worker
 from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
@@ -149,7 +148,8 @@ class Trainer:
         # repro.cluster.collective).  PS: the paper's star
         # (``n_servers=1``) or a tier of key-sharded servers, each holding
         # its shard's piece sizes.  The star keeps its own identity: PS
-        # ``ps``, no slicing, the undivided schedule and oracle profile.
+        # ``ps``, no slicing and the undivided schedule.  Each shard's
+        # oracle profile is its own schedule's.
         n_shards = config.n_servers
         star = n_shards == 1
         if collective:
@@ -181,18 +181,13 @@ class Trainer:
                 n_shards,
                 None if star else config.shard_slice_bytes,
             )
-            if star:
-                templates = [self.gen_schedule]
-                profiles = [self.oracle_profile]
-            else:
-                templates = [
-                    restrict_generation_schedule(self.gen_schedule, self.assignment, s)
-                    for s in range(n_shards)
-                ]
-                profiles = [
-                    restrict_profile(self.oracle_profile, self.assignment, s)
-                    for s in range(n_shards)
-                ]
+            templates = [
+                self.gen_schedule
+                if star
+                else restrict_generation_schedule(self.gen_schedule, self.assignment, s)
+                for s in range(n_shards)
+            ]
+            profiles = [JobProfile.from_generation_schedule(t) for t in templates]
             self.servers = [
                 ParameterServer(
                     self.engine,

@@ -188,8 +188,8 @@ class PSPort:
 
     def _push_arrival(self, unit: TransferUnit) -> float:
         """Arrival time of a proposed push = when its head gradient flushed."""
-        ready = self.worker._ready_time[self._grad_of[unit.segments[0].grad]]
-        return ready if ready is not None else self.engine._now
+        ready = self.worker._ready_log[self._grad_of[unit.segments[0].grad]]
+        return ready if ready == ready else self.engine._now  # NaN: not yet
 
     # ------------------------------------------------------------------
     # Channel pumps
@@ -402,12 +402,9 @@ class PSPort:
         paper's ``t(i) − c(i)``, Fig. 11's wait time) on its own track.
         """
         trace = self.engine.trace
-        ready_time = self.worker._ready_time
-        readies = [
-            ready_time[self._grad_of[seg.grad]]
-            for seg in unit.segments
-            if ready_time[self._grad_of[seg.grad]] is not None
-        ]
+        ready_log = self.worker._ready_log
+        readies = [ready_log[self._grad_of[seg.grad]] for seg in unit.segments]
+        readies = [r for r in readies if r == r]  # NaN: not ready yet
         trace.complete(
             f"assemble p{unit.priority}",
             "assembly",
@@ -420,8 +417,8 @@ class PSPort:
             if seg.offset > _TOL:
                 continue
             piece = self.pieces[seg.grad]
-            ready = ready_time[piece.grad]
-            if ready is not None and now > ready:
+            ready = ready_log[piece.grad]
+            if now > ready:
                 args = {"grad": piece.grad, "iteration": self.worker._comm_iter}
                 if self.shard is not None:
                     args["part"] = piece.part
@@ -463,7 +460,6 @@ class PSPort:
                 self._comm_track,
                 desc if desc is not None else {},
             )
-        self.scheduler.unit_sent(unit, now)
 
     def _push_done(
         self,
@@ -697,7 +693,6 @@ class Worker:
         self._pending_updates = 0
         self._pulled = [0.0] * self._n_grads
         self._pushed = [0.0] * self._n_grads
-        self._ready_time: list[float | None] = [None] * self._n_grads
         self._iter_rec = None
         self._compute_done = False
         self._done = False
@@ -898,7 +893,6 @@ class Worker:
         self._pending_updates = self._total_tensor_count
         self._pulled = [0.0] * self._n_grads
         self._pushed = [0.0] * self._n_grads
-        self._ready_time = [None] * self._n_grads
         # This pass's mark columns; its ports and the controller write them too.
         log = self.recorder.gradient_log(self.worker_id, iteration, self._n_grads)
         self._ready_log, self._push_start_log = log[0], log[1]
@@ -932,7 +926,6 @@ class Worker:
             )
         for grad in bucket:
             self._sched_gradient_ready(grad, now)
-            self._ready_time[grad] = now
             self._ready_log[grad] = now
         self._pump_all()
 

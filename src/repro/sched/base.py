@@ -1,4 +1,4 @@
-"""Scheduler interface and shared bookkeeping.
+"""Scheduler interface: the one owner of per-iteration gradient state.
 
 The worker's communication agent (a PS port, or the collective controller)
 drives its scheduler through these hooks:
@@ -12,7 +12,18 @@ drives its scheduler through these hooks:
 * :meth:`CommScheduler.propose_unit` — the uplink is idle; return the next
   :class:`TransferUnit` to send, or ``None`` to deliberately leave the link
   idle (Prophet does this to protect an imminent higher-priority gradient).
-  The agent calls :meth:`CommScheduler.commit_unit` if it sends the unit.
+  The agent calls :meth:`CommScheduler.commit_unit` if it sends the unit,
+  then (only while tracing) :meth:`CommScheduler.describe_unit`.
+* :meth:`CommScheduler.pull_batch_limit` — a PS port is about to send
+  pull responses and asks how many bytes one message may carry.
+* :meth:`CommScheduler.pull_completed` — updated bytes came back: a PS
+  port calls it only for a scheduler whose class overrides it, the
+  collective controller for every segment of every finished operation.
+* :meth:`CommScheduler.grant_probe` — a PS port's channel stalled; called
+  only for a scheduler whose class overrides it.
+* :meth:`CommScheduler.end_iteration` — the iteration finished.
+
+:meth:`CommScheduler.unit_sent` is called by nothing in the package.
 
 A :class:`TransferUnit` is one serialized network message: it pays one TCP
 setup (handshake + slow start) regardless of how many gradient segments it
@@ -20,17 +31,23 @@ carries.  This is the cost model that separates the four strategies — P3
 pays setup per small partition, ByteScheduler per credit batch, Prophet per
 stepwise block, FIFO per whole tensor.
 
-The base class tracks remaining un-pushed bytes per gradient and the ready
-set, and enforces the scheduler contract (no pushing gradients that are not
-ready, no double-sending bytes) so concrete strategies contain only policy.
+The base class keeps every signalled gradient's un-pushed bytes, in both
+orders a strategy selects from: priority order (:attr:`ready_grads`,
+most urgent first — P3, ByteScheduler, Prophet's plan) and generation
+order (:meth:`ready_by_arrival`, the order the KV store flushed them —
+FIFO, MG-WFBP and Prophet's warm-up).  Segments and units are plain
+records; :meth:`CommScheduler.commit_unit` checks each committed segment
+once (the unit is not empty, the gradient is ready, the segment has
+bytes, continues exactly where the last one ended and does not overrun
+the gradient), so concrete strategies contain only policy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterator
 
 from repro.agg.kvstore import GenerationSchedule
 from repro.errors import SchedulingError
@@ -38,7 +55,7 @@ from repro.errors import SchedulingError
 __all__ = ["Segment", "TransferUnit", "CommScheduler"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Segment:
     """A contiguous byte range of one gradient inside a transfer unit."""
 
@@ -46,31 +63,21 @@ class Segment:
     offset: float
     nbytes: float
 
-    def __post_init__(self) -> None:
-        if self.nbytes <= 0:
-            raise SchedulingError(f"segment of gradient {self.grad} has no bytes")
-        if self.offset < 0:
-            raise SchedulingError(f"segment of gradient {self.grad} has offset < 0")
 
-
-@dataclass(frozen=True, slots=True)
 class TransferUnit:
-    """One network message: an ordered tuple of gradient segments."""
+    """One network message: an ordered tuple of gradient segments.
 
-    segments: tuple[Segment, ...]
+    ``total_bytes`` and ``priority`` (the most urgent gradient carried,
+    i.e. the min index; -1 for an empty unit, which no commit accepts)
+    are fixed when the unit is built.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise SchedulingError("empty transfer unit")
+    __slots__ = ("segments", "total_bytes", "priority")
 
-    @property
-    def total_bytes(self) -> float:
-        return sum(s.nbytes for s in self.segments)
-
-    @property
-    def priority(self) -> int:
-        """Unit priority = most urgent gradient it carries (min index)."""
-        return min(s.grad for s in self.segments)
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
+        self.segments = segments
+        self.total_bytes = sum([s.nbytes for s in segments])
+        self.priority = min([s.grad for s in segments], default=-1)
 
     @property
     def grads(self) -> tuple[int, ...]:
@@ -78,10 +85,10 @@ class TransferUnit:
 
 
 class CommScheduler:
-    """Base class: ready-set bookkeeping plus the strategy hook.
+    """Base class: per-iteration gradient state plus the strategy hook.
 
-    Subclasses implement :meth:`_select` which sees the ready gradients
-    (those with un-pushed bytes) and returns the next unit.
+    Subclasses implement :meth:`_select`, which reads the ready gradients
+    (those with un-pushed bytes) in either order and returns the next unit.
 
     The worker uses a propose/commit protocol: :meth:`propose_unit` returns
     the unit the scheduler *would* send without consuming it; if the worker
@@ -109,14 +116,17 @@ class CommScheduler:
     unit_sync_rtts: float = 0.0
 
     def __init__(self) -> None:
-        self._sizes: np.ndarray | None = None
         self._sizes_list: list[float] | None = None
         self._remaining: dict[int, float] = {}
-        self._ready: set[int] = set()
+        #: Per gradient: signalled ready this iteration (sent or not).
+        self._signalled: list[bool] = []
         #: ``sorted(self._remaining)`` maintained incrementally (insort on
         #: ready, bisect-removal on full send) so the per-decision
         #: ``ready_grads`` walk needs no per-call sort.
         self._ready_order: list[int] = []
+        #: Signalled gradients in generation order; a fully sent head is
+        #: popped at commit, so arrival-order strategies see live entries.
+        self._arrivals: deque[int] = deque()
         #: Running total of ``self._remaining.values()`` — only its sign is
         #: load-bearing (idle/stall detection), so incremental float drift
         #: is fine; it snaps to exactly 0.0 whenever the dict empties.
@@ -136,22 +146,23 @@ class CommScheduler:
                 f"{sorted(self._remaining)[:5]}... when iteration {iteration} begins"
             )
         self._iteration = iteration
-        self._sizes = schedule.sizes
         self._sizes_list = schedule.sizes.tolist()
-        self._ready = set()
+        self._signalled = [False] * len(self._sizes_list)
         self._ready_order = []
+        self._arrivals.clear()
         self._pending_acc = 0.0
 
     def gradient_ready(self, grad: int, now: float) -> None:
         """Gradient ``grad`` flushed from the KV store and can be pushed."""
-        if self._sizes is None:
+        if self._sizes_list is None:
             raise SchedulingError("gradient_ready before begin_iteration")
-        if grad in self._ready or grad in self._remaining:
+        if self._signalled[grad]:
             raise SchedulingError(f"gradient {grad} signalled ready twice")
-        self._ready.add(grad)
+        self._signalled[grad] = True
         size = self._sizes_list[grad]
         self._remaining[grad] = size
         insort(self._ready_order, grad)
+        self._arrivals.append(grad)
         self._pending_acc += size
 
     def propose_unit(self, now: float) -> TransferUnit | None:
@@ -169,8 +180,9 @@ class CommScheduler:
         self._consume(unit)
         self._committed(unit, now)
 
+    # bench/tracer.py wraps this name; nothing in the package calls it.
     def unit_sent(self, unit: TransferUnit, now: float) -> None:
-        """Notification that ``unit`` finished transmitting (optional hook)."""
+        """Never called: a unit's completion reaches no scheduler."""
 
     def pull_completed(self, grad: int, nbytes: float, now: float) -> None:
         """Notification that ``nbytes`` of ``grad``'s updated parameters
@@ -224,6 +236,11 @@ class CommScheduler:
         """Ready gradients with un-pushed bytes, most urgent first."""
         return list(self._ready_order)
 
+    def ready_by_arrival(self) -> Iterator[int]:
+        """Ready gradients with un-pushed bytes, in generation order."""
+        remaining = self._remaining
+        return (grad for grad in self._arrivals if grad in remaining)
+
     @property
     def most_urgent_ready(self) -> int | None:
         """The most urgent ready gradient: a lower bound on any proposal's priority."""
@@ -270,6 +287,8 @@ class CommScheduler:
 
     def _consume(self, unit: TransferUnit) -> None:
         """Validate the unit against ready state and debit its bytes."""
+        if not unit.segments:
+            raise SchedulingError("empty transfer unit")
         for seg in unit.segments:
             remaining = self._remaining.get(seg.grad)
             if remaining is None:
@@ -277,6 +296,9 @@ class CommScheduler:
                     f"unit pushes gradient {seg.grad} which is not ready "
                     f"(or already fully sent)"
                 )
+            if seg.nbytes <= 0:
+                raise SchedulingError(f"segment of gradient {seg.grad} has no bytes")
+            # Continuity also rejects a negative offset: sent bytes are >= 0.
             sent_so_far = self._sizes_list[seg.grad] - remaining
             if abs(seg.offset - sent_so_far) > 1e-9:
                 raise SchedulingError(
@@ -298,6 +320,9 @@ class CommScheduler:
             else:
                 self._remaining[seg.grad] = new_remaining
                 self._pending_acc -= seg.nbytes
+        arrivals = self._arrivals
+        while arrivals and arrivals[0] not in self._remaining:
+            arrivals.popleft()
 
     def _remove_ready(self, grad: int) -> None:
         """Remove ``grad`` from the maintained sorted ready order."""

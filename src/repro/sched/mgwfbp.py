@@ -20,9 +20,6 @@ window and dispatch when either (a) the accumulated bytes exceed
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.agg.kvstore import GenerationSchedule
 from repro.errors import ConfigurationError
 from repro.quantities import MB
 from repro.sched.base import CommScheduler, Segment, TransferUnit
@@ -40,43 +37,24 @@ class MGWFBPScheduler(CommScheduler):
             raise ConfigurationError(f"merge_bytes must be positive, got {merge_bytes}")
         super().__init__()
         self.merge_bytes = float(merge_bytes)
-        self._queue: deque[int] = deque()
-
-    def begin_iteration(
-        self, iteration: int, schedule: GenerationSchedule, now: float
-    ) -> None:
-        super().begin_iteration(iteration, schedule, now)
-        self._queue.clear()
-
-    def gradient_ready(self, grad: int, now: float) -> None:
-        super().gradient_ready(grad, now)
-        self._queue.append(grad)
 
     def pull_batch_limit(self, now: float) -> float | None:
         return self.merge_bytes
 
     def _select(self, now: float) -> TransferUnit | None:
-        if not self._queue:
-            return None
         # Merge the generation-order window up to merge_bytes.  The channel
         # only asks when idle, so dispatching whatever is in hand never
         # delays earlier bytes (the wait-free property); the cap just
         # bounds how long one message can occupy the channel.
         segments: list[Segment] = []
         total = 0.0
-        for grad in self._queue:
+        for grad in self.ready_by_arrival():
             size = self.size_of(grad)
             if segments and total + size > self.merge_bytes:
                 break
             segments.append(Segment(grad=grad, offset=0.0, nbytes=size))
             total += size
         return TransferUnit(segments=tuple(segments))
-
-    def _committed(self, unit: TransferUnit, now: float) -> None:
-        for seg in unit.segments:
-            head = self._queue.popleft()
-            if head != seg.grad:  # pragma: no cover - defensive
-                raise AssertionError("MG-WFBP commit does not match queue head")
 
     def describe_unit(self, unit: TransferUnit) -> dict[str, object]:
         desc = super().describe_unit(unit)

@@ -48,7 +48,6 @@ Every detection fires the ``notify`` hook (wired by the factory to a
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable
 
 from repro.agg.kvstore import GenerationSchedule
@@ -141,8 +140,6 @@ class ProphetScheduler(CommScheduler):
         self.forward_block_bytes = float(forward_block_bytes)
         self._profiler: JobProfiler | None = None
         self._backward_start = 0.0
-        self._signalled: list[bool] | None = None
-        self._fallback_queue: deque[int] = deque()
         # Derived per-profile / per-iteration boundary state (see
         # ``_boundary``): ``_c_order`` sorts gradient indices by predicted
         # generation time; ``_c_ptr`` advances monotonically past
@@ -197,8 +194,6 @@ class ProphetScheduler(CommScheduler):
     ) -> None:
         super().begin_iteration(iteration, schedule, now)
         self._backward_start = now
-        self._signalled = [False] * len(schedule.sizes)
-        self._fallback_queue.clear()
         self._drift_err = 0.0
         self._drift_base = 0.0
         if self.collapse_factor > 0:
@@ -253,9 +248,6 @@ class ProphetScheduler(CommScheduler):
 
     def gradient_ready(self, grad: int, now: float) -> None:
         super().gradient_ready(grad, now)
-        assert self._signalled is not None
-        self._signalled[grad] = True
-        self._fallback_queue.append(grad)
         if self._profiler is not None and self._profile is None:
             self._profiler.observe(grad, max(0.0, now - self._backward_start))
         elif self._profile is not None and self.stale_tolerance is not None:
@@ -315,7 +307,7 @@ class ProphetScheduler(CommScheduler):
         batches are capped at ``pull_batch_bytes`` so parameters stream
         back smoothly to the layer-by-layer forward gate.
         """
-        if self._profile is None or self._signalled is None or self._signalled[0]:
+        if self._profile is None or not self._signalled or self._signalled[0]:
             return self.pull_batch_bytes
         boundary = self._boundary(now)
         if boundary == math.inf:
@@ -338,7 +330,6 @@ class ProphetScheduler(CommScheduler):
         if ready[0] == 0:
             return TransferUnit(segments=(self._segment_for(0, math.inf),))
 
-        assert self._signalled is not None
         if self._signalled[0]:
             # Forward phase (gradient 0 already generated): drain by
             # priority in bounded blocks (Constraint 9).
@@ -388,17 +379,9 @@ class ProphetScheduler(CommScheduler):
 
     def _select_fallback(self) -> TransferUnit | None:
         """Warmup behaviour: default FIFO whole-tensor transmission."""
-        while self._fallback_queue and self.remaining_bytes(self._fallback_queue[0]) <= 0:
-            self._fallback_queue.popleft()
-        if not self._fallback_queue:
-            return None
-        grad = self._fallback_queue[0]
-        return TransferUnit(segments=(self._segment_for(grad, math.inf),))
-
-    def _committed(self, unit: TransferUnit, now: float) -> None:
-        if self._profile is None and self._fallback_queue:
-            if self._fallback_queue[0] == unit.segments[0].grad:
-                self._fallback_queue.popleft()
+        for grad in self.ready_by_arrival():
+            return TransferUnit(segments=(self._segment_for(grad, math.inf),))
+        return None
 
     def describe_unit(self, unit: TransferUnit) -> dict[str, object]:
         """Label each block with the Algorithm-1 phase that assembled it."""
@@ -407,7 +390,7 @@ class ProphetScheduler(CommScheduler):
             phase = "warmup-fifo"
         elif unit.grads == (0,):
             phase = "gradient0"  # line 17: pushed alone, immediately
-        elif self._signalled is not None and self._signalled[0]:
+        elif self._signalled[0]:
             phase = "forward-drain"
         else:
             phase = "backward-block"

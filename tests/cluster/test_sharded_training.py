@@ -215,7 +215,7 @@ def test_slicing_spreads_large_tensors(tiny_config):
         result.gen_schedule.sizes, 2, config.shard_slice_bytes
     )
     big = int(np.argmax(result.gen_schedule.sizes))
-    shards = {p.shard for p in assignment.pieces_of(big)}
+    shards = {p.shard for p in assignment.by_grad[big]}
     assert shards == {0, 1}
 
 

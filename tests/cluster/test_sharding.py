@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster.sharding import (
-    assign_shards,
-    failover_assignment,
-    restrict_generation_schedule,
-    restrict_profile,
-)
+from repro.cluster.sharding import assign_shards, restrict_generation_schedule
+from repro.core.profiler import JobProfile
 from repro.errors import ConfigurationError
 
 SIZES = [2e6, 8e3, 6e6, 3e6, 64e3, 8e6, 4e3, 4e3]  # the tiny model's tensors
@@ -36,7 +32,7 @@ class TestAssignShards:
     def test_slicing_covers_tensor_contiguously(self):
         assignment = assign_shards(SIZES, 2, slice_bytes=2.5e6)
         for grad, size in enumerate(SIZES):
-            pieces = sorted(assignment.pieces_of(grad), key=lambda p: p.part)
+            pieces = sorted(assignment.by_grad[grad], key=lambda p: p.part)
             # contiguous: each piece starts where the previous ended
             cursor = 0.0
             for piece in pieces:
@@ -137,67 +133,17 @@ class TestRestriction:
             assert all(len(b) > 0 for b in local.buckets)
 
     def test_restrict_profile_matches_assignment(self, gen_schedule):
-        from repro.core.profiler import JobProfile
-
+        """A shard's oracle profile, built from its restricted schedule."""
         profile = JobProfile.from_generation_schedule(gen_schedule)
         assignment = assign_shards(gen_schedule.sizes, 3)
         total = 0.0
         for s in range(3):
-            local = restrict_profile(profile, assignment, s)
+            local = JobProfile.from_generation_schedule(
+                restrict_generation_schedule(gen_schedule, assignment, s)
+            )
             assert len(local.c) == len(assignment.by_shard[s])
             # backward order kept: lower local index (front layer) is
             # generated later, never earlier, than higher indices
             assert np.all(np.diff(local.c) <= 0)
             total += float(local.sizes.sum())
         assert total == pytest.approx(float(profile.sizes.sum()))
-
-
-class TestFailoverAssignment:
-    def test_surviving_keys_never_move(self):
-        before = assign_shards(SIZES, 3)
-        after = failover_assignment(before, dead=1)
-        shard_before = {(p.grad, p.part): p.shard for p in before.pieces}
-        for piece in after.pieces:
-            if shard_before[(piece.grad, piece.part)] != 1:
-                assert piece.shard == shard_before[(piece.grad, piece.part)]
-            else:
-                assert piece.shard != 1  # every orphan was re-homed
-
-    def test_dead_shard_is_empty_and_bytes_conserved(self):
-        before = assign_shards(SIZES, 3, slice_bytes=2.5e6)
-        after = failover_assignment(before, dead=0)
-        assert after.by_shard[0] == ()
-        assert after.loads[0] == 0.0
-        assert sum(after.loads) == pytest.approx(sum(before.loads))
-        # local indices stay dense and (grad, part)-ordered per shard
-        for bucket in after.by_shard:
-            assert [p.local for p in bucket] == list(range(len(bucket)))
-            assert [(p.grad, p.part) for p in bucket] == sorted(
-                (p.grad, p.part) for p in bucket
-            )
-
-    def test_lpt_bound_holds_over_survivors(self):
-        """Classic LPT guarantee, seeded with the survivors' loads: the
-        spread between heaviest and lightest survivor never exceeds the
-        largest orphaned piece."""
-        before = assign_shards(SIZES, 4)
-        orphan_max = max(p.nbytes for p in before.pieces if p.shard == 2)
-        after = failover_assignment(before, dead=2)
-        survivor_loads = [
-            load for shard, load in enumerate(after.loads) if shard != 2
-        ]
-        assert max(survivor_loads) - min(survivor_loads) <= orphan_max + 1e-9
-
-    def test_deterministic_and_pure(self):
-        before = assign_shards(SIZES, 3)
-        assert failover_assignment(before, dead=2) == failover_assignment(
-            before, dead=2
-        )
-        # the input assignment is untouched
-        assert before == assign_shards(SIZES, 3)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            failover_assignment(assign_shards(SIZES, 3), dead=3)
-        with pytest.raises(ConfigurationError):
-            failover_assignment(assign_shards(SIZES, 1), dead=0)

@@ -155,3 +155,40 @@ def test_p3_strict_priority_among_ready(schedule, seed):
         assert unit is not None
         assert unit.segments[0].grad == min(sched.ready_grads)
         sched.commit_unit(unit, now)
+
+
+@given(
+    schedule=random_jobs(),
+    seed=st.integers(0, 2**16),
+    iterations=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_prophet_warmup_matches_fifo(schedule, seed, iterations):
+    """Until its profile converges Prophet sends default FIFO whole tensors
+    (paper Sec. 4.2): unit for unit the same stream as FIFOScheduler,
+    whatever the interleaving of ready signals, skipped proposals and
+    commits."""
+    fifo = FIFOScheduler()
+    prophet = ProphetScheduler(bandwidth_provider=lambda: 1.25e8, profile=None, tcp=TCP)
+    rng = np.random.default_rng(seed)
+    now = 0.0
+    for iteration in range(iterations):
+        for sched in (fifo, prophet):
+            sched.begin_iteration(iteration, schedule, now)
+        pending_buckets = list(schedule.buckets)
+        while pending_buckets or fifo.pending_bytes > 0:
+            if pending_buckets and (fifo.pending_bytes == 0 or rng.random() < 0.4):
+                for g in pending_buckets.pop(0):
+                    fifo.gradient_ready(g, now)
+                    prophet.gradient_ready(g, now)
+                continue
+            units = [sched.propose_unit(now) for sched in (fifo, prophet)]
+            assert units[0].segments == units[1].segments
+            if rng.random() < 0.7:  # otherwise the channel sends a pull
+                fifo.commit_unit(units[0], now)
+                prophet.commit_unit(units[1], now)
+            now += 1e-4
+        assert prophet.pending_bytes == 0
+        for sched in (fifo, prophet):
+            sched.end_iteration(iteration, now, now)
+    assert not prophet.active

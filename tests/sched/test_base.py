@@ -37,15 +37,23 @@ def sched(schedule):
 
 
 class TestSegmentAndUnit:
-    def test_segment_validation(self):
-        with pytest.raises(SchedulingError):
-            Segment(grad=0, offset=0.0, nbytes=0.0)
-        with pytest.raises(SchedulingError):
-            Segment(grad=0, offset=-1.0, nbytes=10.0)
+    """Units are plain records: ``commit_unit`` is where they are checked."""
 
-    def test_empty_unit_rejected(self):
+    def test_segment_validation(self, sched):
+        sched.gradient_ready(5, 0.1)
+        for bad in (
+            Segment(grad=5, offset=0.0, nbytes=0.0),
+            Segment(grad=5, offset=-1.0, nbytes=10.0),
+        ):
+            unit = TransferUnit(segments=(bad,))
+            with pytest.raises(SchedulingError):
+                sched.commit_unit(unit, 0.1)
+        assert sched.remaining_bytes(5) == sched.size_of(5)
+
+    def test_empty_unit_rejected(self, sched):
+        sched.gradient_ready(5, 0.1)
         with pytest.raises(SchedulingError):
-            TransferUnit(segments=())
+            sched.commit_unit(TransferUnit(segments=()), 0.1)
 
     def test_unit_aggregates(self):
         unit = TransferUnit(
@@ -73,6 +81,34 @@ class TestReadyBookkeeping:
         sched.gradient_ready(5, 0.1)
         sched.propose_unit(0.1)
         assert sched.remaining_bytes(5) == sched.size_of(5)
+
+    def test_uncommitted_proposal_leaves_state_unchanged(self, sched):
+        for g in (7, 3, 5):
+            sched.gradient_ready(g, 0.1)
+        before = (
+            sched.ready_grads,
+            list(sched.ready_by_arrival()),
+            [sched.remaining_bytes(g) for g in range(8)],
+            sched.pending_bytes,
+        )
+        first = sched.propose_unit(0.1)
+        again = sched.propose_unit(0.2)
+        assert again.grads == first.grads
+        assert again.total_bytes == first.total_bytes
+        assert before == (
+            sched.ready_grads,
+            list(sched.ready_by_arrival()),
+            [sched.remaining_bytes(g) for g in range(8)],
+            sched.pending_bytes,
+        )
+
+    def test_ready_by_arrival_keeps_generation_order(self, sched):
+        for g in (7, 3, 5):
+            sched.gradient_ready(g, 0.1)
+        assert list(sched.ready_by_arrival()) == [7, 3, 5]
+        unit = sched.propose_unit(0.1)  # most urgent: gradient 3
+        sched.commit_unit(unit, 0.1)
+        assert list(sched.ready_by_arrival()) == [7, 5]
 
     def test_commit_debits_bytes(self, sched):
         sched.gradient_ready(5, 0.1)
