@@ -3,7 +3,8 @@
 Runs of resnet18 (batch 16, 4 workers, 4 iterations, seed 1) for Prophet
 and P3 on six shapes: the star, the full-duplex star, a 2-server sharded
 tier, the ring, the hierarchical allreduce (groups of 2) and the sharded
-tier under the chaos plan.  The SHA-256 of every worker's
+tier under the chaos plan, plus MXNet FIFO on the star (the FIFO port's
+arbitration between pulls and pushes).  The SHA-256 of every worker's
 ``gradient_records()`` (each record's ``repr``, so every field to the
 last bit) is pinned here, so any change to when a gradient's ``ready``,
 ``push_start``, ``push_end`` or ``pull_end`` mark is written, or to which
@@ -42,6 +43,7 @@ SHAPES = {
 
 #: Digests of :func:`records_digest` per (strategy, shape).
 PINNED = {
+    ("mxnet-fifo", "star"): "542a55d17ec9a1daf3858186ea5d4c1c67c6ff4f7527843bd8ab95ec75ddc600",
     ("p3", "duplex"): "62dd76642f5bb46ab503b0a941195a390dae939b8b646ea504995a2349edb703",
     ("p3", "hierarchical"): "6364641feb22ff1297130490cd84b3489185024fe135dca0ce17aea019d675bf",
     ("p3", "ring"): "eb9213b10254217458097df7b498fedb299d5325723182d71d5a8f9aa6def068",
