@@ -6,10 +6,10 @@ costs to produce a :class:`GenerationSchedule` — the per-gradient
 communication-ready times ``c(i)`` (measured from the start of backward
 propagation) whose staircase shape is the paper's stepwise pattern.
 
-The flush of a bucket costs a fixed CPU overhead plus a per-byte cost
-(``GroupKVPairsPush``-style grouping and device-to-host copy).  Aggregation
-runs asynchronously on the CPU, so it delays when gradients reach the
-network layer, not the GPU's backward pass.
+The flush of a bucket costs a fixed CPU overhead, :data:`FLUSH_DELAY`
+(``GroupKVPairsPush``-style grouping and dispatch).  Aggregation runs
+asynchronously on the CPU, so it delays when gradients reach the network
+layer, not the GPU's backward pass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from repro.errors import ConfigurationError
 from repro.models.compute import ComputeProfile
 from repro.models.gradients import GradientSpec, gradient_table
 
-__all__ = ["GenerationSchedule", "KVStore"]
+__all__ = ["FLUSH_DELAY", "GenerationSchedule", "KVStore"]
+
+#: Seconds per bucket flush (calibration of the grouping and dispatch
+#: overhead; the bucket's bytes add nothing).
+FLUSH_DELAY = 0.3e-3
 
 
 @dataclass(frozen=True)
@@ -93,29 +97,12 @@ class KVStore:
     ----------
     policy:
         Bucketing policy; defaults to a 5 ms :class:`TimeWindowPolicy`.
-    flush_fixed:
-        Fixed seconds per bucket flush (grouping, dispatch).
-    flush_per_byte:
-        Seconds per byte of bucket content (aggregation + copyD2H).
     """
 
-    def __init__(
-        self,
-        policy: AggregationPolicy | None = None,
-        flush_fixed: float = 0.3e-3,
-        flush_per_byte: float = 0.0,
-    ):
-        if flush_fixed < 0:
-            raise ConfigurationError(f"flush_fixed must be >= 0, got {flush_fixed}")
-        if flush_per_byte < 0:
-            raise ConfigurationError(
-                f"flush_per_byte must be >= 0, got {flush_per_byte}"
-            )
+    def __init__(self, policy: AggregationPolicy | None = None):
         self.policy: AggregationPolicy = (
             policy if policy is not None else TimeWindowPolicy(5e-3)
         )
-        self.flush_fixed = flush_fixed
-        self.flush_per_byte = flush_per_byte
 
     def generation_schedule(self, profile: ComputeProfile) -> GenerationSchedule:
         """Compute ``c(i)`` for one iteration of ``profile``'s model."""
@@ -136,8 +123,7 @@ class KVStore:
         prev_flush = -np.inf
         for b, bucket in enumerate(buckets):
             members = np.asarray(bucket, dtype=np.int64)
-            flush = float(raw[members].max())
-            flush += self.flush_fixed + self.flush_per_byte * float(sizes[members].sum())
+            flush = float(raw[members].max()) + FLUSH_DELAY
             # Flushes are serialized on the aggregation thread: monotone.
             flush = max(flush, prev_flush)
             prev_flush = flush

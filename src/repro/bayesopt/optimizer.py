@@ -6,7 +6,7 @@ normalized to [0, 1] before fitting the GP.  The optimizer *minimizes* its
 objective (iteration time); maximizing training rate is the caller's
 negation.
 
-The first ``n_init`` proposals are a low-discrepancy sweep of the space —
+The first :data:`N_INIT` proposals are a low-discrepancy sweep of the space —
 this initial exploration, trying deliberately bad credits, is precisely
 what produces the rate fluctuation the paper shows in Fig. 3(b).
 """
@@ -21,6 +21,15 @@ from repro.errors import ConfigurationError
 __all__ = ["BayesianOptimizer"]
 
 _SQRT2 = float(np.sqrt(2.0))
+
+#: Space-filling evaluations before the GP guides the search (the Fig. 3(b)
+#: exploration: four deliberately spread credits).
+N_INIT = 4
+#: Grid resolution for maximizing the acquisition function (ample for a
+#: 1-D search over [0, 1]).
+N_CANDIDATES = 256
+#: Expected-improvement exploration bonus (the customary 0.01).
+XI = 0.01
 
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
@@ -40,13 +49,6 @@ class BayesianOptimizer:
     ----------
     low, high:
         Bounds of the (positive) search variable, e.g. credit bytes.
-    n_init:
-        Number of initial space-filling evaluations before the GP guides
-        the search.
-    n_candidates:
-        Grid resolution for maximizing the acquisition function.
-    xi:
-        EI exploration bonus.
     rng:
         Source of tie-breaking/jitter randomness.
     """
@@ -55,20 +57,12 @@ class BayesianOptimizer:
         self,
         low: float,
         high: float,
-        n_init: int = 4,
-        n_candidates: int = 256,
-        xi: float = 0.01,
         rng: np.random.Generator | None = None,
     ):
         if low <= 0 or high <= low:
             raise ConfigurationError(f"need 0 < low < high, got [{low}, {high}]")
-        if n_init < 1:
-            raise ConfigurationError(f"n_init must be >= 1, got {n_init}")
         self.low = float(low)
         self.high = float(high)
-        self.n_init = n_init
-        self.n_candidates = n_candidates
-        self.xi = xi
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._x: list[float] = []  # normalized log-space coordinates
         self._y: list[float] = []
@@ -86,7 +80,7 @@ class BayesianOptimizer:
     def suggest(self) -> float:
         """Next point to evaluate, in the original (e.g. bytes) scale."""
         n = len(self._x)
-        if n < self.n_init:
+        if n < N_INIT:
             # Van der Corput low-discrepancy sequence over (0, 1).
             u, denom, i = 0.0, 0.5, n + 1
             while i:
@@ -96,12 +90,12 @@ class BayesianOptimizer:
             return self._from_unit(u)
         gp = GaussianProcess(RBFKernel(length_scale=0.25), noise=1e-3)
         gp.fit(np.array(self._x), np.array(self._y))
-        grid = np.linspace(0.0, 1.0, self.n_candidates)
+        grid = np.linspace(0.0, 1.0, N_CANDIDATES)
         mean, std = gp.predict(grid)
         best = min(self._y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = (best - mean - self.xi) / np.where(std > 0, std, np.inf)
-            ei = (best - mean - self.xi) * _norm_cdf(z) + std * _norm_pdf(z)
+            z = (best - mean - XI) / np.where(std > 0, std, np.inf)
+            ei = (best - mean - XI) * _norm_cdf(z) + std * _norm_pdf(z)
         ei = np.where(std > 0, ei, 0.0)
         if np.all(ei <= 0):
             u = float(self._rng.uniform())

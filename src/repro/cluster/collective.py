@@ -80,9 +80,9 @@ class EffectiveBandwidthView:
     A flat ring serializes ``2(N-1)/N`` bytes on each link per payload
     byte, so a scheduler that predicts transfer times as ``S / B``
     (Prophet's planner) must see ``B / factor`` — the rate at which
-    *payload* actually clears the collective.  Duck-types the subset of
-    :class:`~repro.net.monitor.BandwidthMonitor` that scheduler factories
-    consume.
+    *payload* actually clears the collective.  Duck-types the one
+    :class:`~repro.net.monitor.BandwidthMonitor` attribute scheduler
+    factories read, :attr:`bandwidth`.
     """
 
     def __init__(self, monitor, factor: float):
@@ -97,13 +97,6 @@ class EffectiveBandwidthView:
     @property
     def bandwidth(self) -> float:
         return self._monitor.bandwidth / self._factor
-
-    @property
-    def last_sample_time(self) -> float:
-        return self._monitor.last_sample_time
-
-    def sample_age(self) -> float:
-        return self._monitor.sample_age()
 
 
 class CollectiveController:

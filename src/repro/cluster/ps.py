@@ -27,8 +27,8 @@ ordered by ``(need, arrival seq)``: a push computes each touched key's
 watermark once and pops exactly the pulls it releases, so its cost scales
 with the releases, not with the pulls still waiting.
 
-A push's releases reach the workers as one engine event per run of equal
-update delays (:func:`~repro.cluster.worker.deliver_pulls`, DESIGN §2).
+A push's releases reach the workers as one release event per push
+(:func:`~repro.cluster.worker.deliver_pulls`, DESIGN §2).
 BSP aggregation state is grouped by iteration; settled ones drop whole.
 """
 
@@ -56,6 +56,10 @@ SYNC_MODES = ("bsp", "asp", "ssp")
 #: Sort key of a waiting-heap entry ``(need, seq, pull)`` by arrival.
 _SEQ = itemgetter(1)
 
+#: Seconds between a pull's release and its response: the server-side
+#: update (calibration: one CPU optimizer step, whatever the key's size).
+UPDATE_DELAY = 100e-6
+
 
 class ParameterServer:
     """Aggregates pushes from ``n_workers`` and releases per-key pulls."""
@@ -65,8 +69,6 @@ class ParameterServer:
         engine: Engine,
         n_workers: int,
         sizes: np.ndarray,
-        update_fixed: float = 100e-6,
-        update_per_byte: float = 0.0,
         sync_mode: str = "bsp",
         staleness: int = 2,
         faults=None,
@@ -87,8 +89,6 @@ class ParameterServer:
         # Scalar-indexed copy for the per-segment hot loop (indexing a
         # numpy array boxes a fresh np.float64 per lookup).
         self._sizes_list: list[float] = self.sizes.tolist()
-        self.update_fixed = update_fixed
-        self.update_per_byte = update_per_byte
         self.sync_mode = sync_mode
         self.staleness = staleness
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when set,
@@ -330,8 +330,8 @@ class ParameterServer:
 
     def _release(self, pulls: list[PullUnit]) -> None:
         """Respond to one push's released pulls, in release order: one
-        :func:`deliver_pulls` event per run of equal update delays (a
-        per-byte update cost can split them; a PS stall defers them all)."""
+        :func:`deliver_pulls` event per push, after the update delay (and
+        any PS stall)."""
         engine = self.engine
         now = engine._now
         trace = engine.trace
@@ -352,18 +352,7 @@ class ParameterServer:
         stall = 0.0
         if self._faults is not None:
             stall = self._faults.ps_release_delay(now, self.server_index)
-        fixed = self.update_fixed
-        per_byte = self.update_per_byte
-        run: list[PullUnit] = []
-        run_delay = None
-        for pull in pulls:
-            delay = fixed + per_byte * pull.total_bytes + stall
-            if delay != run_delay and run:
-                engine.schedule_after(run_delay, deliver_pulls, self._workers, run)
-                run = []
-            run_delay = delay
-            run.append(pull)
-        engine.schedule_after(run_delay, deliver_pulls, self._workers, run)
+        engine.schedule_after(UPDATE_DELAY + stall, deliver_pulls, self._workers, pulls)
 
     # ------------------------------------------------------------------
     def aggregated_bytes(self, iteration: int, grad: int) -> float:

@@ -186,11 +186,6 @@ class PSPort:
             key = (arrival, next(self._pull_seq))
         heappush(self._pull_heap, (key, pull, arrival))
 
-    def _push_arrival(self, unit: TransferUnit) -> float:
-        """Arrival time of a proposed push = when its head gradient flushed."""
-        ready = self.worker._ready_log[self._grad_of[unit.segments[0].grad]]
-        return ready if ready == ready else self.engine._now  # NaN: not yet
-
     # ------------------------------------------------------------------
     # Channel pumps
     # ------------------------------------------------------------------
@@ -207,23 +202,33 @@ class PSPort:
                 return
         scheduler = self.scheduler
         head = self._pull_heap[0] if self._pull_heap and self.downlink is None else None
-        if head is not None and not scheduler.fifo_channel:
-            # Every proposal carries a ready gradient, so a pull at least
-            # as urgent as the most urgent one wins without proposing.
-            bound = scheduler.most_urgent_ready
-            if bound is None or head[1].priority <= bound:
+        if head is not None:
+            if scheduler.fifo_channel:
+                # An arrival-order proposal starts with the oldest ready
+                # gradient, so a pull that arrived no later wins without
+                # proposing.
+                oldest = scheduler.oldest_ready
+                if oldest is None:
+                    pull_first = True
+                else:
+                    ready = self.worker._ready_log[self._grad_of[oldest]]
+                    pull_first = ready != ready or head[2] <= ready  # NaN: now
+            else:
+                # Every proposal carries a ready gradient, so a pull at
+                # least as urgent as the most urgent one wins without
+                # proposing.
+                bound = scheduler.most_urgent_ready
+                pull_first = bound is None or head[1].priority <= bound
+            if pull_first:
                 self._send_pull_batch(self.channel)
                 return
         push = scheduler.propose_unit(self.engine._now)
 
-        choose_pull = False
-        if head is not None:
-            if push is None:
-                choose_pull = True
-            elif scheduler.fifo_channel:
-                choose_pull = head[2] <= self._push_arrival(push)
-            else:
-                choose_pull = head[1].priority <= push.priority
+        # A pull that lost the check above loses to an arrival-order push.
+        choose_pull = head is not None and (
+            push is None
+            or (not scheduler.fifo_channel and head[1].priority <= push.priority)
+        )
 
         if choose_pull:
             self._send_pull_batch(self.channel)

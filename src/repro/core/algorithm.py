@@ -18,7 +18,7 @@ still fits before the next generation event; packing stops at the first
 gradient that does not fit (skipping it for a smaller, lower-priority one
 would invert priorities).  After gradient 0 is generated the remaining
 gradients drain in priority order, batched into blocks of at most
-``forward_block_bytes`` (the Scheduled Queue transmits blocks in both
+:data:`FORWARD_BLOCK_BYTES` (the Scheduled Queue transmits blocks in both
 phases; gradient 0 always travels alone, immediately).
 
 Transfer-time estimates use the same analytic TCP model as the network
@@ -40,9 +40,13 @@ from repro.errors import ConfigurationError
 from repro.net.tcp import TCPParams, transfer_time
 from repro.quantities import MB
 
-__all__ = ["plan_schedule"]
+__all__ = ["FORWARD_BLOCK_BYTES", "plan_schedule"]
 
 _FIT_TOL = 1e-12
+
+#: Forward-phase block cap (Constraint 9), shared with the online
+#: scheduler: BytePS's 4 MB partition size, the baselines' message size.
+FORWARD_BLOCK_BYTES = 4 * MB
 
 
 def _emit_block(
@@ -91,7 +95,6 @@ def plan_schedule(
     bandwidth: float,
     tcp: TCPParams | None = None,
     eps: float = 1e-6,
-    forward_block_bytes: float = 4 * MB,
 ) -> ProphetPlan:
     """Run Algorithm 1 on a job profile; returns the transfer plan.
 
@@ -100,10 +103,6 @@ def plan_schedule(
     """
     if bandwidth <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
-    if forward_block_bytes <= 0:
-        raise ConfigurationError(
-            f"forward_block_bytes must be positive, got {forward_block_bytes}"
-        )
     tcp = tcp if tcp is not None else TCPParams()
     c = profile.c
     sizes = profile.sizes
@@ -155,7 +154,7 @@ def plan_schedule(
     block_bytes = 0.0
     while ready:
         q = heapq.heappop(ready)
-        if members and block_bytes + float(sizes[q]) > forward_block_bytes:
+        if members and block_bytes + float(sizes[q]) > FORWARD_BLOCK_BYTES:
             cursor = _emit_block(
                 members, sizes, cursor, bandwidth, tcp, "forward", transfers, blocks
             )

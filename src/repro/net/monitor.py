@@ -3,21 +3,15 @@
 Prophet's prototype "periodically (e.g., every 5 seconds) acquires the
 available network bandwidth B of workers" (paper Sec. 4.2).  This module
 reproduces that component: every ``interval`` simulated seconds it samples a
-link's available bandwidth (optionally with multiplicative measurement
-noise) and retains the latest sample.  Consumers (the Prophet scheduler)
-read :meth:`BandwidthMonitor.bandwidth`, seeing a *stale* value between
-samples — exactly the information lag a real monitor has under dynamic
-network conditions.  :meth:`BandwidthMonitor.sample_age` exposes that lag
-so degradation logic can reason about how old its bandwidth estimate is.
+link's available bandwidth and retains the latest sample.  Consumers (the
+Prophet scheduler) read :attr:`BandwidthMonitor.bandwidth`, seeing a
+*stale* value between samples — exactly the information lag a real monitor
+has under dynamic network conditions.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-import numpy as np
-
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.sim.engine import Engine
 
@@ -28,38 +22,17 @@ class BandwidthMonitor:
     """Samples a link's available bandwidth every ``interval`` seconds.
 
     The first sample is taken at construction time, so a freshly created
-    monitor is immediately usable.  ``history`` keeps ``(time, bandwidth)``
-    pairs for post-hoc analysis; ``max_history`` bounds its growth (the
-    default ``None`` keeps everything, which is fine for short runs — a
-    long-lived monitor should set a bound so memory stays constant).
+    monitor is immediately usable.  ``history`` keeps every
+    ``(time, bandwidth)`` sample for post-hoc analysis.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        link: Link,
-        interval: float = 5.0,
-        noise_std: float = 0.0,
-        rng: np.random.Generator | None = None,
-        max_history: int | None = None,
-    ):
+    def __init__(self, engine: Engine, link: Link, interval: float = 5.0):
         if interval <= 0:
             raise ConfigurationError(f"interval must be positive, got {interval}")
-        if noise_std < 0 or noise_std >= 1:
-            raise ConfigurationError(f"noise_std must be in [0, 1), got {noise_std}")
-        if noise_std > 0 and rng is None:
-            raise ConfigurationError("noise_std > 0 requires an rng")
-        if max_history is not None and max_history < 1:
-            raise ConfigurationError(
-                f"max_history must be >= 1 when set, got {max_history}"
-            )
         self.engine = engine
         self.link = link
         self.interval = interval
-        self._noise_std = noise_std
-        self._rng = rng
-        self.history: deque[tuple[float, float]] = deque(maxlen=max_history)
-        self._last: tuple[float, float] | None = None
+        self.history: list[tuple[float, float]] = []
         self._stopped = False
         self._sample_event = None
         self._sample()
@@ -69,9 +42,6 @@ class BandwidthMonitor:
         if self._stopped:
             return
         value = self.link.current_bandwidth()
-        if self._noise_std > 0 and self._rng is not None:
-            factor = 1.0 + self._noise_std * float(self._rng.standard_normal())
-            value *= min(max(factor, 0.5), 1.5)
         self._last = (self.engine.now, value)
         self.history.append(self._last)
         trace = self.engine.trace
@@ -85,38 +55,15 @@ class BandwidthMonitor:
             )
         self._sample_event = self.engine.schedule_after(self.interval, self._sample)
 
-    def _latest(self) -> tuple[float, float]:
-        """The most recent sample, surviving an emptied history window.
-
-        ``history`` can legitimately empty mid-run: a consumer may clear it
-        to reset post-hoc analysis after a link flap, or a bounded deque
-        may be resized underneath a stopped monitor.  The monitor keeps the
-        last sample separately so its *estimate* degrades to the last known
-        value instead of raising mid-run; only a monitor that somehow never
-        sampled at all (impossible through the constructor) raises.
-        """
-        if self._last is None:
-            raise SimulationError(
-                f"bandwidth monitor for link {self.link.name!r} has no "
-                "samples (the monitor always records one at construction)"
-            )
-        if self.history:
-            return self.history[-1]
-        return self._last
-
     @property
     def bandwidth(self) -> float:
         """Most recent bandwidth sample (bytes/s)."""
-        return self._latest()[1]
+        return self._last[1]
 
     @property
     def last_sample_time(self) -> float:
         """Simulation time of the most recent sample."""
-        return self._latest()[0]
-
-    def sample_age(self) -> float:
-        """How stale the current :attr:`bandwidth` estimate is (seconds)."""
-        return self.engine.now - self.last_sample_time
+        return self._last[0]
 
     def stop(self) -> None:
         """Stop sampling and cancel the pending sample event, so a bounded

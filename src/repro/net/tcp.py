@@ -44,7 +44,6 @@ __all__ = [
     "TCPParams",
     "transfer_time",
     "effective_bandwidth",
-    "half_rate_size",
     "is_warm",
 ]
 
@@ -277,47 +276,14 @@ def transfer_time(
     return time
 
 
-def effective_bandwidth(
-    nbytes: float | np.ndarray,
-    bandwidth: float,
-    params: TCPParams,
-) -> float | np.ndarray:
+def effective_bandwidth(nbytes: float, bandwidth: float, params: TCPParams) -> float:
     """The paper's ``f(s, B)``: achieved throughput for an ``s``-byte transfer.
 
     Satisfies ``f(s, B) -> 0`` as ``s -> 0`` and ``f(s, B) -> B`` as
     ``s -> inf`` (Eq. (10) of the paper).  Defined as 0 for ``s == 0``.
     """
-    if isinstance(nbytes, (int, float)):
-        size = float(nbytes)
-        t = transfer_time(size, bandwidth, params)
-        if size > 0.0 and t > 0.0:
-            return size / t
-        return 0.0
-    arr = np.asarray(nbytes, dtype=float)
-    t = np.asarray(transfer_time(arr, bandwidth, params), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eff = np.where(arr > 0, arr / np.where(t > 0, t, np.inf), 0.0)
-    if arr.ndim == 0:
-        return float(eff)
-    return eff
-
-
-def half_rate_size(bandwidth: float, params: TCPParams) -> float:
-    """Transfer size at which ``f(s, B)`` first reaches ``B / 2``.
-
-    A useful summary statistic for calibrating partition/credit sizes:
-    partitions below this size waste more than half the link.  Found by
-    bisection on the monotone ``effective_bandwidth``.
-    """
-    lo, hi = 1.0, 1.0
-    while effective_bandwidth(hi, bandwidth, params) < bandwidth / 2.0:
-        hi *= 2.0
-        if hi > 1e15:  # pragma: no cover - pathological parameters
-            return np.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if effective_bandwidth(mid, bandwidth, params) < bandwidth / 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    size = float(nbytes)
+    t = transfer_time(size, bandwidth, params)
+    if size > 0.0 and t > 0.0:
+        return size / t
+    return 0.0

@@ -95,37 +95,13 @@ def _ps_capped_schedules(
     the workers' instantaneous demands, and each worker's capped schedule
     takes ``min(demand, level)`` there.  For a homogeneous cluster this
     reduces exactly to the classic ``min(b, ps_bandwidth / n)`` split.
-
-    The evaluation is incremental: only schedules that actually break at
-    ``t`` update their demand (everyone else's value cannot have changed),
-    and the shares are memoized on the demand vector — a repeated vector
-    replays the cached result of the same sorted-order,
-    sequential-subtraction arithmetic, so every share is bit-identical to
-    the full per-breakpoint recomputation.  Fleet-scale dynamic
-    environments (many links, few of which flap at any instant) drop from
-    O(breakpoints x n log n) to O(breakpoints + distinct vectors x
-    n log n).  Breakpoints where a worker's share repeats its previous
-    segment are elided from that worker's capped schedule — transparent to
+    Breakpoints where a worker's share repeats its previous segment are
+    elided from that worker's capped schedule — transparent to
     ``value()``, which is piecewise-constant either way.
     """
-    merged = _merged_times(schedules)
-    start = merged[0]
-    breaks_at: dict[float, list[int]] = {t: [] for t in merged}
-    for i, sched in enumerate(schedules):
-        for t in sched.times:
-            if t != start:
-                breaks_at[t].append(i)
-    demands = [sched.value(start) for sched in schedules]
-    share_cache: dict[tuple[float, ...], list[float]] = {}
     capped_points: list[list[tuple[float, float]]] = [[] for _ in schedules]
-    for t in merged:
-        for i in breaks_at[t]:
-            demands[i] = schedules[i].value(t)
-        key = tuple(demands)
-        shares = share_cache.get(key)
-        if shares is None:
-            shares = water_fill_shares(demands, ps_bandwidth)
-            share_cache[key] = shares
+    for t in _merged_times(schedules):
+        shares = water_fill_shares([s.value(t) for s in schedules], ps_bandwidth)
         for points, share in zip(capped_points, shares):
             if not points or points[-1][1] != share:
                 points.append((t, share))

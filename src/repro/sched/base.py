@@ -246,6 +246,12 @@ class CommScheduler:
         """The most urgent ready gradient: a lower bound on any proposal's priority."""
         return self._ready_order[0] if self._ready_order else None
 
+    @property
+    def oldest_ready(self) -> int | None:
+        """The earliest-flushed ready gradient: the head of any
+        arrival-order proposal (:meth:`_consume` keeps the queue's head live)."""
+        return self._arrivals[0] if self._arrivals else None
+
     def remaining_bytes(self, grad: int) -> float:
         """Un-pushed bytes of ``grad`` (0 when fully sent or not ready)."""
         return self._remaining.get(grad, 0.0)

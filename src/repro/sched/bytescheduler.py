@@ -41,6 +41,10 @@ from repro.sched.base import CommScheduler, Segment, TransferUnit
 
 __all__ = ["ByteSchedulerScheduler"]
 
+#: The auto-tuner's credit search space, which brackets the 3-13 MB
+#: excursions of the paper's Fig. 3(b).
+CREDIT_BOUNDS = (1 * MB, 16 * MB)
+
 
 class ByteSchedulerScheduler(CommScheduler):
     """Credit-sized batches of priority-ordered partitions."""
@@ -53,7 +57,6 @@ class ByteSchedulerScheduler(CommScheduler):
         partition_size: float = 4 * MB,
         auto_tune: bool = False,
         tune_every: int = 5,
-        credit_bounds: tuple[float, float] = (1 * MB, 16 * MB),
         rng: np.random.Generator | None = None,
     ):
         if credit <= 0:
@@ -71,8 +74,7 @@ class ByteSchedulerScheduler(CommScheduler):
         self.tune_every = tune_every
         self._optimizer: BayesianOptimizer | None = None
         if auto_tune:
-            low, high = credit_bounds
-            self._optimizer = BayesianOptimizer(low=low, high=high, rng=rng)
+            self._optimizer = BayesianOptimizer(*CREDIT_BOUNDS, rng=rng)
             self.credit = self._optimizer.suggest()
         self._window_times: list[float] = []
         self._outstanding = 0.0

@@ -24,17 +24,17 @@ class P3Scheduler(CommScheduler):
 
     name = "p3"
 
-    def __init__(self, partition_size: float = 4 * MB, sync_rtts: float = 2.0):
+    #: P3 serializes a blocking request/response per partition (paper
+    #: Sec. 6.1): two RTTs of stop-and-wait per message.
+    unit_sync_rtts = 2.0
+
+    def __init__(self, partition_size: float = 4 * MB):
         if partition_size <= 0:
             raise ConfigurationError(
                 f"partition_size must be positive, got {partition_size}"
             )
-        if sync_rtts < 0:
-            raise ConfigurationError(f"sync_rtts must be >= 0, got {sync_rtts}")
         super().__init__()
         self.partition_size = float(partition_size)
-        # P3 serializes a blocking request/response per partition.
-        self.unit_sync_rtts = float(sync_rtts)
 
     def _select(self, now: float) -> TransferUnit | None:
         ready = self.ready_grads

@@ -22,7 +22,8 @@ paper's Fig. 7:
   gradients are not blocked;
 * gradient 0 is pushed alone the instant it is generated (line 17), and
   the remaining gradients drain in strict priority order during forward
-  propagation, batched into blocks of at most ``forward_block_bytes``.
+  propagation, batched into blocks of at most
+  :data:`~repro.core.algorithm.FORWARD_BLOCK_BYTES`.
 
 A pre-built :class:`~repro.core.profiler.JobProfile` may be supplied to
 skip warmup (the "oracle profile", equivalent to a converged profiling
@@ -36,13 +37,13 @@ infeasible.  The scheduler therefore watches its own assumptions: each
 planned iteration compares observed generation times against the profile
 (size-weighted mean relative drift) and each iteration start compares the
 monitored bandwidth against the best recently seen.  When drift exceeds
-``stale_tolerance`` for ``stale_patience`` consecutive iterations, or
-bandwidth falls below ``collapse_factor`` of the reference, the scheduler
-*falls back* instead of emitting an infeasible plan: ``on_stale="reprofile"``
-(default) discards the profile and re-enters the warmup-FIFO path until a
-fresh profile converges; ``on_stale="fifo"`` degrades to FIFO permanently.
-Every detection fires the ``notify`` hook (wired by the factory to a
-``fault``-category trace instant) and increments the public counters.
+:data:`STALE_TOLERANCE` for :data:`STALE_PATIENCE` consecutive iterations,
+or bandwidth falls below :data:`COLLAPSE_FACTOR` of the reference, the
+scheduler *falls back* instead of emitting an infeasible plan: it discards
+the profile and re-enters the warmup-FIFO path until a fresh profile
+converges.  Every detection fires the ``notify`` hook (wired by the
+factory to a ``fault``-category trace instant) and increments the public
+counters.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import math
 from typing import Callable
 
 from repro.agg.kvstore import GenerationSchedule
+from repro.core.algorithm import FORWARD_BLOCK_BYTES
 from repro.core.profiler import JobProfile, JobProfiler
 from repro.errors import ConfigurationError
 from repro.net.tcp import TCPParams
@@ -58,6 +60,24 @@ from repro.quantities import MB
 from repro.sched.base import CommScheduler, Segment, TransferUnit
 
 __all__ = ["ProphetScheduler"]
+
+#: Pull-response coalescing limit in the forward drain (the backward
+#: budget may allow up to four times it): BytePS's 4 MB partition size.
+PULL_BATCH_BYTES = 4 * MB
+#: Floor on a gradient's expected time in the drift base, so a gradient
+#: profiled at ``c = 0`` still weighs: the 1 us same-block tolerance of
+#: :func:`~repro.agg.stepwise.detect_blocks`.
+DRIFT_EPS = 1e-6
+#: Size-weighted relative drift beyond which an iteration is off-plan
+#: (calibration: far above the 2% default compute jitter, so only a real
+#: pacing shift trips it).
+STALE_TOLERANCE = 0.5
+#: Consecutive off-plan iterations before the profile is declared stale
+#: (calibration: one jittery iteration is not a trend).
+STALE_PATIENCE = 2
+#: A monitored bandwidth below this fraction of the best seen is a
+#: collapse (calibration: a 10x drop leaves no interval budget feasible).
+COLLAPSE_FACTOR = 0.1
 
 
 class ProphetScheduler(CommScheduler):
@@ -71,43 +91,13 @@ class ProphetScheduler(CommScheduler):
         profile: JobProfile | None = None,
         profile_iterations: int = 50,
         tcp: TCPParams | None = None,
-        eps: float = 1e-6,
-        guard: float = 0.0,
-        forward_block_bytes: float = 4 * MB,
         round_trip_factor: float = 1.0,
         slice_bytes: float = 1 * MB,
-        pull_batch_bytes: float = 4 * MB,
-        stale_tolerance: float | None = 0.5,
-        stale_patience: int = 2,
-        collapse_factor: float = 0.1,
-        on_stale: str = "reprofile",
         notify: Callable[[str, dict], None] | None = None,
     ):
-        if forward_block_bytes <= 0:
-            raise ConfigurationError(
-                f"forward_block_bytes must be positive, got {forward_block_bytes}"
-            )
-        if guard < 0:
-            raise ConfigurationError(f"guard must be >= 0, got {guard}")
         if round_trip_factor < 1:
             raise ConfigurationError(
                 f"round_trip_factor must be >= 1, got {round_trip_factor}"
-            )
-        if stale_tolerance is not None and stale_tolerance <= 0:
-            raise ConfigurationError(
-                f"stale_tolerance must be positive (or None), got {stale_tolerance}"
-            )
-        if stale_patience < 1:
-            raise ConfigurationError(
-                f"stale_patience must be >= 1, got {stale_patience}"
-            )
-        if not 0 <= collapse_factor < 1:
-            raise ConfigurationError(
-                f"collapse_factor must be in [0, 1), got {collapse_factor}"
-            )
-        if on_stale not in ("reprofile", "fifo"):
-            raise ConfigurationError(
-                f"on_stale must be 'reprofile' or 'fifo', got {on_stale!r}"
             )
         super().__init__()
         #: Budget multiplier for block packing.  1.0 is Algorithm 1 as
@@ -122,22 +112,10 @@ class ProphetScheduler(CommScheduler):
         #: remaining interval (the paper's Fig. 5: "only two partitions of
         #: gradient 1 can be transmitted before gradient 0 is generated").
         self.slice_bytes = float(slice_bytes)
-        if pull_batch_bytes <= 0:
-            raise ConfigurationError(
-                f"pull_batch_bytes must be positive, got {pull_batch_bytes}"
-            )
-        #: Coalescing limit for pull responses (may exceed the forward
-        #: push-block size: parameters stream back in priority order
-        #: either way, and bigger response batches amortize per-message
-        #: costs when the channel is saturated).
-        self.pull_batch_bytes = float(pull_batch_bytes)
         self._bandwidth_provider = bandwidth_provider
         self._profile = profile
         self.profile_iterations = profile_iterations
         self._tcp = tcp if tcp is not None else TCPParams()
-        self._eps = eps
-        self._guard = guard
-        self.forward_block_bytes = float(forward_block_bytes)
         self._profiler: JobProfiler | None = None
         self._backward_start = 0.0
         # Derived per-profile / per-iteration boundary state (see
@@ -153,25 +131,19 @@ class ProphetScheduler(CommScheduler):
         #: Number of iterations scheduled with the profile active (stats).
         self.planned_iterations = 0
 
-        # Degradation policy (see the module docstring).
-        self.stale_tolerance = stale_tolerance
-        self.stale_patience = int(stale_patience)
-        self.collapse_factor = float(collapse_factor)
-        self.on_stale = on_stale
+        # Degradation state (see the module docstring).
         self._notify = notify
         self._stale_streak = 0
         self._drift_err = 0.0
         self._drift_base = 0.0
         self._reference_bandwidth = 0.0
-        self._fifo_locked = False
         #: Stale-profile detections (drift beyond tolerance, patience met).
         self.stale_detections = 0
         #: Bandwidth-collapse detections.
         self.collapse_detections = 0
-        #: Times the scheduler abandoned its plan (either detection kind).
+        #: Times the scheduler abandoned its plan and re-entered profiling
+        #: (either detection kind).
         self.fallbacks = 0
-        #: Fallbacks that re-entered profiling (``on_stale="reprofile"``).
-        self.reprofiles = 0
 
     # ------------------------------------------------------------------
     @property
@@ -196,22 +168,21 @@ class ProphetScheduler(CommScheduler):
         self._backward_start = now
         self._drift_err = 0.0
         self._drift_base = 0.0
-        if self.collapse_factor > 0:
-            bandwidth = self._bandwidth_provider()
-            self._reference_bandwidth = max(self._reference_bandwidth, bandwidth)
-            if (
-                self._profile is not None
-                and bandwidth < self.collapse_factor * self._reference_bandwidth
-            ):
-                self._degrade(
-                    "bandwidth-collapse",
-                    {
-                        "bandwidth": bandwidth,
-                        "reference": self._reference_bandwidth,
-                        "iteration": iteration,
-                    },
-                )
-        if self._profiler is None and self._profile is None and not self._fifo_locked:
+        bandwidth = self._bandwidth_provider()
+        self._reference_bandwidth = max(self._reference_bandwidth, bandwidth)
+        if (
+            self._profile is not None
+            and bandwidth < COLLAPSE_FACTOR * self._reference_bandwidth
+        ):
+            self._degrade(
+                "bandwidth-collapse",
+                {
+                    "bandwidth": bandwidth,
+                    "reference": self._reference_bandwidth,
+                    "iteration": iteration,
+                },
+            )
+        if self._profiler is None and self._profile is None:
             self._profiler = JobProfiler(
                 sizes=schedule.sizes, min_iterations=self.profile_iterations
             )
@@ -250,24 +221,20 @@ class ProphetScheduler(CommScheduler):
         super().gradient_ready(grad, now)
         if self._profiler is not None and self._profile is None:
             self._profiler.observe(grad, max(0.0, now - self._backward_start))
-        elif self._profile is not None and self.stale_tolerance is not None:
+        elif self._profile is not None:
             # Plan-vs-reality drift: accumulate |observed - c(i)| weighted
             # against the profile's own timescale.
             expected = float(self._profile.c[grad])
             observed = max(0.0, now - self._backward_start)
             self._drift_err += abs(observed - expected)
-            self._drift_base += max(expected, self._eps)
+            self._drift_base += max(expected, DRIFT_EPS)
 
     def end_iteration(self, iteration: int, iteration_time: float, now: float) -> None:
-        if (
-            self._profile is not None
-            and self.stale_tolerance is not None
-            and self._drift_base > 0
-        ):
+        if self._profile is not None and self._drift_base > 0:
             drift = self._drift_err / self._drift_base
-            if drift > self.stale_tolerance:
+            if drift > STALE_TOLERANCE:
                 self._stale_streak += 1
-                if self._stale_streak >= self.stale_patience:
+                if self._stale_streak >= STALE_PATIENCE:
                     self._degrade(
                         "stale-profile", {"drift": drift, "iteration": iteration}
                     )
@@ -279,7 +246,7 @@ class ProphetScheduler(CommScheduler):
                 self._profile = self._profiler.build()
 
     def _degrade(self, reason: str, detail: dict) -> None:
-        """Abandon the current plan: re-profile or lock into FIFO."""
+        """Abandon the current plan and re-profile."""
         if reason == "stale-profile":
             self.stale_detections += 1
         else:
@@ -288,13 +255,9 @@ class ProphetScheduler(CommScheduler):
         self._stale_streak = 0
         self._profile = None
         self._profiler = None
-        if self.on_stale == "fifo":
-            self._fifo_locked = True
-        else:
-            self.reprofiles += 1
         if self._notify is not None:
             self._notify(
-                "prophet.fallback", {"reason": reason, "action": self.on_stale, **detail}
+                "prophet.fallback", {"reason": reason, "action": "reprofile", **detail}
             )
 
     def pull_batch_limit(self, now: float) -> float | None:
@@ -304,19 +267,19 @@ class ProphetScheduler(CommScheduler):
         just like a push would, so its batch is sized to the remaining
         stepwise budget (at least one slice — a response cannot shrink
         below the data it already carries).  During the forward drain,
-        batches are capped at ``pull_batch_bytes`` so parameters stream
-        back smoothly to the layer-by-layer forward gate.
+        batches are capped at :data:`PULL_BATCH_BYTES` so parameters
+        stream back smoothly to the layer-by-layer forward gate.
         """
         if self._profile is None or not self._signalled or self._signalled[0]:
-            return self.pull_batch_bytes
+            return PULL_BATCH_BYTES
         boundary = self._boundary(now)
         if boundary == math.inf:
-            return self.pull_batch_bytes
-        budget = boundary - now - self._guard
+            return PULL_BATCH_BYTES
+        budget = boundary - now
         line_rate = self._bandwidth_provider() * self._tcp.goodput
         setup = self._tcp.fixed_overhead + self._tcp.handshake_rtts * self._tcp.rtt
         allowance = (budget - setup) * line_rate
-        return max(self.slice_bytes, min(self.pull_batch_bytes * 4, allowance))
+        return max(self.slice_bytes, min(PULL_BATCH_BYTES * 4, allowance))
 
     # ------------------------------------------------------------------
     def _select(self, now: float) -> TransferUnit | None:
@@ -337,7 +300,7 @@ class ProphetScheduler(CommScheduler):
             nbytes = 0.0
             for q in ready:
                 rem = self.remaining_bytes(q)
-                if segments and nbytes + rem > self.forward_block_bytes:
+                if segments and nbytes + rem > FORWARD_BLOCK_BYTES:
                     break
                 segments.append(self._segment_for(q, rem))
                 nbytes += rem
@@ -345,9 +308,9 @@ class ProphetScheduler(CommScheduler):
 
         # Backward phase: block assembly against the predicted boundary.
         # budget is inf when nothing is pending (boundary == inf) and
-        # >= -guard otherwise (the boundary is clamped to now).
+        # >= 0 otherwise (the boundary is clamped to now).
         boundary = self._boundary(now)
-        budget = boundary - now - self._guard
+        budget = boundary - now
         bandwidth = self._bandwidth_provider()
         # The warm path is affine in bytes (setup + bytes/line-rate), so
         # the interval budget inverts exactly to a byte allowance for the

@@ -152,14 +152,8 @@ def bytescheduler_factory(
 def prophet_factory(
     oracle_profile: bool = True,
     profile_iterations: int = 50,
-    guard: float = 0.0,
-    forward_block_bytes: float = 4 * MB,
     round_trip_factor: float = 1.0,
     slice_bytes: float = 1 * MB,
-    stale_tolerance: float | None = 0.5,
-    stale_patience: int = 2,
-    collapse_factor: float = 0.1,
-    on_stale: str = "reprofile",
 ) -> SchedulerFactory:
     """Prophet wired to each worker's bandwidth monitor.
 
@@ -172,10 +166,9 @@ def prophet_factory(
     knobs the ablation suite sweeps (round-trip packing, slicing
     granularity); defaults match :class:`ProphetScheduler`'s own.
 
-    The degradation knobs (``stale_tolerance``/``stale_patience``/
-    ``collapse_factor``/``on_stale``) govern when the scheduler abandons a
-    rotten plan; each detection is recorded as a ``fault``-category trace
-    instant on the worker's scheduler track.
+    Each time the scheduler abandons a rotten plan (see
+    :mod:`repro.sched.prophet_sched`) the detection is recorded as a
+    ``fault``-category trace instant on the worker's scheduler track.
     """
 
     def factory(ctx: WorkerContext) -> CommScheduler:
@@ -195,14 +188,8 @@ def prophet_factory(
             profile=ctx.oracle_profile if oracle_profile else None,
             profile_iterations=profile_iterations,
             tcp=ctx.tcp,
-            guard=guard,
-            forward_block_bytes=forward_block_bytes,
             round_trip_factor=round_trip_factor,
             slice_bytes=slice_bytes,
-            stale_tolerance=stale_tolerance,
-            stale_patience=stale_patience,
-            collapse_factor=collapse_factor,
-            on_stale=on_stale,
             notify=notify,
         )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agg.kvstore import KVStore
+from repro.agg.kvstore import FLUSH_DELAY, KVStore
 from repro.agg.policies import ExplicitGroupsPolicy, TimeWindowPolicy
 from repro.errors import ConfigurationError
 from repro.models.compute import build_compute_profile
@@ -21,20 +21,12 @@ def test_schedule_covers_all_gradients(profile):
 
 
 def test_c_is_raw_plus_flush_cost(profile):
-    ks = KVStore(policy=TimeWindowPolicy(0.0), flush_fixed=1e-3)
+    ks = KVStore(policy=TimeWindowPolicy(0.0))
     sched = ks.generation_schedule(profile)
     assert np.all(sched.c >= sched.raw)
     # Last-generated bucket flushes at its raw time + fixed cost.
     first_bucket = sched.buckets[0]
-    assert sched.c[first_bucket[0]] == pytest.approx(
-        sched.raw[first_bucket[0]] + 1e-3
-    )
-
-
-def test_per_byte_flush_cost_slows_big_buckets(profile):
-    cheap = KVStore(flush_per_byte=0.0).generation_schedule(profile)
-    costly = KVStore(flush_per_byte=1e-9).generation_schedule(profile)
-    assert costly.c.max() > cheap.c.max()
+    assert sched.c[first_bucket[0]] == sched.raw[first_bucket[0]] + FLUSH_DELAY
 
 
 def test_flush_times_monotone_in_generation_order(profile):
@@ -79,13 +71,6 @@ def test_explicit_groups_policy_roundtrip(profile):
     policy = ExplicitGroupsPolicy(((4, 5, 6, 7), (0, 1, 2, 3)))
     sched = KVStore(policy=policy).generation_schedule(profile)
     assert sched.num_blocks == 2
-
-
-def test_invalid_costs_raise():
-    with pytest.raises(ConfigurationError):
-        KVStore(flush_fixed=-1.0)
-    with pytest.raises(ConfigurationError):
-        KVStore(flush_per_byte=-1.0)
 
 
 def test_bad_policy_partition_rejected(profile):

@@ -3,28 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.bayesopt.optimizer import BayesianOptimizer
+from repro.bayesopt.optimizer import N_INIT, BayesianOptimizer
 from repro.errors import ConfigurationError
 from repro.quantities import MB
 
 
 def test_initial_suggestions_span_the_space():
-    opt = BayesianOptimizer(low=1 * MB, high=16 * MB, n_init=4)
+    opt = BayesianOptimizer(low=1 * MB, high=16 * MB)
     suggestions = []
-    for _ in range(4):
+    for _ in range(N_INIT):
         s = opt.suggest()
         suggestions.append(s)
         opt.observe(s, 1.0)
     assert all(1 * MB <= s <= 16 * MB * (1 + 1e-9) for s in suggestions)
     # Van der Corput sweep: distinct, spread out in log space.
     logs = np.log(suggestions)
-    assert len(set(np.round(logs, 6))) == 4
+    assert len(set(np.round(logs, 6))) == N_INIT
     assert logs.max() - logs.min() > 0.5 * (np.log(16 * MB) - np.log(1 * MB))
 
 
 def test_converges_to_minimum_of_smooth_objective():
     rng = np.random.default_rng(0)
-    opt = BayesianOptimizer(low=1.0, high=100.0, n_init=4, rng=rng)
+    opt = BayesianOptimizer(low=1.0, high=100.0, rng=rng)
     target = 20.0
 
     def objective(x: float) -> float:
@@ -70,7 +70,7 @@ def test_invalid_bounds_raise():
     with pytest.raises(ConfigurationError):
         BayesianOptimizer(low=2.0, high=1.0)
     with pytest.raises(ConfigurationError):
-        BayesianOptimizer(low=1.0, high=2.0, n_init=0)
+        BayesianOptimizer(low=1.0, high=1.0)
 
 
 def test_deterministic_under_seed():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.ps import ParameterServer
+from repro.cluster.ps import UPDATE_DELAY, ParameterServer
 from repro.errors import SimulationError
 from repro.sched.base import Segment, TransferUnit
 from repro.sim.engine import Engine
@@ -21,7 +21,7 @@ class FakeWorker:
 def setup():
     engine = Engine()
     sizes = np.array([100.0, 200.0, 300.0])
-    ps = ParameterServer(engine, n_workers=2, sizes=sizes, update_fixed=1e-3)
+    ps = ParameterServer(engine, n_workers=2, sizes=sizes)
     workers = [FakeWorker(), FakeWorker()]
     ps.attach_workers(workers)
     return engine, ps, workers
@@ -49,7 +49,7 @@ def test_update_delay_applied(setup):
     ps.receive_push(1, 0, _unit(0, 0.0, 100.0))
     t_push = engine.now
     engine.run()
-    assert engine.now == pytest.approx(t_push + 1e-3)
+    assert engine.now == t_push + UPDATE_DELAY
     assert len(workers[0].pulls) == 1
 
 
@@ -127,7 +127,7 @@ def test_completing_push_schedules_one_release_event():
     through one engine event, in worker order."""
     engine = Engine()
     n = 4
-    ps = ParameterServer(engine, n_workers=n, sizes=np.array([100.0]), update_fixed=1e-3)
+    ps = ParameterServer(engine, n_workers=n, sizes=np.array([100.0]))
     workers = [FakeWorker() for _ in range(n)]
     ps.attach_workers(workers)
     for w in range(n - 1):

@@ -31,7 +31,6 @@ def _ps(sync_mode, staleness=1):
         engine,
         n_workers=2,
         sizes=np.array([100.0, 200.0]),
-        update_fixed=0.0,
         sync_mode=sync_mode,
         staleness=staleness,
     )

@@ -13,6 +13,7 @@ from repro.workloads.presets import (
     fifo_factory,
     mgwfbp_factory,
     p3_factory,
+    paper_config,
     prophet_factory,
 )
 
@@ -45,7 +46,34 @@ class _BatchingFIFO(FIFOScheduler):
         return 1e9
 
 
+class _CountingFIFO(FIFOScheduler):
+    """FIFO that counts the units it proposes and the units it commits."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.proposed = 0
+        self.committed = 0
+
+    def propose_unit(self, now):
+        unit = super().propose_unit(now)
+        self.proposed += unit is not None
+        return unit
+
+    def commit_unit(self, unit, now):
+        self.committed += 1
+        super().commit_unit(unit, now)
+
+
 class TestChannelArbitration:
+    def test_fifo_port_commits_every_proposal(self):
+        """A FIFO port settles pull-vs-push on the oldest ready gradient
+        before proposing, so it builds no unit it then drops for a pull."""
+        config = paper_config("resnet18", 16, n_workers=4, n_iterations=4, seed=1)
+        result = run_training(config, lambda ctx: _CountingFIFO())
+        for scheduler in result.schedulers:
+            assert scheduler.committed > 0
+            assert scheduler.proposed == scheduler.committed
+
     def test_fifo_channel_pull_batching_is_rejected(self, tiny_config):
         """An arrival-ordered shared channel sends pulls one at a time."""
         with pytest.raises(SimulationError, match="fifo_channel"):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.agg.kvstore import KVStore
-from repro.core.algorithm import plan_schedule
+from repro.core.algorithm import FORWARD_BLOCK_BYTES, plan_schedule
 from repro.core.blocks import ProphetPlan
 from repro.core.perf_model import PerfModelInputs, check_constraints
 from repro.core.profiler import JobProfile
 from repro.errors import ConfigurationError, SchedulingError
 from repro.models.compute import build_compute_profile
 from repro.net.tcp import TCPParams
-from repro.quantities import Gbps, MB
+from repro.quantities import Gbps
 
 TCP = TCPParams(rtt=0.2e-3, fixed_overhead=0.1e-3, goodput=1.0)
 
@@ -70,10 +70,10 @@ def test_low_bandwidth_defers_to_forward_phase(profile):
 
 
 def test_forward_blocks_respect_size_cap(profile):
-    plan = plan_schedule(profile, 0.05 * Gbps, TCP, forward_block_bytes=2 * MB)
+    plan = plan_schedule(profile, 0.05 * Gbps, TCP)
     for block in plan.forward_blocks():
         if len(block.grads) > 1:
-            assert block.nbytes <= 2 * MB + 1e-6
+            assert block.nbytes <= FORWARD_BLOCK_BYTES + 1e-6
 
 
 def test_forward_blocks_in_priority_order(profile):
@@ -101,7 +101,7 @@ def test_invalid_args_raise(profile):
     with pytest.raises(ConfigurationError):
         plan_schedule(profile, 0.0, TCP)
     with pytest.raises(ConfigurationError):
-        plan_schedule(profile, 1 * Gbps, TCP, forward_block_bytes=0.0)
+        plan_schedule(profile, -1 * Gbps, TCP)
 
 
 def test_plan_validates_double_scheduling():

@@ -23,18 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.messages import PullUnit
-from repro.cluster.ps import ParameterServer
+from repro.cluster.ps import UPDATE_DELAY, ParameterServer
 from repro.errors import SimulationError
 from repro.sched.base import Segment, TransferUnit
 from repro.sim.engine import Engine
 
 _TOL = 1e-9
-UPDATE_S = 1e-3
 #: Gaps between pushes: same instant, inside one update delay, after it.
-GAPS = (0.0, 0.4e-3, 2e-3)
-#: Per-byte update costs: with one, the releases of one push wait
-#: different delays and split into several release events.
-PER_BYTE = (0.0, 1e-6)
+GAPS = (0.0, 0.4 * UPDATE_DELAY, 2 * UPDATE_DELAY)
 
 
 class ReferencePS(ParameterServer):
@@ -73,8 +69,9 @@ class ReferencePS(ParameterServer):
             progress = self._progress.get(pull.segment.grad)
             slowest = min(progress) if progress is not None else -1
             self.staleness_samples.append(max(0, pull.iteration - 1 - slowest))
-        delay = self.update_fixed + self.update_per_byte * pull.total_bytes
-        self.engine.schedule_after(delay, self._workers[pull.worker].enqueue_pull, pull)
+        self.engine.schedule_after(
+            UPDATE_DELAY, self._workers[pull.worker].enqueue_pull, pull
+        )
 
     def receive_push(self, worker, iteration, unit):
         if self.sync_mode == "bsp" and iteration > self._max_push_iteration:
@@ -221,14 +218,12 @@ def _deliver_calls(data, streams) -> list:
     return calls
 
 
-def _drive(cls, mode: str, staleness: int, per_byte: float, sizes, n_workers: int, calls):
+def _drive(cls, mode: str, staleness: int, sizes, n_workers: int, calls):
     engine = Engine()
     ps = cls(
         engine,
         n_workers=n_workers,
         sizes=np.asarray(sizes, dtype=float),
-        update_fixed=UPDATE_S,
-        update_per_byte=per_byte,
         sync_mode=mode,
         staleness=staleness,
     )
@@ -250,11 +245,10 @@ def _drive(cls, mode: str, staleness: int, per_byte: float, sizes, n_workers: in
     return log, ps.staleness_samples
 
 
-def _assert_same(mode: str, staleness: int, sizes, streams, calls, data) -> None:
+def _assert_same(mode: str, staleness: int, sizes, streams, calls) -> None:
     n_workers = len(streams)
-    per_byte = data.draw(st.sampled_from(PER_BYTE))
-    new = _drive(ParameterServer, mode, staleness, per_byte, sizes, n_workers, calls)
-    ref = _drive(ReferencePS, mode, staleness, per_byte, sizes, n_workers, calls)
+    new = _drive(ParameterServer, mode, staleness, sizes, n_workers, calls)
+    ref = _drive(ReferencePS, mode, staleness, sizes, n_workers, calls)
     assert new == ref
 
 
@@ -264,7 +258,7 @@ def _assert_same(mode: str, staleness: int, sizes, streams, calls, data) -> None
 def test_receive_push_releases_like_the_scan(mode, plan, staleness, data):
     sizes, streams = plan
     calls = _receive_calls(data, streams, bsp=mode == "bsp")
-    _assert_same(mode, staleness, sizes, streams, calls, data)
+    _assert_same(mode, staleness, sizes, streams, calls)
 
 
 @pytest.mark.parametrize("mode", ["bsp", "ssp", "asp"])
@@ -274,4 +268,4 @@ def test_deliver_push_releases_like_the_scan(mode, plan, staleness, data):
     # Two iterations keep BSP pruning (keys <= k-2) out of reach however
     # far the reorder buffer lets one worker run ahead.
     sizes, streams = plan
-    _assert_same(mode, staleness, sizes, streams, _deliver_calls(data, streams), data)
+    _assert_same(mode, staleness, sizes, streams, _deliver_calls(data, streams))

@@ -7,7 +7,7 @@ from repro.agg.kvstore import KVStore
 from repro.errors import ConfigurationError
 from repro.models.compute import build_compute_profile
 from repro.quantities import MB
-from repro.sched.bytescheduler import ByteSchedulerScheduler
+from repro.sched.bytescheduler import CREDIT_BOUNDS, ByteSchedulerScheduler
 
 
 @pytest.fixture
@@ -119,10 +119,11 @@ class TestAutoTuning:
 
     def test_autotune_respects_bounds(self, schedule):
         rng = np.random.default_rng(1)
-        s = ByteSchedulerScheduler(
-            auto_tune=True, tune_every=1, credit_bounds=(2 * MB, 8 * MB), rng=rng
-        )
-        assert 2 * MB <= s.credit <= 8 * MB * (1 + 1e-9)
+        s = ByteSchedulerScheduler(auto_tune=True, tune_every=1, rng=rng)
+        low, high = CREDIT_BOUNDS
+        for i in range(8):
+            assert low <= s.credit <= high * (1 + 1e-9)
+            s.end_iteration(i, 1.0 + 0.1 * i, float(i))
 
     def test_tune_every_batches_observations(self, schedule):
         rng = np.random.default_rng(2)

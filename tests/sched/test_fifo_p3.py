@@ -101,10 +101,10 @@ class TestP3:
 
     def test_blocking_sync_configured(self):
         assert P3Scheduler().unit_sync_rtts == 2.0
-        assert P3Scheduler(sync_rtts=0.0).unit_sync_rtts == 0.0
+        assert FIFOScheduler().unit_sync_rtts == 0.0  # pipelined baseline
 
     def test_invalid_params_raise(self):
         with pytest.raises(ConfigurationError):
             P3Scheduler(partition_size=0.0)
         with pytest.raises(ConfigurationError):
-            P3Scheduler(sync_rtts=-1.0)
+            P3Scheduler(partition_size=-1.0)

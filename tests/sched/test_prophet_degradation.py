@@ -1,5 +1,6 @@
 """Graceful-degradation tests for the Prophet scheduler: stale-profile
-drift detection, bandwidth-collapse detection, and the fallback actions."""
+drift detection, bandwidth-collapse detection, and the re-profiling
+fallback."""
 
 from dataclasses import replace
 
@@ -9,12 +10,16 @@ import pytest
 from repro.agg.kvstore import KVStore
 from repro.cluster.trainer import run_training
 from repro.core.profiler import JobProfile
-from repro.errors import ConfigurationError
 from repro.models.compute import build_compute_profile
 from repro.net.link import BandwidthSchedule
 from repro.net.tcp import TCPParams
 from repro.quantities import Gbps
-from repro.sched.prophet_sched import ProphetScheduler
+from repro.sched.prophet_sched import (
+    COLLAPSE_FACTOR,
+    STALE_PATIENCE,
+    STALE_TOLERANCE,
+    ProphetScheduler,
+)
 from repro.workloads.presets import prophet_factory
 
 TCP = TCPParams(rtt=0.2e-3, fixed_overhead=0.1e-3, goodput=1.0)
@@ -32,10 +37,8 @@ def profile(schedule):
 
 
 def make_prophet(profile, bandwidth_fn, **kwargs):
-    defaults = dict(tcp=TCP, collapse_factor=0.0)
-    defaults.update(kwargs)
     return ProphetScheduler(
-        bandwidth_provider=bandwidth_fn, profile=profile, **defaults
+        bandwidth_provider=bandwidth_fn, profile=profile, tcp=TCP, **kwargs
     )
 
 
@@ -55,35 +58,10 @@ def feed_iteration(s, schedule, iteration, now0, dilation=1.0):
     return end
 
 
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(stale_tolerance=0.0),
-            dict(stale_tolerance=-1.0),
-            dict(stale_patience=0),
-            dict(collapse_factor=1.0),
-            dict(collapse_factor=-0.1),
-            dict(on_stale="panic"),
-        ],
-    )
-    def test_bad_degradation_knobs_rejected(self, profile, kwargs):
-        with pytest.raises(ConfigurationError):
-            make_prophet(profile, lambda: 1e9, **kwargs)
-
-    def test_none_tolerance_disables_drift_detection(self, schedule, profile):
-        s = make_prophet(profile, lambda: 1e9, stale_tolerance=None)
-        now = 0.0
-        for it in range(4):
-            now = feed_iteration(s, schedule, it, now, dilation=10.0)
-        assert not s.degraded
-
-
 class TestStaleProfile:
     def test_drift_beyond_tolerance_needs_patience(self, schedule, profile):
-        s = make_prophet(
-            profile, lambda: 1e9, stale_tolerance=0.5, stale_patience=2
-        )
+        assert (STALE_TOLERANCE, STALE_PATIENCE) == (0.5, 2)
+        s = make_prophet(profile, lambda: 1e9)
         now = feed_iteration(s, schedule, 0, 0.0, dilation=5.0)
         assert not s.degraded  # one bad iteration: streak, not detection
         feed_iteration(s, schedule, 1, now, dilation=5.0)
@@ -93,9 +71,7 @@ class TestStaleProfile:
         assert s.profile is None
 
     def test_accurate_iterations_reset_the_streak(self, schedule, profile):
-        s = make_prophet(
-            profile, lambda: 1e9, stale_tolerance=0.5, stale_patience=2
-        )
+        s = make_prophet(profile, lambda: 1e9)
         now = feed_iteration(s, schedule, 0, 0.0, dilation=5.0)
         now = feed_iteration(s, schedule, 1, now, dilation=1.0)  # on-plan
         feed_iteration(s, schedule, 2, now, dilation=5.0)
@@ -106,14 +82,13 @@ class TestStaleProfile:
         s = make_prophet(
             profile,
             lambda: 1e9,
-            stale_tolerance=0.3,
-            stale_patience=1,
-            on_stale="reprofile",
             profile_iterations=2,
             notify=lambda e, d: events.append((e, d)),
         )
-        now = feed_iteration(s, schedule, 0, 0.0, dilation=6.0)
-        assert s.reprofiles == 1 and s.profile is None
+        now = 0.0
+        for it in range(STALE_PATIENCE):
+            now = feed_iteration(s, schedule, it, now, dilation=6.0)
+        assert s.fallbacks == 1 and s.profile is None
         assert len(events) == 1
         name, detail = events[0]
         assert name == "prophet.fallback"
@@ -121,25 +96,10 @@ class TestStaleProfile:
         assert detail["action"] == "reprofile"
         # Warmup-FIFO path re-profiles from the new (dilated) timings and
         # converges back to a plan after ``profile_iterations`` iterations.
-        now = feed_iteration(s, schedule, 1, now, dilation=6.0)
-        feed_iteration(s, schedule, 2, now, dilation=6.0)
+        now = feed_iteration(s, schedule, 2, now, dilation=6.0)
+        feed_iteration(s, schedule, 3, now, dilation=6.0)
         assert s.active  # fresh profile built from post-shift reality
-        assert not s._fifo_locked
-
-    def test_fifo_action_locks_permanently(self, schedule, profile):
-        s = make_prophet(
-            profile,
-            lambda: 1e9,
-            stale_tolerance=0.3,
-            stale_patience=1,
-            on_stale="fifo",
-            profile_iterations=1,
-        )
-        now = feed_iteration(s, schedule, 0, 0.0, dilation=6.0)
-        assert s.degraded
-        for it in range(1, 5):
-            now = feed_iteration(s, schedule, it, now, dilation=6.0)
-        assert s.profile is None  # never re-profiles
+        assert s.fallbacks == 1
 
 
 class TestBandwidthCollapse:
@@ -147,27 +107,21 @@ class TestBandwidthCollapse:
         bw = {"v": 1e9}
         events = []
         s = make_prophet(
-            profile,
-            lambda: bw["v"],
-            collapse_factor=0.1,
-            stale_tolerance=None,
-            notify=lambda e, d: events.append((e, d)),
+            profile, lambda: bw["v"], notify=lambda e, d: events.append((e, d))
         )
         s.begin_iteration(0, schedule, 0.0)  # reference := 1e9
         assert not s.degraded
-        bw["v"] = 5e7  # 5% of the best seen
+        bw["v"] = 0.5 * COLLAPSE_FACTOR * 1e9  # half the collapse threshold
         s.begin_iteration(1, schedule, 1.0)
         assert s.degraded and s.collapse_detections == 1
         assert events[0][1]["reason"] == "bandwidth-collapse"
-        assert events[0][1]["bandwidth"] == pytest.approx(5e7)
+        assert events[0][1]["bandwidth"] == pytest.approx(0.5 * COLLAPSE_FACTOR * 1e9)
 
     def test_moderate_dip_is_not_a_collapse(self, schedule, profile):
         bw = {"v": 1e9}
-        s = make_prophet(
-            profile, lambda: bw["v"], collapse_factor=0.1, stale_tolerance=None
-        )
+        s = make_prophet(profile, lambda: bw["v"])
         s.begin_iteration(0, schedule, 0.0)
-        bw["v"] = 4e8  # 40%: degraded link, not a collapse
+        bw["v"] = 4 * COLLAPSE_FACTOR * 1e9  # degraded link, not a collapse
         s.begin_iteration(1, schedule, 1.0)
         assert not s.degraded
 
@@ -189,9 +143,7 @@ class TestEndToEndFallback:
             monitor_interval=0.1 * t_half,
             trace=True,
         )
-        result = run_training(
-            config, prophet_factory(collapse_factor=0.25, on_stale="fifo")
-        )
+        result = run_training(config, prophet_factory())
         assert any(s.degraded for s in result.schedulers)
         fallbacks = [
             e for e in result.trace.events if e.name == "prophet.fallback"

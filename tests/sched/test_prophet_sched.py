@@ -9,7 +9,8 @@ from repro.errors import ConfigurationError
 from repro.models.compute import build_compute_profile
 from repro.net.tcp import TCPParams
 from repro.quantities import MB
-from repro.sched.prophet_sched import ProphetScheduler
+from repro.core.algorithm import FORWARD_BLOCK_BYTES
+from repro.sched.prophet_sched import PULL_BATCH_BYTES, ProphetScheduler
 
 
 @pytest.fixture
@@ -114,7 +115,7 @@ class TestCriticalAndForwardPhase:
         assert unit.total_bytes == pytest.approx(schedule.sizes[0])
 
     def test_forward_phase_drains_by_priority_in_blocks(self, schedule, profile):
-        s = make_prophet(profile, forward_block_bytes=4 * MB)
+        s = make_prophet(profile)
         s.begin_iteration(0, schedule, now=0.0)
         self._drain_backward(s, schedule)
         t_last = float(schedule.c[0])
@@ -126,7 +127,7 @@ class TestCriticalAndForwardPhase:
                 break
             s.commit_unit(unit, t_last)
             assert unit.total_bytes <= max(
-                4 * MB, max(schedule.sizes[g] for g in unit.grads)
+                FORWARD_BLOCK_BYTES, max(schedule.sizes[g] for g in unit.grads)
             ) + 1e-6
             sent.extend(unit.grads)
         assert sent == sorted(sent)
@@ -179,11 +180,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(forward_block_bytes=0.0),
-            dict(guard=-1.0),
             dict(round_trip_factor=0.5),
             dict(slice_bytes=0.0),
-            dict(pull_batch_bytes=0.0),
         ],
     )
     def test_invalid_params(self, profile, kwargs):
@@ -191,20 +189,20 @@ class TestValidation:
             make_prophet(profile, **kwargs)
 
     def test_pull_batch_limit_forward_phase(self, profile, schedule):
-        s = make_prophet(profile, pull_batch_bytes=3 * MB)
+        s = make_prophet(profile)
         s.begin_iteration(0, schedule, 0.0)
         for bucket in schedule.buckets:
             for g in bucket:
                 s.gradient_ready(g, float(schedule.c[bucket[0]]))
         # gradient 0 signalled -> forward phase -> fixed cap.
-        assert s.pull_batch_limit(float(schedule.c[0])) == 3 * MB
+        assert s.pull_batch_limit(float(schedule.c[0])) == PULL_BATCH_BYTES
 
     def test_pull_batch_limit_backward_is_interval_bounded(self, profile, schedule):
-        s = make_prophet(profile, pull_batch_bytes=3 * MB, slice_bytes=0.25 * MB)
+        s = make_prophet(profile, slice_bytes=0.25 * MB)
         s.begin_iteration(0, schedule, 0.0)
         t0 = float(schedule.c[schedule.buckets[0][0]])
         for g in schedule.buckets[0]:
             s.gradient_ready(g, t0)
         limit = s.pull_batch_limit(t0)
         assert limit is not None
-        assert 0.25 * MB <= limit <= 12 * MB + 1e-6
+        assert 0.25 * MB <= limit <= 4 * PULL_BATCH_BYTES + 1e-6
