@@ -24,9 +24,9 @@ paper requires.  Small partitions (P3 with sub-MB slices) pay the per-round
 RTTs over and over; multi-MB blocks amortize them — this single model drives
 the Fig. 3(a) result.
 
-All functions accept scalars or NumPy arrays for ``nbytes``.  Arrays go
-through the vectorized numpy path (how the partition-sweep benchmark calls
-them); scalars take a pure-Python fast path backed by a memoized
+:func:`transfer_time` accepts a scalar or a NumPy array for ``nbytes``.
+Arrays go through the vectorized numpy path (how the partition-sweep
+benchmark calls it); scalars take a pure-Python fast path backed by a memoized
 per-``(bandwidth, params)`` slow-start table, which is how the simulator's
 per-message hot loop calls them.  Both paths replay the identical IEEE-754
 operation sequence, so scalar and vectorized results are bit-equal.

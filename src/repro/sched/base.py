@@ -34,8 +34,8 @@ stepwise block, FIFO per whole tensor.
 The base class keeps every signalled gradient's un-pushed bytes, in both
 orders a strategy selects from: priority order (:attr:`ready_grads`,
 most urgent first — P3, ByteScheduler, Prophet's plan) and generation
-order (:meth:`ready_by_arrival`, the order the KV store flushed them —
-FIFO, MG-WFBP and Prophet's warm-up).  Segments and units are plain
+order (:meth:`ready_by_arrival`, the order the KV store flushed them,
+headed by :attr:`oldest_ready` — FIFO, MG-WFBP and Prophet's warm-up).  Segments and units are plain
 records; :meth:`CommScheduler.commit_unit` checks each committed segment
 once (the unit is not empty, the gradient is ready, the segment has
 bytes, continues exactly where the last one ended and does not overrun

@@ -24,9 +24,8 @@ class FIFOScheduler(CommScheduler):
     fifo_channel = True
 
     def _select(self, now: float) -> TransferUnit | None:
-        for grad in self.ready_by_arrival():
-            return TransferUnit(segments=(self._segment_for(grad, math.inf),))
-        return None
+        # propose_unit calls this only with bytes left, so a gradient is ready.
+        return TransferUnit(segments=(self._segment_for(self.oldest_ready, math.inf),))
 
     def describe_unit(self, unit: TransferUnit) -> dict[str, object]:
         desc = super().describe_unit(unit)

@@ -340,11 +340,9 @@ class ProphetScheduler(CommScheduler):
             return None
         return TransferUnit(segments=tuple(segments))
 
-    def _select_fallback(self) -> TransferUnit | None:
+    def _select_fallback(self) -> TransferUnit:
         """Warmup behaviour: default FIFO whole-tensor transmission."""
-        for grad in self.ready_by_arrival():
-            return TransferUnit(segments=(self._segment_for(grad, math.inf),))
-        return None
+        return TransferUnit(segments=(self._segment_for(self.oldest_ready, math.inf),))
 
     def describe_unit(self, unit: TransferUnit) -> dict[str, object]:
         """Label each block with the Algorithm-1 phase that assembled it."""
