@@ -37,7 +37,6 @@ from repro.faults import (
     LinkFlap,
     MessageDrops,
     PSStall,
-    RetryPolicy,
 )
 from repro.errors import (
     ReproError,
@@ -74,8 +73,6 @@ from repro.runner import (  # noqa: E402
     RunResult,
     run_grid,
     ResultCache,
-    register_strategy,
-    available_strategies,
 )
 
 __all__ = [
@@ -83,8 +80,6 @@ __all__ = [
     "RunResult",
     "run_grid",
     "ResultCache",
-    "register_strategy",
-    "available_strategies",
     "TrainingConfig",
     "WorkerContext",
     "SchedulerFactory",
@@ -93,7 +88,6 @@ __all__ = [
     "LinkFlap",
     "MessageDrops",
     "PSStall",
-    "RetryPolicy",
     "Trainer",
     "run_training",
     "TrainingResult",

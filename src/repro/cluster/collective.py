@@ -388,7 +388,7 @@ class CollectiveWorker(Worker):
             self._pulled[seg.grad] += seg.nbytes
             if self._pulled[seg.grad] >= self._sizes[seg.grad] - _TOL:
                 self._push_end_log[seg.grad] = now
-                self._tensor_updated(seg.grad, iteration, now)
+                self._tensor_updated(seg.grad, now)
         self._updates_applied(forward_was_blocked)
 
     # ------------------------------------------------------------------

@@ -6,19 +6,19 @@ reliable-delivery vocabulary used when a
 carries a per-worker :class:`PushMessage.seq` sequence number, the PS applies each
 sequence number **at most once** (a retransmission whose original was
 delivered — its ack lost — is recognised and only re-acknowledged), and
-unacknowledged messages are retransmitted under the exponential-backoff
-:class:`RetryPolicy`.  With no fault plan none of this machinery is
-instantiated and push completion remains implicitly reliable.
+unacknowledged messages are retransmitted under the exponential backoff
+of :func:`repro.faults.plan.retry_timeout`.  With no fault plan none of
+this machinery is instantiated and push completion remains implicitly
+reliable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.sched.base import Segment, TransferUnit
 
-__all__ = ["PullUnit", "PushMessage", "RetryPolicy"]
+__all__ = ["PullUnit", "PushMessage"]
 
 
 class PullUnit:
@@ -43,41 +43,6 @@ class PullUnit:
         #: The parameter carried (gradient index; smaller = more urgent).
         self.priority = segment.grad
         self.total_bytes = segment.nbytes
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout/backoff parameters for reliable push delivery.
-
-    A push attempt that completes its transfer without an acknowledgement
-    within ``timeout * backoff**attempt`` seconds (capped at
-    ``max_timeout``) is retransmitted.  ``max_retries`` bounds the number
-    of retransmissions per message so a partitioned network fails the
-    simulation loudly instead of livelocking it.
-    """
-
-    timeout: float = 25e-3
-    backoff: float = 2.0
-    max_timeout: float = 0.5
-    max_retries: int = 30
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ConfigurationError(f"retry timeout must be positive, got {self.timeout}")
-        if self.backoff < 1:
-            raise ConfigurationError(f"retry backoff must be >= 1, got {self.backoff}")
-        if self.max_timeout < self.timeout:
-            raise ConfigurationError(
-                f"max_timeout {self.max_timeout} must be >= timeout {self.timeout}"
-            )
-        if self.max_retries < 1:
-            raise ConfigurationError(
-                f"max_retries must be >= 1, got {self.max_retries}"
-            )
-
-    def timeout_for(self, attempt: int) -> float:
-        """Retransmission timeout after ``attempt`` (0-based) sends."""
-        return min(self.max_timeout, self.timeout * self.backoff**attempt)
 
 
 @dataclass

@@ -109,8 +109,6 @@ class Trainer:
             bandwidth=config.bandwidth,
             tcp=config.tcp,
             worker_bandwidth=config.worker_bandwidth,
-            seed=config.seed,
-            noise_std=config.bandwidth_noise_std,
         )
         if not collective:
             self.topology = ShardedTopology(

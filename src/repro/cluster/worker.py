@@ -48,8 +48,8 @@ conditions.
 reliable-delivery protocol against its PS: every committed push becomes a
 sequence-numbered :class:`~repro.cluster.messages.PushMessage`, delivery
 and acknowledgement legs can each be dropped, and unacknowledged messages
-retransmit under the plan's exponential-backoff
-:class:`~repro.cluster.messages.RetryPolicy` (the PS applies each sequence
+retransmit under the exponential backoff of
+:func:`~repro.faults.plan.retry_timeout` (the PS applies each sequence
 number at most once, so retries never double-credit bytes).  Crashes
 suspend the worker: compute completions occurring during the outage are
 deferred and replayed at restart, every port's in-flight transfer is
@@ -75,6 +75,7 @@ from repro.agg.kvstore import GenerationSchedule
 from repro.cluster.messages import PullUnit, PushMessage
 from repro.cluster.sharding import ShardAssignment, ShardPiece
 from repro.errors import SimulationError
+from repro.faults.plan import MAX_RETRIES, retry_timeout
 from repro.metrics.timeline import Recorder
 from repro.models.compute import ComputeProfile
 from repro.net.link import Link
@@ -340,7 +341,7 @@ class PSPort:
             grad = grad_of[seg.grad]
             pulled[grad] += seg.nbytes
             if pulled[grad] >= sizes[grad] - _TOL:
-                worker._tensor_updated(grad, pull.iteration, now)
+                worker._tensor_updated(grad, now)
         trace = self.engine.trace
         if trace.enabled:
             args = {
@@ -437,7 +438,7 @@ class PSPort:
                     args,
                 )
 
-    def _credit_push(self, unit: TransferUnit, iteration: int, now: float) -> None:
+    def _credit_push(self, unit: TransferUnit, now: float) -> None:
         worker = self.worker
         pushed = worker._pushed
         sizes = worker._sizes
@@ -450,7 +451,6 @@ class PSPort:
     def _push_sent(
         self,
         iteration: int,
-        unit: TransferUnit,
         start: float,
         desc: dict[str, object] | None,
         now: float,
@@ -474,8 +474,8 @@ class PSPort:
         desc: dict[str, object] | None,
     ) -> None:
         now = self.engine._now
-        self._credit_push(unit, iteration, now)
-        self._push_sent(iteration, unit, start, desc, now)
+        self._credit_push(unit, now)
+        self._push_sent(iteration, start, desc, now)
         self.ps.receive_push(self.worker_id, iteration, unit)
         # Link on_idle already re-pumps; nothing else to do here.
 
@@ -492,10 +492,8 @@ class PSPort:
         """
         now = self.engine._now
         if msg.iteration == self.worker._comm_iter:
-            self._credit_push(msg.unit, msg.iteration, now)
-        self._push_sent(
-            msg.iteration, msg.unit, start, self._push_desc.get(msg.seq), now
-        )
+            self._credit_push(msg.unit, now)
+        self._push_sent(msg.iteration, start, self._push_desc.get(msg.seq), now)
 
     # ------------------------------------------------------------------
     # Reliable push delivery (fault mode)
@@ -559,13 +557,12 @@ class PSPort:
             timer.cancel()
 
     def _arm_retry(self, msg: PushMessage) -> None:
-        policy = self._faults.retry
-        if msg.attempts > policy.max_retries:
+        if msg.attempts > MAX_RETRIES:
             raise SimulationError(
                 f"worker {self.worker_id} push seq {msg.seq} exhausted "
-                f"{policy.max_retries} retries (iteration {msg.iteration})"
+                f"{MAX_RETRIES} retries (iteration {msg.iteration})"
             )
-        delay = policy.timeout_for(msg.attempts - 1)
+        delay = retry_timeout(msg.attempts - 1)
         self._retry_timers[msg.seq] = self.engine.schedule_after(
             delay, self._retry_timeout, msg
         )
@@ -583,21 +580,20 @@ class PSPort:
     # ------------------------------------------------------------------
     def _schedule_pull_retry(self, batch: list[PullUnit]) -> None:
         """A pull response was lost: re-request the whole batch after the
-        policy's backoff (the PS already released it; nothing re-credits)."""
-        policy = self._faults.retry
+        retry backoff (the PS already released it; nothing re-credits)."""
         self._faults.count("pull_retries")
         attempt = 1
         for pull in batch:
             n = self._pull_attempts.get(pull, 0) + 1
-            if n > policy.max_retries:
+            if n > MAX_RETRIES:
                 raise SimulationError(
                     f"worker {self.worker_id} pull for gradient "
                     f"{pull.segment.grad} (iteration {pull.iteration}) "
-                    f"exhausted {policy.max_retries} retries"
+                    f"exhausted {MAX_RETRIES} retries"
                 )
             self._pull_attempts[pull] = n
             attempt = max(attempt, n)
-        delay = policy.timeout_for(attempt - 1)
+        delay = retry_timeout(attempt - 1)
         self.engine.schedule_after(delay, self._requeue_pulls, batch)
 
     def _requeue_pulls(self, batch: list[PullUnit]) -> None:
@@ -683,7 +679,7 @@ class Worker:
         # Each gradient's layer, in gradient_table's forward order.
         layers = compute.model.layers
         self._layer_of = [i for i, layer in enumerate(layers) for _ in layer.params]
-        self._n_grads = self._total_tensor_count = len(self._layer_of)
+        self._n_grads = len(self._layer_of)
         self._layer_tensor_counts = [len(layer.params) for layer in layers]
         self._sizes = [float(s) for s in gen_schedule.sizes]
 
@@ -895,7 +891,7 @@ class Worker:
         self._comm_iter = iteration
         # Reset pull gating for the *next* forward pass.
         self._layer_pending = list(self._layer_tensor_counts)
-        self._pending_updates = self._total_tensor_count
+        self._pending_updates = self._n_grads
         self._pulled = [0.0] * self._n_grads
         self._pushed = [0.0] * self._n_grads
         # This pass's mark columns; its ports and the controller write them too.
@@ -955,7 +951,7 @@ class Worker:
             and not self._fwd_chunk_pending
         )
 
-    def _tensor_updated(self, grad: int, iteration: int, now: float) -> None:
+    def _tensor_updated(self, grad: int, now: float) -> None:
         """Every byte of ``grad``'s updated parameters arrived."""
         self._pull_end_log[grad] = now
         layer = self._layer_of[grad]

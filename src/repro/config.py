@@ -96,7 +96,6 @@ class TrainingConfig:
     duplex: bool = False
     seed: int = 0
     jitter_std: float = 0.02
-    bandwidth_noise_std: float = 0.0
     monitor_interval: float = 5.0
     record_gradients: bool = True
     #: Enable the structured trace layer (:mod:`repro.trace`): spans for
@@ -231,7 +230,7 @@ class WorkerContext:
     oracle_profile: "JobProfile"
     tcp: TCPParams
     rng: "np.random.Generator"
-    engine: "Engine | None" = None
+    engine: "Engine"
 
 
 SchedulerFactory = Callable[[WorkerContext], "CommScheduler"]

@@ -6,7 +6,6 @@ against the simulated cluster under the experiment seed.  See
 ``experiments/chaos.py`` for the resilience harness built on top.
 """
 
-from repro.cluster.messages import RetryPolicy
 from repro.faults.injector import FaultInjector, FlappedSchedule
 from repro.faults.plan import (
     FaultPlan,
@@ -24,7 +23,6 @@ __all__ = [
     "MessageDrops",
     "PSStall",
     "ServerCrash",
-    "RetryPolicy",
     "FaultInjector",
     "FlappedSchedule",
 ]

@@ -106,11 +106,6 @@ class FaultInjector:
         # Every scheduled fault event, cancelled by job_finished().
         self._events: list = []
 
-    @property
-    def retry(self):
-        """The plan's :class:`~repro.cluster.messages.RetryPolicy`."""
-        return self.plan.retry
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------

@@ -19,9 +19,8 @@ all, which is what makes the injection layer provably inert when unused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.cluster.messages import RetryPolicy
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -31,7 +30,27 @@ __all__ = [
     "PSStall",
     "ServerCrash",
     "FaultPlan",
+    "RETRY_TIMEOUT",
+    "RETRY_BACKOFF",
+    "MAX_RETRY_TIMEOUT",
+    "MAX_RETRIES",
+    "retry_timeout",
 ]
+
+#: Reliable delivery's exponential backoff: a message unacknowledged
+#: ``RETRY_TIMEOUT * RETRY_BACKOFF**attempt`` seconds after its send
+#: (capped at ``MAX_RETRY_TIMEOUT``) is retransmitted, at most
+#: ``MAX_RETRIES`` times, so a partitioned network fails the simulation
+#: loudly instead of livelocking it.
+RETRY_TIMEOUT = 25e-3
+RETRY_BACKOFF = 2.0
+MAX_RETRY_TIMEOUT = 0.5
+MAX_RETRIES = 30
+
+
+def retry_timeout(attempt: int) -> float:
+    """Retransmission timeout after ``attempt`` (0-based) sends."""
+    return min(MAX_RETRY_TIMEOUT, RETRY_TIMEOUT * RETRY_BACKOFF**attempt)
 
 
 @dataclass(frozen=True)
@@ -203,15 +222,15 @@ class ServerCrash:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Complete fault schedule for one run, plus the retry policy the
-    reliable-delivery layer uses to survive it."""
+    """Complete fault schedule for one run.  The reliable-delivery layer
+    survives it with the module's fixed retry backoff
+    (:func:`retry_timeout`)."""
 
     crashes: tuple[WorkerCrash, ...] = ()
     flaps: tuple[LinkFlap, ...] = ()
     drops: tuple[MessageDrops, ...] = ()
     ps_stalls: tuple[PSStall, ...] = ()
     server_crashes: tuple[ServerCrash, ...] = ()
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         # Tolerate lists in hand-written plans; normalize to tuples so the

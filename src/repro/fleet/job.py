@@ -146,7 +146,3 @@ class JobRecord:
     @property
     def queueing_delay(self) -> float:
         return self.placed_at - self.arrival
-
-    @property
-    def runtime(self) -> float:
-        return self.finished_at - self.placed_at

@@ -8,12 +8,12 @@ priority-based scheduling.
 
 from __future__ import annotations
 
-from repro.models.layers import LayerSpec, ModelSpec, conv2d, linear
+from repro.models.layers import NUM_CLASSES, LayerSpec, ModelSpec, conv2d, linear
 
 __all__ = ["build_alexnet"]
 
 
-def build_alexnet(num_classes: int = 1000) -> ModelSpec:
+def build_alexnet() -> ModelSpec:
     """AlexNet at 224x224 (torchvision single-tower variant)."""
     layers: list[LayerSpec] = []
     conv, size = conv2d("features.0", 3, 64, 11, 224, stride=4, padding=2, bias=True)
@@ -34,5 +34,5 @@ def build_alexnet(num_classes: int = 1000) -> ModelSpec:
     layers.append(LayerSpec("features.pool2", "pool"))
     layers.append(linear("classifier.1", 256 * size * size, 4096))
     layers.append(linear("classifier.4", 4096, 4096))
-    layers.append(linear("classifier.6", 4096, num_classes))
+    layers.append(linear("classifier.6", 4096, NUM_CLASSES))
     return ModelSpec(name="alexnet", input_size=224, layers=tuple(layers))

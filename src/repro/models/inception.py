@@ -11,7 +11,7 @@ contributes three parameter tensors.
 
 from __future__ import annotations
 
-from repro.models.layers import LayerSpec, ModelSpec, batchnorm, conv2d
+from repro.models.layers import NUM_CLASSES, LayerSpec, ModelSpec, batchnorm, conv2d
 
 __all__ = ["build_inception_v3"]
 
@@ -94,7 +94,7 @@ def _inception_e(layers: list[LayerSpec], name: str, in_ch: int, size: int) -> i
     return 320 + 768 + 768 + 192
 
 
-def build_inception_v3(num_classes: int = 1000) -> ModelSpec:
+def build_inception_v3() -> ModelSpec:
     """Inception-v3 at 299x299: 94 conv/bn pairs + fc, ~25 M parameters."""
     from repro.models.layers import linear
 
@@ -120,5 +120,5 @@ def build_inception_v3(num_classes: int = 1000) -> ModelSpec:
     ch = _inception_e(layers, "Mixed_7c", ch, size)                      # 2048
 
     layers.append(LayerSpec("avgpool", "pool"))
-    layers.append(linear("fc", ch, num_classes))
+    layers.append(linear("fc", ch, NUM_CLASSES))
     return ModelSpec(name="inception_v3", input_size=299, layers=tuple(layers))

@@ -26,7 +26,11 @@ __all__ = [
     "batchnorm",
     "linear",
     "conv_out_size",
+    "NUM_CLASSES",
 ]
+
+#: Classifier width of every zoo model (the ImageNet-1k head).
+NUM_CLASSES = 1000
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from gradient 0 up to gradient ~156 (BN statistics excluded there).
 
 from __future__ import annotations
 
-from repro.models.layers import LayerSpec, ModelSpec, batchnorm, conv2d, linear
+from repro.models.layers import NUM_CLASSES, LayerSpec, ModelSpec, batchnorm, conv2d, linear
 
-__all__ = ["build_resnet", "build_resnet18", "build_resnet50", "build_resnet152"]
+__all__ = ["build_resnet"]
 
 _STAGE_CHANNELS = (64, 128, 256, 512)
 
@@ -57,7 +57,7 @@ def _bottleneck_block(
     return out_ch, s
 
 
-def build_resnet(depth: int, num_classes: int = 1000) -> ModelSpec:
+def build_resnet(depth: int) -> ModelSpec:
     """Build a ResNet of the given depth (18, 34, 50, 101, or 152)."""
     configs: dict[int, tuple[str, tuple[int, int, int, int]]] = {
         18: ("basic", (2, 2, 2, 2)),
@@ -88,20 +88,5 @@ def build_resnet(depth: int, num_classes: int = 1000) -> ModelSpec:
                 in_ch, size = _bottleneck_block(layers, prefix, in_ch, channels, stride, size)
 
     layers.append(LayerSpec("avgpool", "pool"))
-    layers.append(linear("fc", in_ch, num_classes))
+    layers.append(linear("fc", in_ch, NUM_CLASSES))
     return ModelSpec(name=f"resnet{depth}", input_size=224, layers=tuple(layers))
-
-
-def build_resnet18(num_classes: int = 1000) -> ModelSpec:
-    """ResNet-18 at 224x224."""
-    return build_resnet(18, num_classes)
-
-
-def build_resnet50(num_classes: int = 1000) -> ModelSpec:
-    """ResNet-50 at 224x224."""
-    return build_resnet(50, num_classes)
-
-
-def build_resnet152(num_classes: int = 1000) -> ModelSpec:
-    """ResNet-152 at 224x224."""
-    return build_resnet(152, num_classes)

@@ -9,9 +9,9 @@ this builder reproduces that space.
 
 from __future__ import annotations
 
-from repro.models.layers import LayerSpec, ModelSpec, conv2d, linear
+from repro.models.layers import NUM_CLASSES, LayerSpec, ModelSpec, conv2d, linear
 
-__all__ = ["build_vgg", "build_vgg16", "build_vgg19"]
+__all__ = ["build_vgg"]
 
 # 'M' = 2x2/2 max-pool; numbers are conv output channels (all 3x3, pad 1).
 _CONFIGS: dict[int, tuple[object, ...]] = {
@@ -23,7 +23,7 @@ _CONFIGS: dict[int, tuple[object, ...]] = {
 }
 
 
-def build_vgg(depth: int, num_classes: int = 1000) -> ModelSpec:
+def build_vgg(depth: int) -> ModelSpec:
     """Build VGG-11/16/19 at 224x224 (with conv biases, no BN)."""
     if depth not in _CONFIGS:
         raise ValueError(f"unsupported VGG depth {depth}; choose from {sorted(_CONFIGS)}")
@@ -44,15 +44,5 @@ def build_vgg(depth: int, num_classes: int = 1000) -> ModelSpec:
             conv_idx += 1
     layers.append(linear("classifier.0", in_ch * size * size, 4096))
     layers.append(linear("classifier.3", 4096, 4096))
-    layers.append(linear("classifier.6", 4096, num_classes))
+    layers.append(linear("classifier.6", 4096, NUM_CLASSES))
     return ModelSpec(name=f"vgg{depth}", input_size=224, layers=tuple(layers))
-
-
-def build_vgg16(num_classes: int = 1000) -> ModelSpec:
-    """VGG-16: 13 conv + 3 fc = 32 parameter tensors, ~138 M parameters."""
-    return build_vgg(16, num_classes)
-
-
-def build_vgg19(num_classes: int = 1000) -> ModelSpec:
-    """VGG-19: 16 conv + 3 fc = 38 parameter tensors, ~144 M parameters."""
-    return build_vgg(19, num_classes)

@@ -32,7 +32,7 @@ The executor duck-types a PS uplink: ``busy``, ``tcp`` and
 them scheduler-committed :class:`~repro.sched.base.TransferUnit`s exactly
 as a PS port hands a unit to its channel.  Steps are barrier-synchronized:
 a step completes when its slowest link finishes (synchronous ring
-semantics), which is how a heterogeneous or noisy link slows the whole
+semantics), which is how a heterogeneous link slows the whole
 collective.
 """
 
@@ -42,6 +42,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults.plan import retry_timeout
 from repro.net.link import BandwidthSchedule, Link, send_batch
 from repro.net.tcp import TCPParams
 from repro.net.topology import worker_link, worker_schedules
@@ -90,8 +91,6 @@ class HierarchicalTopology:
         bandwidth: float | BandwidthSchedule,
         tcp: TCPParams | None = None,
         worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
     ):
         schedules = worker_schedules(n_workers, bandwidth, worker_bandwidth)
         if group_size < 1:
@@ -107,7 +106,7 @@ class HierarchicalTopology:
         self.tcp = tcp if tcp is not None else TCPParams()
 
         def _mk(w: int, kind: str) -> Link:
-            return worker_link(engine, schedules[w], self.tcp, seed, noise_std, w, kind)
+            return worker_link(engine, schedules[w], self.tcp, w, kind)
 
         ring = self.n_groups == 1
         #: Intra-group transmit link of every worker.
@@ -134,12 +133,6 @@ class HierarchicalTopology:
             links.append(self.global_links[worker // self.group_size])
         return links
 
-    def worker_downlinks(self, worker: int) -> list[Link]:
-        """Receive side: collective traffic is accounted on the transmit
-        links (every byte sent is a byte received by the neighbor), so
-        this is empty — mirroring the half-duplex PS accounting."""
-        return []
-
 
 class RingTopology(HierarchicalTopology):
     """``n_workers`` in one ring: the one-group :class:`HierarchicalTopology`.
@@ -156,12 +149,8 @@ class RingTopology(HierarchicalTopology):
         bandwidth: float | BandwidthSchedule,
         tcp: TCPParams | None = None,
         worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
     ):
-        super().__init__(
-            engine, n_workers, n_workers, bandwidth, tcp, worker_bandwidth, seed, noise_std
-        )
+        super().__init__(engine, n_workers, n_workers, bandwidth, tcp, worker_bandwidth)
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +180,11 @@ class _StepExecutor:
     it down exactly as on the PS path.
 
     **Fault-free steps** go through :func:`~repro.net.link.send_batch`,
-    which calls :meth:`_step_done` once per step.  On a homogeneous quiet
-    ring the step runs in lockstep: one transfer-time computation, one
+    which calls :meth:`_step_done` once per step.  On a homogeneous ring
+    the step runs in lockstep: one transfer-time computation, one
     shared in-flight row and log row, and one drain event for all N
-    links; links that differ (noise, ``worker_bandwidth`` overrides,
-    stepped schedules) fall back to per-link starts and completion
+    links; links that differ (``worker_bandwidth`` overrides, stepped
+    schedules) fall back to per-link starts and completion
     events.  Either way the results are bit-identical to N separate sends
     counted down to the barrier.  :meth:`abort` needs no handle on the
     drain event: aborted links no longer carry the step's row, so the
@@ -208,7 +197,7 @@ class _StepExecutor:
 
     * every chunk completion rolls the plan's ``push`` drop probability
       (the ``chunk`` leg); a lost chunk retransmits on the same link after
-      the :class:`~repro.cluster.messages.RetryPolicy` backoff, without
+      the :func:`~repro.faults.plan.retry_timeout` backoff, without
       releasing the step barrier;
     * a per-step watchdog detects stragglers — steps exceeding
       ``_STEP_TIMEOUT_FACTOR ×`` their launch-time estimate — and
@@ -365,7 +354,7 @@ class _StepExecutor:
         tag = self._inflight_tag
         if self._faults is None:
             # Barrier step: all chunk sends start this instant, and on a
-            # homogeneous quiet ring they run in lockstep — send_batch
+            # homogeneous ring they run in lockstep — send_batch
             # computes one transfer time, shares one in-flight row, and
             # completes the step with one drain event that calls the
             # barrier once (bit-identical; see its docstring).
@@ -420,7 +409,7 @@ class _StepExecutor:
             self._chunk_attempts[link] = attempt + 1
             faults.count("chunk_retries")
             self._resend_timers[link] = self.engine.schedule_after(
-                faults.retry.timeout_for(attempt), self._resend_chunk, link, chunk
+                retry_timeout(attempt), self._resend_chunk, link, chunk
             )
             return
         self._chunk_attempts.pop(link, None)
@@ -445,7 +434,7 @@ class _StepExecutor:
     def _arm_watchdog(self, links: Sequence[Link], chunk: float) -> None:
         """Arm the straggler timeout for the step just launched: the
         slowest link's estimate now, scaled by the timeout factor, plus
-        the retry policy's backoff for this mitigation round.  A flap that
+        the retry backoff for this mitigation round.  A flap that
         starts mid-step slows the transfer below the launch-time estimate
         and trips the timeout — exactly the observable a real straggler
         detector keys on."""
@@ -453,7 +442,7 @@ class _StepExecutor:
         expected = max(link.estimate_time(chunk) for link in links)
         timeout = (
             _STEP_TIMEOUT_FACTOR * (expected + self._extra_time)
-            + self._faults.retry.timeout_for(self._step_retries)
+            + retry_timeout(self._step_retries)
         )
         self._watchdog = self.engine.schedule_after(
             timeout, self._step_timeout, self._step_idx

@@ -11,8 +11,7 @@ Bandwidth may vary over time via a piecewise-constant
 :class:`BandwidthSchedule` — this is how the "dynamic network environments"
 experiments (paper Sec. 5.3) are driven.  Each transfer's duration is
 computed from the bandwidth available at its start time through the TCP
-model of :mod:`repro.net.tcp`, optionally with multiplicative measurement
-noise to represent cross-traffic.
+model of :mod:`repro.net.tcp`.
 """
 
 from __future__ import annotations
@@ -77,18 +76,6 @@ class BandwidthSchedule:
     def values(self) -> tuple[float, ...]:
         """Bandwidth level of each breakpoint segment (bytes/s)."""
         return tuple(self._values)
-
-    def capped(self, limit: float) -> "BandwidthSchedule":
-        """A copy of this schedule with every level capped at ``limit``.
-
-        Used to layer a shared-resource ceiling (e.g. a parameter server's
-        NIC share) onto a worker's own bandwidth schedule.
-        """
-        if limit <= 0:
-            raise ConfigurationError(f"cap limit must be positive, got {limit}")
-        return BandwidthSchedule(
-            [(t, min(v, float(limit))) for t, v in zip(self._times, self._values)]
-        )
 
     def set_level(self, time: float, bandwidth: float) -> None:
         """Re-level the schedule from ``time`` onward to ``bandwidth``.
@@ -199,17 +186,11 @@ class Link:
         schedule: BandwidthSchedule,
         tcp: TCPParams,
         name: str = "link",
-        noise_rng: np.random.Generator | None = None,
-        noise_std: float = 0.0,
     ):
-        if noise_std < 0 or noise_std >= 1:
-            raise ConfigurationError(f"noise_std must be in [0, 1), got {noise_std}")
         self.engine = engine
         self.schedule = schedule
         self.tcp = tcp
         self.name = name
-        self._noise_rng = noise_rng
-        self._noise_std = noise_std
         self._inflight: tuple | None = None
         self._finish_event = None
         # Completed transfers as plain ``(start, end, nbytes, tag)`` tuples
@@ -222,7 +203,7 @@ class Link:
         self._busy_accum = 0.0
         # Hot-path caches: the warm-gap threshold and the slow-start table
         # for the bandwidth seen by the last send.  The table only changes
-        # at schedule breakpoints (or every send, under noise), so this
+        # at schedule breakpoints, so this
         # skips the memo-dict lookup that hashes TCPParams.
         self._warm_threshold = tcp.warm_threshold
         self._tbl = None
@@ -265,7 +246,7 @@ class Link:
         return self.schedule.value(self.engine.now)
 
     def estimate_time(self, nbytes: float) -> float:
-        """Transfer time ``nbytes`` would take if started now (no noise)."""
+        """Transfer time ``nbytes`` would take if started now."""
         return float(
             transfer_time(
                 nbytes, self.current_bandwidth(), self.tcp, warm=self._is_warm()
@@ -329,9 +310,6 @@ class Link:
             if sched is self._const_sched and sched._version == self._const_ver
             else sched.value(start)
         )
-        if self._noise_rng is not None and self._noise_std > 0:
-            factor = 1.0 + self._noise_std * float(self._noise_rng.standard_normal())
-            bandwidth *= min(max(factor, 0.1), 2.0)
         # Inlined transfer_time(): schedule validation guarantees a positive
         # bandwidth, and nbytes was checked above, so the scalar fast path
         # reduces to one table replay.  Same IEEE-754 sequence as the
@@ -496,11 +474,9 @@ def send_batch(
     **Lockstep.**  Only the first link runs the full :meth:`Link._start`
     (checks, bandwidth lookup, warm test, slow-start table replay).  Every
     other link is simply marked in flight with the first link's in-flight
-    row when it is idle, noise-free (a noisy first link skips the test:
-    its drawn bandwidth rarely matches a constant schedule), on its constant
-    schedule at the first link's bandwidth, on the same
-    :class:`~repro.net.tcp.TCPParams` object, and at the same
-    ``_last_end``.  Those inputs are all its own ``_start`` would read, so
+    row when it is idle, on its constant schedule at the first link's
+    bandwidth, on the same :class:`~repro.net.tcp.TCPParams` object, and
+    at the same ``_last_end``.  Those inputs are all its own ``_start`` would read, so
     it would compute a bit-identical end time.  A link that fails the test
     runs its own ``_start``; if its end time equals the first link's, its
     row equals the first link's in value and is replaced by it.
@@ -512,8 +488,8 @@ def send_batch(
     them, they would fire in launch order, and the per-link countdown
     would release the barrier in the last one.
 
-    **Fallback.**  When end times differ (noise, ``worker_bandwidth``
-    overrides, stepped or flapped schedules), each link gets its own
+    **Fallback.**  When end times differ (``worker_bandwidth`` overrides,
+    stepped or flapped schedules), each link gets its own
     :meth:`Link._finish` event, in launch order, and the barrier callback
     rides only on the link that finishes last, launch order breaking
     ties: the event whose countdown would have reached zero.
@@ -522,7 +498,6 @@ def send_batch(
     first = links[0]
     end = first._start(nbytes, tag, None, extra_time)
     row = first._inflight
-    quiet = first._noise_rng is None or first._noise_std == 0
     bandwidth = first._tbl_bw
     tcp = first.tcp
     last_end = first._last_end
@@ -530,14 +505,12 @@ def send_batch(
     for link in links[1:]:
         sched = link.schedule
         if (
-            quiet
-            and link._inflight is None
+            link._inflight is None
             and link._last_end == last_end
             and link.tcp is tcp
             and sched is link._const_sched
             and sched._version == link._const_ver
             and link._const_bw == bandwidth
-            and (link._noise_rng is None or link._noise_std == 0)
         ):
             link._inflight = row
             link._finish_event = None

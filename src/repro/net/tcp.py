@@ -52,9 +52,9 @@ __all__ = [
 _MAX_SLOW_START_ROUNDS = 64
 
 #: Memoized slow-start tables, keyed ``(bandwidth, params)``.  Bounded
-#: because bandwidth noise makes every send see a unique bandwidth — the
-#: cache must not grow with the transfer count.  FIFO eviction (dict
-#: preserves insertion order) is fine: a noisy run misses every time and
+#: because re-levelled shares (the fleet fabric, water-filling) can
+#: present many distinct bandwidths — the cache must not grow with the
+#: run.  FIFO eviction (dict preserves insertion order) is fine: a miss
 #: just pays the cheap table build, while the common fixed-bandwidth run
 #: hits the same handful of entries forever.
 _TABLE_CACHE: dict[tuple[float, "TCPParams"], "_SlowStartTable"] = {}

@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError
 from repro.net.link import BandwidthSchedule, Link
 from repro.net.tcp import TCPParams
 from repro.sim.engine import Engine
-from repro.sim.rng import spawn_rng
 
 __all__ = [
     "ShardedTopology",
@@ -249,22 +248,15 @@ def worker_link(
     engine: Engine,
     schedule: BandwidthSchedule,
     tcp: TCPParams,
-    seed: int | None,
-    noise_std: float,
-    *stream: int | str,
+    worker: int,
+    *rest: int | str,
 ) -> Link:
-    """One worker link, noisy when ``noise_std > 0``.
-
-    ``stream`` is ``(worker, [shard,] kind)``: the link's noise draws
-    from RNG stream ``("link", *stream)`` and it is named
-    ``worker{w}[-s{shard}]-{kind}``, so every link has its own stream.
-    """
-    worker, *rest = stream
+    """One worker link, named ``worker{w}[-s{shard}]-{kind}`` after
+    ``(worker, [shard,] kind)``."""
     name = "-".join(
         [f"worker{worker}", *(f"s{p}" if isinstance(p, int) else p for p in rest)]
     )
-    rng = spawn_rng(seed, "link", *stream) if noise_std > 0 else None
-    return Link(engine, schedule, tcp, name=name, noise_rng=rng, noise_std=noise_std)
+    return Link(engine, schedule, tcp, name=name)
 
 
 class ShardedTopology:
@@ -280,7 +272,7 @@ class ShardedTopology:
     heterogeneity experiments).
 
     The paper's star is ``n_servers=1``: its links keep the star's names
-    (``worker{w}-up``/``-down``) and noise streams (``("link", w, dir)``).
+    (``worker{w}-up``/``-down``).
 
     The worker NIC caps each shard flow individually but not their sum —
     an accepted simplification for the PS-bound regime this topology
@@ -295,8 +287,6 @@ class ShardedTopology:
         tcp: TCPParams | None = None,
         worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
         ps_bandwidth: float | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
         *,
         n_servers: int = 1,
     ):
@@ -318,11 +308,7 @@ class ShardedTopology:
             for s in range(n_servers):
                 shard = () if n_servers == 1 else (s,)
                 for direction, bucket in (("up", ups), ("down", downs)):
-                    bucket.append(
-                        worker_link(
-                            engine, sched, self.tcp, seed, noise_std, w, *shard, direction
-                        )
-                    )
+                    bucket.append(worker_link(engine, sched, self.tcp, w, *shard, direction))
             self.uplinks.append(ups)
             self.downlinks.append(downs)
 

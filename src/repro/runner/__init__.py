@@ -8,8 +8,8 @@ those sweeps fast and rerunnable:
   run and the scalar projection of its outcome (:mod:`repro.runner.spec`;
   a :class:`~repro.fleet.spec.FleetSpec` and its ``FleetRunResult`` are
   the same pair for a whole fleet);
-* a strategy registry resolving scheduler factories by name in worker
-  processes (:mod:`repro.runner.registry`);
+* :func:`build_factory`, resolving a preset strategy's scheduler factory
+  by name in worker processes (:mod:`repro.runner.registry`);
 * stable content fingerprints over config + strategy + fault plan + seed
   + version + package source digest (:mod:`repro.runner.fingerprint`);
 * a content-addressed on-disk result cache (:mod:`repro.runner.cache`);
@@ -33,11 +33,7 @@ from repro.runner.executor import (
     shutdown_pools,
 )
 from repro.runner.fingerprint import canonical, fingerprint, key_payload
-from repro.runner.registry import (
-    available_strategies,
-    build_factory,
-    register_strategy,
-)
+from repro.runner.registry import build_factory
 from repro.runner.spec import RunResult, RunSpec
 
 __all__ = [
@@ -54,8 +50,6 @@ __all__ = [
     "fingerprint",
     "canonical",
     "key_payload",
-    "register_strategy",
-    "available_strategies",
     "build_factory",
     "JOBS_ENV",
     "NO_CACHE_ENV",

@@ -92,9 +92,6 @@ class ByteSchedulerScheduler(CommScheduler):
         self.credit_history.append((iteration, self.credit))
 
     def _select(self, now: float) -> TransferUnit | None:
-        ready = self.ready_grads
-        if not ready:
-            return None
         # The unconsumed credit bounds this send; zero credit stalls the
         # push stream until pulls replenish it (flow control).  Stall
         # probes granted by the worker temporarily extend the window.
@@ -106,7 +103,7 @@ class ByteSchedulerScheduler(CommScheduler):
         # shorter than a partition still forms one atom, and the batch is
         # cut at the credit boundary.
         segments: list[Segment] = []
-        for grad in ready:
+        for grad in self.ready_grads:
             if budget <= 0:
                 break
             remaining = self.remaining_bytes(grad)

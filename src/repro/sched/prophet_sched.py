@@ -256,9 +256,7 @@ class ProphetScheduler(CommScheduler):
         self._profile = None
         self._profiler = None
         if self._notify is not None:
-            self._notify(
-                "prophet.fallback", {"reason": reason, "action": "reprofile", **detail}
-            )
+            self._notify("prophet.fallback", {"reason": reason, **detail})
 
     def pull_batch_limit(self, now: float) -> float | None:
         """Interval-aware pull batching.

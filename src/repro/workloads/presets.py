@@ -177,8 +177,6 @@ def prophet_factory(
         track = f"worker{ctx.worker_id}/sched"
 
         def notify(event: str, detail: dict) -> None:
-            if engine is None:
-                return
             trace = engine.trace
             if trace.enabled:
                 trace.instant(event, "fault", engine.now, track, detail)

@@ -100,41 +100,13 @@ def test_prophet_with_wrong_bandwidth_estimate(tiny_config, factor):
     assert result.training_rate(skip=1) > 0
 
 
-#: Per-backend noisy-link pins: config overrides, worker 0's transmit
-#: link names, and every strategy's exact ``end_time``.  No experiment,
-#: bench golden or smoke baseline sets ``bandwidth_noise_std``, so these
-#: are what catch a renamed link or a re-keyed ``("link", ...)`` stream.
-NOISY_LINK_PINS = {
-    "star": (
-        {},
-        ["worker0-up"],
-        {
-            "mxnet-fifo": 4.531528227051131,
-            "p3": 4.109644072494746,
-            "bytescheduler": 4.497110099576439,
-            "prophet": 4.413669275049362,
-        },
-    ),
-    "sharded": (
-        {"n_servers": 2},
-        ["worker0-s0-up", "worker0-s1-up"],
-        {
-            "mxnet-fifo": 3.782117229872958,
-            "p3": 3.69909805993312,
-            "bytescheduler": 3.8414473479220708,
-            "prophet": 3.8254778439560417,
-        },
-    ),
-    "ring": (
-        {"backend": "allreduce"},
-        ["worker0-ring"],
-        {
-            "mxnet-fifo": 3.5066383229120417,
-            "p3": 3.5513530305042362,
-            "bytescheduler": 3.51658941205735,
-            "prophet": 3.5592531521334334,
-        },
-    ),
+#: Per-backend config overrides and worker 0's transmit link names.  A
+#: link's name is its trace track (``net/<name>``), so a renamed link
+#: moves every traced run's transfer spans.
+LINK_NAMES = {
+    "star": ({}, ["worker0-up"]),
+    "sharded": ({"n_servers": 2}, ["worker0-s0-up", "worker0-s1-up"]),
+    "ring": ({"backend": "allreduce"}, ["worker0-ring"]),
     "hierarchical": (
         {
             "backend": "allreduce",
@@ -143,25 +115,16 @@ NOISY_LINK_PINS = {
             "collective_group_size": 2,
         },
         ["worker0-local", "worker0-global"],
-        {
-            "mxnet-fifo": 4.15790202765692,
-            "p3": 4.086962309393552,
-            "bytescheduler": 4.158776777128767,
-            "prophet": 4.006916923006204,
-        },
     ),
 }
 
 
 def test_noisy_bandwidth_links(tiny_config):
-    for variant, (overrides, names, end_times) in NOISY_LINK_PINS.items():
-        config = replace(tiny_config, bandwidth_noise_std=0.2, **overrides)
-        for name, factory in STRATEGY_FACTORIES.items():
-            result = run_training(config, factory)
-            assert result.training_rate(skip=1) > 0
-            links = result.topology.worker_uplinks(0)
-            assert [link.name for link in links] == names, variant
-            assert result.end_time == end_times[name], (variant, name)
+    """Links draw no noise; what this guards is worker 0's link names."""
+    for variant, (overrides, names) in LINK_NAMES.items():
+        trainer = Trainer(replace(tiny_config, **overrides), prophet_factory())
+        links = trainer.topology.worker_uplinks(0)
+        assert [link.name for link in links] == names, variant
 
 
 def test_absurdly_small_p3_partitions(tiny_config):

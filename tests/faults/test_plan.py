@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.cluster.messages import RetryPolicy
 from repro.errors import ConfigurationError
 from repro.faults.plan import (
     FaultPlan,
@@ -13,6 +12,7 @@ from repro.faults.plan import (
     PSStall,
     ServerCrash,
     WorkerCrash,
+    retry_timeout,
 )
 
 
@@ -96,25 +96,8 @@ class TestPSStall:
 
 class TestRetryPolicy:
     def test_timeouts_back_off_exponentially_and_cap(self):
-        policy = RetryPolicy(timeout=0.01, backoff=2.0, max_timeout=0.05)
-        assert policy.timeout_for(0) == pytest.approx(0.01)
-        assert policy.timeout_for(1) == pytest.approx(0.02)
-        assert policy.timeout_for(2) == pytest.approx(0.04)
-        assert policy.timeout_for(3) == pytest.approx(0.05)  # capped
-        assert policy.timeout_for(10) == pytest.approx(0.05)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(timeout=0.0),
-            dict(backoff=0.5),
-            dict(max_timeout=0.001, timeout=0.01),
-            dict(max_retries=0),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(**kwargs)
+        delays = [retry_timeout(attempt) for attempt in range(8)]
+        assert delays == [0.025, 0.05, 0.1, 0.2, 0.4, 0.5, 0.5, 0.5]
 
 
 class TestFaultPlan:

@@ -54,7 +54,6 @@ def test_ring_topology_shape():
     assert topo.global_links == []  # one group: no inter-group ring
     assert topo.worker_uplinks(0) == [topo.local_links[0]]
     assert topo.worker_uplinks(3) == [topo.local_links[3]]
-    assert topo.worker_downlinks(3) == []
 
 
 def test_ring_min_bandwidth_sees_slow_worker():

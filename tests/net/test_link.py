@@ -1,6 +1,5 @@
 """Unit tests for serialized links and bandwidth schedules."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -193,34 +192,9 @@ class TestLink:
         engine.run()
         assert link.total_bytes == pytest.approx(3 * MB)
 
-    def test_noise_requires_valid_std(self, engine):
-        with pytest.raises(ConfigurationError):
-            Link(
-                engine,
-                BandwidthSchedule.constant(1 * Gbps),
-                TCPParams(),
-                noise_std=1.5,
-            )
-
-    def test_noise_perturbs_duration(self, engine):
-        rng = np.random.default_rng(3)
-        link = Link(
-            engine,
-            BandwidthSchedule.constant(1 * Gbps),
-            TCPParams(),
-            noise_rng=rng,
-            noise_std=0.2,
-        )
-        durations = []
-        for i in range(5):
-            engine.schedule(float(i), lambda: link.send(4 * MB))
-            engine.run(until=float(i) + 0.9)
-        durations = [r.duration for r in link.records]
-        assert len(set(round(d, 9) for d in durations)) > 1
-
 
 # ----------------------------------------------------------------------
-# BandwidthSchedule public accessors and capping
+# BandwidthSchedule public accessors
 # ----------------------------------------------------------------------
 
 class TestSetLevel:
@@ -299,22 +273,3 @@ class TestScheduleCapped:
         assert sched.points == ((0.0, 5.0), (2.0, 9.0))
         assert sched.times == (0.0, 2.0)
         assert sched.values == (5.0, 9.0)
-
-    def test_capped_limits_every_segment(self):
-        sched = BandwidthSchedule([(0.0, 5.0), (2.0, 9.0), (4.0, 1.0)])
-        capped = sched.capped(4.0)
-        assert capped.values == (4.0, 4.0, 1.0)
-        assert capped.times == sched.times
-        # the original is untouched
-        assert sched.values == (5.0, 9.0, 1.0)
-
-    def test_capped_above_peak_is_identity(self):
-        sched = BandwidthSchedule([(0.0, 5.0), (2.0, 9.0)])
-        assert sched.capped(100.0).points == sched.points
-
-    def test_capped_rejects_nonpositive_limit(self):
-        from repro.errors import ConfigurationError
-
-        sched = BandwidthSchedule.constant(5.0)
-        with pytest.raises(ConfigurationError):
-            sched.capped(0.0)

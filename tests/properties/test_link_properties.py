@@ -138,7 +138,7 @@ _TCP = TCPParams(rtt=0.2e-3, fixed_overhead=0.1e-3, goodput=0.8)
 
 @st.composite
 def batch_setups(draw):
-    """Per-link schedules, noise levels and prior sends, plus the batch.
+    """Per-link schedules and prior sends, plus the batch.
 
     Bandwidths and prior sizes come from small pools so that equal links
     (the lockstep path) are common; the rest take the fallback.
@@ -155,7 +155,6 @@ def batch_setups(draw):
         points[draw(st.integers(0, n - 1))] = [(0.0, base), (step_at, draw(pool))]
     return {
         "points": points,
-        "noise": [draw(st.sampled_from([0.0, 0.2])) for _ in range(n)],
         "prior": [draw(st.sampled_from([None, 1e5, 1e6])) for _ in range(n)],
         "gap": draw(st.floats(0.0, 2 * _TCP.warm_threshold)),
         "nbytes": draw(st.floats(0.0, 1e7)),
@@ -167,15 +166,8 @@ def _world(setup):
     """Links after their prior sends, at the batch start instant."""
     engine = Engine()
     links = [
-        Link(
-            engine,
-            BandwidthSchedule(pts),
-            _TCP,
-            name=f"l{i}",
-            noise_rng=np.random.default_rng(i) if std > 0 else None,
-            noise_std=std,
-        )
-        for i, (pts, std) in enumerate(zip(setup["points"], setup["noise"]))
+        Link(engine, BandwidthSchedule(pts), _TCP, name=f"l{i}")
+        for i, pts in enumerate(setup["points"])
     ]
     for link, prior in zip(links, setup["prior"]):
         if prior is not None:

@@ -93,7 +93,6 @@ class TestStaleProfile:
         name, detail = events[0]
         assert name == "prophet.fallback"
         assert detail["reason"] == "stale-profile"
-        assert detail["action"] == "reprofile"
         # Warmup-FIFO path re-profiles from the new (dilated) timings and
         # converges back to a plan after ``profile_iterations`` iterations.
         now = feed_iteration(s, schedule, 2, now, dilation=6.0)

@@ -38,7 +38,7 @@ def ctx():
                          iterations=0)
     return WorkerContext(
         worker_id=0, monitor=monitor, oracle_profile=profile,
-        tcp=PAPER_TCP, rng=make_rng(0),
+        tcp=PAPER_TCP, rng=make_rng(0), engine=engine,
     )
 
 
