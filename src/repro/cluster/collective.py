@@ -32,10 +32,15 @@ Because the scheduler still speaks propose/commit, and the executor's
 ``send_unit`` takes a committed unit the way a PS port's ``Link.send``
 does, the scheduler cannot tell the backends apart — FIFO, P3,
 ByteScheduler, MG-WFBP and Prophet all run unchanged, which is the point
-of the topology/scheduler split.  ``pull_completed`` fires per segment at
-operation completion so credit-based flow control (ByteScheduler)
-replenishes exactly as on the PS path, where the PS mirrors every pushed
-byte back as a pull.
+of the topology/scheduler split.  A scheduler that overrides
+``pull_completed`` hears it per segment at operation completion, so
+credit-based flow control (ByteScheduler) replenishes exactly as on the
+PS path, where the PS mirrors every pushed byte back as a pull.  The
+workers' per-gradient marks, credit and forward gates go through the same
+:class:`~repro.cluster.worker.Worker` helpers a PS port calls, on the
+star's piece map, so a traced run shows the collective's per-gradient
+``assembly`` and ``wait`` spans on ``collective/assembly`` and
+``collective/wait``.
 
 **Fault mode.**  With a :class:`~repro.faults.injector.FaultInjector`
 wired, a worker crash triggers an *elastic shrink* — the collective
@@ -63,6 +68,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.agg.kvstore import GenerationSchedule
+from repro.cluster.sharding import ShardPiece
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.net.collective import HierarchicalExecutor
@@ -70,9 +76,6 @@ from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
 __all__ = ["CollectiveController", "CollectiveWorker", "EffectiveBandwidthView"]
-
-_TOL = 1e-9
-
 
 class EffectiveBandwidthView:
     """Monitor proxy scaling samples by the collective's per-byte cost.
@@ -122,6 +125,7 @@ class CollectiveController:
         self.executor = executor
         self.n_workers = n_workers
         self.workers: list[CollectiveWorker] = []
+        self._pieces: tuple[ShardPiece, ...] = ()
         self._comm_track = "collective/comm"
         self._iteration = -1
         self._end_span = 0.0
@@ -137,14 +141,22 @@ class CollectiveController:
         self._pending_end: int | None = None
         self._ready_sets: dict[int, set[int]] = {}
         self._inflight: tuple[int, TransferUnit, dict | None] | None = None
+        # Only a scheduler that acts on pull feedback hears of each range.
+        cls = type(scheduler)
+        self._pull_feedback = cls.pull_completed is not CommScheduler.pull_completed
 
-    def attach_workers(self, workers: list["CollectiveWorker"]) -> None:
+    def attach_workers(
+        self, workers: list["CollectiveWorker"], pieces: tuple[ShardPiece, ...]
+    ) -> None:
+        """Wire the ranks and the piece map their credit runs on (the
+        star's: one whole piece per gradient, local index == gradient)."""
         if len(workers) != self.n_workers:
             raise SimulationError(
                 f"controller wired for {self.n_workers} workers, "
                 f"got {len(workers)}"
             )
         self.workers = list(workers)
+        self._pieces = pieces
 
     # ------------------------------------------------------------------
     # Negotiation: worker reports → scheduler hooks at the Nth report
@@ -288,17 +300,20 @@ class CollectiveController:
             self._send_unit(unit, now)
 
     def _send_unit(self, unit: TransferUnit, now: float) -> None:
-        self.scheduler.commit_unit(unit, now)
-        iteration = self._iteration
-        for seg in unit.segments:
-            if seg.offset <= _TOL:
-                for worker in self.workers:
-                    if worker.worker_id in self._active:
-                        worker._push_start_log[seg.grad] = now
+        scheduler = self.scheduler
+        scheduler.commit_unit(unit, now)
         desc: dict[str, object] | None = None
+        track: str | None = None
         if self.engine.trace.enabled:
-            desc = self.scheduler.describe_unit(unit)
-        self._launch_unit(iteration, unit, desc, now)
+            desc = scheduler.describe_unit(unit)
+            track = "collective"
+        for worker in self.workers:
+            if worker.worker_id in self._active:
+                worker._push_started(self._pieces, unit, now, desc, track)
+                # Every active rank shares the negotiated ready times, so
+                # the first one traces the collective's spans.
+                track = None
+        self._launch_unit(self._iteration, unit, desc, now)
 
     def _launch_unit(
         self,
@@ -337,12 +352,14 @@ class CollectiveController:
         # The reduced result is now resident on every worker: the unit's
         # bytes count as both pushed and pulled, and credit-based flow
         # control replenishes as if the PS had mirrored the bytes back.
-        for seg in unit.segments:
-            self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
+        if self._pull_feedback:
+            for seg in unit.segments:
+                self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
+        pieces = self._pieces
         for worker in self.workers:
-            if worker.worker_id not in self._active:
-                continue
-            worker._collective_credit(unit, iteration, now)
+            if worker.worker_id in self._active:
+                worker._credit_pushed(pieces, unit, iteration, now)
+                worker._credit_pulled(pieces, unit.segments, now)
         self.pump()
 
 
@@ -371,25 +388,6 @@ class CollectiveWorker(Worker):
     def detach(self) -> None:
         super().detach()
         self.controller = None
-
-    # ------------------------------------------------------------------
-    # Operation-completion credit (called by the controller)
-    # ------------------------------------------------------------------
-    def _collective_credit(
-        self, unit: TransferUnit, iteration: int, now: float
-    ) -> None:
-        if iteration != self._comm_iter:
-            raise SimulationError(
-                f"worker {self.worker_id} credited for iteration {iteration} "
-                f"while communicating iteration {self._comm_iter}"
-            )
-        forward_was_blocked = self._forward_blocked()
-        for seg in unit.segments:
-            self._pulled[seg.grad] += seg.nbytes
-            if self._pulled[seg.grad] >= self._sizes[seg.grad] - _TOL:
-                self._push_end_log[seg.grad] = now
-                self._tensor_updated(seg.grad, now)
-        self._updates_applied(forward_was_blocked)
 
     # ------------------------------------------------------------------
     # Fault handling: a crashed rank leaves the ring for good

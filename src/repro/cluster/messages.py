@@ -1,15 +1,14 @@
 """Messages exchanged between workers and the parameter server.
 
-Besides the fault-free :class:`PullUnit`, this module defines the
-reliable-delivery vocabulary used when a
-:class:`~repro.faults.plan.FaultPlan` is active: every push message
-carries a per-worker :class:`PushMessage.seq` sequence number, the PS applies each
-sequence number **at most once** (a retransmission whose original was
-delivered — its ack lost — is recognised and only re-acknowledged), and
-unacknowledged messages are retransmitted under the exponential backoff
-of :func:`repro.faults.plan.retry_timeout`.  With no fault plan none of
-this machinery is instantiated and push completion remains implicitly
-reliable.
+Pulls travel as :class:`PullUnit` records.  Every committed push travels as a
+:class:`PushMessage` with a per-worker sequence number, and the PS applies
+each sequence number **at most once**, in order.  With no
+:class:`~repro.faults.plan.FaultPlan` every message arrives on its first
+transmission, in order, and nothing is acknowledged.  Under a plan the
+delivery and acknowledgement legs can drop: a retransmission whose
+original was delivered (its ack lost) is recognised and only
+re-acknowledged, and unacknowledged messages are retransmitted under the
+exponential backoff of :func:`repro.faults.plan.retry_timeout`.
 """
 
 from __future__ import annotations
@@ -45,18 +44,23 @@ class PullUnit:
         self.total_bytes = segment.nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class PushMessage:
-    """One committed push and its delivery state (fault mode only).
+    """One committed push and its delivery state.
 
     The scheduler debits the unit's bytes exactly once, at commit time;
     ``attempts`` counts transmissions of the *same* bytes, so every
     retransmission carries identical segments/offsets and the PS's
-    cumulative-offset invariants hold across retries.
+    cumulative-offset invariants hold across retries.  ``desc`` holds the
+    scheduler's :meth:`~repro.sched.base.CommScheduler.describe_unit`
+    labels while tracing (else ``None``); ``delivered`` turns true at the
+    first transmission that reaches the PS.
     """
 
     seq: int
     iteration: int
     unit: TransferUnit
+    desc: dict[str, object] | None
     attempts: int = 0
     acked: bool = False
+    delivered: bool = False

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import defaultdict
 from operator import itemgetter
 
 import numpy as np
@@ -92,8 +91,7 @@ class ParameterServer:
         self.sync_mode = sync_mode
         self.staleness = staleness
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when set,
-        #: pushes arrive through :meth:`deliver_push` with sequence numbers
-        #: and pull releases absorb PS-stall windows.
+        #: pull releases absorb PS-stall windows.
         self._faults = faults
         #: Shard index in a sharded tier (scopes per-server PS stalls);
         #: ``None`` on the single-PS star.
@@ -103,13 +101,13 @@ class ParameterServer:
         # standby once it answers).  Durable (acked) aggregation state
         # survives the hand-off untouched.
         self._down = False
-        # Reliable-delivery receiver state (fault mode): next sequence
-        # number to apply per worker, plus a reorder buffer for messages
-        # that arrived ahead of a dropped predecessor.
+        # Reliable-delivery receiver state: next sequence number to apply
+        # per worker, plus per-worker reorder buffers for messages that
+        # arrived ahead of a dropped predecessor (empty without faults).
         self._next_seq: list[int] = [0] * n_workers
-        self._reorder: dict[int, dict[int, tuple[int, TransferUnit]]] = defaultdict(
-            dict
-        )
+        self._reorder: list[dict[int, tuple[int, TransferUnit]]] = [
+            {} for _ in range(n_workers)
+        ]
         # iteration -> grad -> per-worker cumulative bytes received.
         # Plain lists: the hot loop only ever does scalar reads/writes and
         # min() reductions, where numpy's per-element boxing dominates.
@@ -162,8 +160,8 @@ class ParameterServer:
     def deliver_push(
         self, worker: int, iteration: int, unit: TransferUnit, seq: int
     ) -> bool:
-        """Reliable-delivery entry point: receive ``unit`` at most once,
-        apply strictly in per-worker sequence order.
+        """Every push's entry point: receive ``unit`` at most once, apply
+        strictly in per-worker sequence order.
 
         A retransmission whose original was already received (its ack was
         lost) is recognised by ``seq`` and **not** re-credited — the
@@ -175,8 +173,13 @@ class ParameterServer:
         ``True`` when the push was newly received (applied or buffered),
         ``False`` for a duplicate.
         """
-        trace = self.engine.trace
         pending = self._reorder[worker]
+        if seq == self._next_seq[worker] and not pending:
+            # In order with no gap behind it: every fault-free push.
+            self._next_seq[worker] = seq + 1
+            self.receive_push(worker, iteration, unit)
+            return True
+        trace = self.engine.trace
         if seq < self._next_seq[worker] or seq in pending:
             if trace.enabled:
                 trace.instant(

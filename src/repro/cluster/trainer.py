@@ -241,7 +241,9 @@ class Trainer:
                 )
             self.workers.append(worker)
         if collective:
-            self.controller.attach_workers(self.workers)
+            self.controller.attach_workers(
+                self.workers, assign_shards(self.gen_schedule.sizes, 1).by_shard[0]
+            )
         for s, ps in enumerate(self.servers):
             ps.attach_workers([worker.port(s) for worker in self.workers])
         if self.injector is not None:

@@ -35,29 +35,34 @@ a stall timer.  The compute path and the recorder run on **global**
 gradient indices; each port's scheduler, PS, and messages run on the shard's
 **local** piece indices (dense, priority-ordered — see
 :mod:`repro.cluster.sharding`; on the star local == global).  Ports
-translate at the boundary: a committed push credits global ``_pushed``
-bytes, a completed pull credits global ``_pulled`` bytes and the
-layer-gating counters, and the recorder marks fire on global indices
-exactly once per gradient per iteration.  Each shard PS applies
+translate at the boundary through the worker's per-unit helpers, which
+the collective controller calls too: a committed unit marks ``t(i)``
+(:meth:`Worker._push_started`), a delivered push credits global
+``_pushed`` bytes (:meth:`Worker._credit_pushed`), a completed pull
+credits global ``_pulled`` bytes and the layer-gating counters
+(:meth:`Worker._credit_pulled`), and the recorder marks fire on global
+indices exactly once per gradient per iteration.  Each shard PS applies
 BSP/ASP/SSP per piece and forward ``k+1`` gates on *all* global updates of
 iteration ``k``, so global BSP is the conjunction of the per-shard BSP
 conditions.
 
-**Fault mode.**  When the trainer wires a
-:class:`~repro.faults.injector.FaultInjector`, every port runs a
-reliable-delivery protocol against its PS: every committed push becomes a
-sequence-numbered :class:`~repro.cluster.messages.PushMessage`, delivery
-and acknowledgement legs can each be dropped, and unacknowledged messages
-retransmit under the exponential backoff of
-:func:`~repro.faults.plan.retry_timeout` (the PS applies each sequence
-number at most once, so retries never double-credit bytes).  Crashes
-suspend the worker: compute completions occurring during the outage are
-deferred and replayed at restart, every port's in-flight transfer is
-aborted (its bytes lost and later retransmitted), and queued pulls
-survive.  A :class:`~repro.faults.plan.ServerCrash` takes one PS down and
-that PS's unacked pushes replay against the warm standby.  With no
-injector every fault branch is behind a single ``is None`` check and the
-event sequence is bit-identical to the fault-free build.
+**Push delivery.**  Every committed push becomes a sequence-numbered
+:class:`~repro.cluster.messages.PushMessage` that the PS applies at most
+once, in order (:meth:`~repro.cluster.ps.ParameterServer.deliver_push`).
+Its first delivery credits the push, then hands it to the PS.  Without a
+:class:`~repro.faults.injector.FaultInjector` that is the first
+transmission: no drop is rolled and no acknowledgement scheduled, and
+every fault branch sits behind a single ``is None`` check.  **Fault
+mode** adds the rest of the protocol: delivery and acknowledgement legs
+can each be dropped, and unacknowledged messages retransmit under the
+exponential backoff of :func:`~repro.faults.plan.retry_timeout` (the PS
+recognises a retransmitted sequence number, so retries never
+double-credit bytes).  Crashes suspend the worker: compute completions
+occurring during the outage are deferred and replayed at restart, every
+port's in-flight transfer is aborted (its bytes lost and later
+retransmitted), and queued pulls survive.  A
+:class:`~repro.faults.plan.ServerCrash` takes one PS down and that PS's
+unacked pushes replay against the warm standby.
 """
 
 from __future__ import annotations
@@ -103,9 +108,10 @@ class PSPort:
 
     Owns the channel logic: shared-channel arbitration between the
     scheduler's proposed push and pending pulls, priority-prefix pull
-    batching, the stall probe of a credit-window scheduler, and (fault
-    mode) the reliable-delivery endpoint — its own sequence numbers,
-    retry queue, and drop rolls — sharing the worker's crash state.  The PS's release
+    batching, the stall probe of a credit-window scheduler, and the
+    reliable-delivery endpoint — its own sequence numbers and, in fault
+    mode, its retry queue and drop rolls — sharing the worker's crash
+    state.  The PS's release
     events call :meth:`enqueue_pull` on the port directly (ports are what
     ``attach_workers`` receives).
 
@@ -155,15 +161,15 @@ class PSPort:
         self._probes = cls.grant_probe is not CommScheduler.grant_probe
         self._pull_feedback = cls.pull_completed is not CommScheduler.pull_completed
         self._stall_timer = None
-        # Fault-mode delivery state (unused — but cheap — without faults).
+        # Push delivery state; the retry and pull-retry state stays empty
+        # without a fault plan.
         self._push_seq = itertools.count()
+        self._inflight_push: PushMessage | None = None
         self._retry_queue: deque[PushMessage] = deque()
         self._retry_timers: dict[int, object] = {}
-        self._inflight_push: PushMessage | None = None
         self._inflight_pulls: dict[Link, list[PullUnit]] = {}
         # Keyed by identity: a retried pull is the same object.
         self._pull_attempts: dict[PullUnit, int] = {}
-        self._push_desc: dict[int, dict[str, object] | None] = {}
         # Channel pumps re-enter via engine callbacks; wire link idleness.
         channel.on_idle = self._pump
         if downlink is not None:
@@ -324,30 +330,23 @@ class PSPort:
                 self._schedule_pull_retry(batch)
                 return
         worker = self.worker
-        forward_was_blocked = worker._forward_blocked()
         comm_iter = worker._comm_iter
-        pulled = worker._pulled
-        sizes = worker._sizes
-        grad_of = self._grad_of
         for pull in batch:
             if pull.iteration != comm_iter:
                 raise SimulationError(
                     f"worker {self.worker_id} pulled iteration {pull.iteration} "
                     f"while communicating iteration {comm_iter}"
                 )
-            seg = pull.segment
             if self._pull_feedback:
+                seg = pull.segment
                 self.scheduler.pull_completed(seg.grad, seg.nbytes, now)
-            grad = grad_of[seg.grad]
-            pulled[grad] += seg.nbytes
-            if pulled[grad] >= sizes[grad] - _TOL:
-                worker._tensor_updated(grad, now)
         trace = self.engine.trace
         if trace.enabled:
+            grad_of = self._grad_of
             args = {
                 "grads": [grad_of[p.segment.grad] for p in batch],
                 "nbytes": sum(p.total_bytes for p in batch),
-                "unblocked_forward": forward_was_blocked,
+                "unblocked_forward": worker._forward_blocked(),
             }
             if self.shard is not None:
                 args["shard"] = self.shard
@@ -359,7 +358,7 @@ class PSPort:
                 self._comm_track,
                 args,
             )
-        worker._updates_applied(forward_was_blocked)
+        worker._credit_pulled(self.pieces, [pull.segment for pull in batch], now)
         # The link's on_idle re-pumps that link only.  A duplex downlink
         # pull may have freed scheduler credit the uplink is waiting on.
         if link is self.downlink:
@@ -369,134 +368,22 @@ class PSPort:
     # Pushes
     # ------------------------------------------------------------------
     def _send_push(self, unit: TransferUnit) -> None:
-        worker = self.worker
         now = self.engine._now
-        iteration = worker._comm_iter
-        self.scheduler.commit_unit(unit, now)
-        for seg in unit.segments:
-            if seg.offset <= _TOL:
-                piece = self.pieces[seg.grad]
-                # The gradient's true first byte: global offset 0, which
-                # lives in slice 0 on exactly one shard — the mark fires once.
-                if piece.offset <= _TOL:
-                    worker._push_start_log[piece.grad] = now
+        scheduler = self.scheduler
+        scheduler.commit_unit(unit, now)
         desc: dict[str, object] | None = None
+        track: str | None = None
         if self.engine.trace.enabled:
-            desc = self.scheduler.describe_unit(unit)
-            self._trace_push_spans(unit, desc, now)
-        if self._faults is None:
-            self.channel.send(
-                unit.total_bytes,
-                tag=("push", iteration),
-                on_complete=partial(self._push_done, iteration, unit, now, desc),
-                extra_time=self._sync_time,
-            )
-            return
-        msg = PushMessage(seq=next(self._push_seq), iteration=iteration, unit=unit)
-        self._push_desc[msg.seq] = desc
-        self._transmit_push(msg)
-
-    def _trace_push_spans(
-        self, unit: TransferUnit, desc: dict[str, object], now: float
-    ) -> None:
-        """Block-assembly and per-gradient queue-wait spans for one push.
-
-        The assembly span stretches from the first flush of any gradient in
-        the unit to the send — the window the scheduler spent packing (or
-        deliberately idling, for Prophet).  Each gradient entering the
-        channel for the first time additionally gets a wait span (the
-        paper's ``t(i) − c(i)``, Fig. 11's wait time) on its own track.
-        """
-        trace = self.engine.trace
-        ready_log = self.worker._ready_log
-        readies = [ready_log[self._grad_of[seg.grad]] for seg in unit.segments]
-        readies = [r for r in readies if r == r]  # NaN: not ready yet
-        trace.complete(
-            f"assemble p{unit.priority}",
-            "assembly",
-            min(readies) if readies else now,
-            now,
-            f"{self._track}/assembly",
-            desc,
-        )
-        for seg in unit.segments:
-            if seg.offset > _TOL:
-                continue
-            piece = self.pieces[seg.grad]
-            ready = ready_log[piece.grad]
-            if now > ready:
-                args = {"grad": piece.grad, "iteration": self.worker._comm_iter}
-                if self.shard is not None:
-                    args["part"] = piece.part
-                    args["shard"] = self.shard
-                trace.complete(
-                    f"wait g{piece.grad}",
-                    "wait",
-                    ready,
-                    now,
-                    f"{self._track}/wait",
-                    args,
-                )
-
-    def _credit_push(self, unit: TransferUnit, now: float) -> None:
+            desc = scheduler.describe_unit(unit)
+            track = self._track
         worker = self.worker
-        pushed = worker._pushed
-        sizes = worker._sizes
-        for seg in unit.segments:
-            grad = self._grad_of[seg.grad]
-            pushed[grad] += seg.nbytes
-            if pushed[grad] >= sizes[grad] - _TOL:
-                worker._push_end_log[grad] = now
-
-    def _push_sent(
-        self,
-        iteration: int,
-        start: float,
-        desc: dict[str, object] | None,
-        now: float,
-    ) -> None:
-        trace = self.engine.trace
-        if trace.enabled:
-            trace.complete(
-                f"push i{iteration}",
-                "comm",
-                start,
-                now,
-                self._comm_track,
-                desc if desc is not None else {},
-            )
-
-    def _push_done(
-        self,
-        iteration: int,
-        unit: TransferUnit,
-        start: float,
-        desc: dict[str, object] | None,
-    ) -> None:
-        now = self.engine._now
-        self._credit_push(unit, now)
-        self._push_sent(iteration, start, desc, now)
-        self.ps.receive_push(self.worker_id, iteration, unit)
-        # Link on_idle already re-pumps; nothing else to do here.
-
-    def _account_push(self, msg: PushMessage, start: float) -> None:
-        """First delivery of a push (fault mode): the fault-free completion
-        bookkeeping, minus the PS hand-off (which
-        :meth:`~repro.cluster.ps.ParameterServer.deliver_push` already
-        performed).
-
-        BSP/ASP/SSP all gate forward ``k+1`` on iteration-``k`` pulls, which
-        require this delivery — so the first delivery always happens while
-        ``_comm_iter == msg.iteration`` and the per-gradient accounting
-        matches the fault-free path exactly.
-        """
-        now = self.engine._now
-        if msg.iteration == self.worker._comm_iter:
-            self._credit_push(msg.unit, now)
-        self._push_sent(msg.iteration, start, self._push_desc.get(msg.seq), now)
+        worker._push_started(self.pieces, unit, now, desc, track, self.shard)
+        self._transmit_push(
+            PushMessage(next(self._push_seq), worker._comm_iter, unit, desc)
+        )
 
     # ------------------------------------------------------------------
-    # Reliable push delivery (fault mode)
+    # Push delivery: at most once at the PS, retried under a fault plan
     # ------------------------------------------------------------------
     def _transmit_next_retry(self) -> bool:
         """Pop and retransmit the oldest pending retry.  Returns whether a
@@ -512,35 +399,56 @@ class PSPort:
     def _transmit_push(self, msg: PushMessage) -> None:
         msg.attempts += 1
         self._inflight_push = msg
-        start = self.engine._now
         self.channel.send(
             msg.unit.total_bytes,
             tag=("push", msg.iteration),
-            on_complete=partial(self._push_attempt_done, msg, start),
+            on_complete=partial(self._push_attempt_done, msg, self.engine._now),
             extra_time=self._sync_time,
         )
 
     def _push_attempt_done(self, msg: PushMessage, start: float) -> None:
-        """One transmission finished occupying the link: roll the delivery
-        and acknowledgement legs, apply at most once, arm retries."""
+        """One transmission of ``msg`` finished occupying the link.
+
+        The first delivery credits the push and traces its span; every
+        delivery then goes through the PS's at-most-once filter.  Under a
+        fault plan the delivery and acknowledgement legs may each drop,
+        and an unacknowledged message retries.  BSP/ASP/SSP all gate
+        forward ``k+1`` on iteration-``k`` pulls, which need this
+        delivery, so the first one always lands while ``_comm_iter ==
+        msg.iteration``.
+        """
         self._inflight_push = None
-        if self.ps.down:
-            # ServerCrash outage: the message reaches a dead endpoint and
-            # is lost wholesale; the retransmit finds the warm standby.
-            self._faults.count("lost_pushes")
-            self._arm_retry(msg)
+        faults = self._faults
+        if faults is not None:
+            if self.ps.down:
+                # ServerCrash outage: the message reaches a dead endpoint
+                # and is lost wholesale; the retransmit finds the standby.
+                faults.count("lost_pushes")
+                self._arm_retry(msg)
+                return
+            if faults.roll_drop("push", self.worker_id):
+                self._arm_retry(msg)
+                return
+        if not msg.delivered:
+            msg.delivered = True
+            now = self.engine._now
+            self.worker._credit_pushed(self.pieces, msg.unit, msg.iteration, now)
+            trace = self.engine.trace
+            if trace.enabled:
+                trace.complete(
+                    f"push i{msg.iteration}",
+                    "comm",
+                    start,
+                    now,
+                    self._comm_track,
+                    msg.desc,
+                )
+        if not self.ps.deliver_push(self.worker_id, msg.iteration, msg.unit, msg.seq):
+            # Only a retransmission can be a duplicate, so a plan is set.
+            faults.count("duplicate_pushes")
+        if faults is None:
             return
-        if self._faults.roll_drop("push", self.worker_id):
-            self._arm_retry(msg)
-            return
-        applied = self.ps.deliver_push(
-            self.worker_id, msg.iteration, msg.unit, msg.seq
-        )
-        if applied:
-            self._account_push(msg, start)
-        else:
-            self._faults.count("duplicate_pushes")
-        if self._faults.roll_drop("ack", self.worker_id):
+        if faults.roll_drop("ack", self.worker_id):
             # Delivered but unacknowledged: the retransmission will reach
             # the PS as a duplicate and exercise the at-most-once filter.
             self._arm_retry(msg)
@@ -551,7 +459,6 @@ class PSPort:
         if msg.acked:
             return
         msg.acked = True
-        self._push_desc.pop(msg.seq, None)
         timer = self._retry_timers.pop(msg.seq, None)
         if timer is not None:
             timer.cancel()
@@ -942,7 +849,9 @@ class Worker:
             self._check_done()
 
     # ------------------------------------------------------------------
-    # Parameter updates (called by the ports / the collective controller)
+    # Unit bookkeeping.  A port or the collective controller calls each
+    # helper once per unit; ``pieces`` maps the caller's local indices to
+    # global gradients (the star's identity map on the collective).
     # ------------------------------------------------------------------
     def _forward_blocked(self) -> bool:
         """Forward is waiting on a gating pull (not mid-chunk, not done)."""
@@ -951,18 +860,104 @@ class Worker:
             and not self._fwd_chunk_pending
         )
 
-    def _tensor_updated(self, grad: int, now: float) -> None:
-        """Every byte of ``grad``'s updated parameters arrived."""
-        self._pull_end_log[grad] = now
-        layer = self._layer_of[grad]
-        self._layer_pending[layer] -= 1
-        self._pending_updates -= 1
-        if self._layer_pending[layer] < 0:
-            raise SimulationError(
-                f"worker {self.worker_id}: layer {layer} over-updated"
-            )
+    def _push_started(
+        self,
+        pieces: tuple[ShardPiece, ...],
+        unit: TransferUnit,
+        now: float,
+        desc: dict[str, object] | None,
+        track: str | None,
+        shard: int | None = None,
+    ) -> None:
+        """``unit`` was committed: mark ``t(i)`` of every gradient whose
+        true first byte (global offset 0, on exactly one shard) it carries.
 
-    def _updates_applied(self, forward_was_blocked: bool) -> None:
+        With a ``track`` (only while tracing) also trace the unit's
+        assembly span, from the first flush of any gradient in the unit to
+        the send — the window the scheduler spent packing (or deliberately
+        idling, for Prophet) — and a wait span (the paper's ``t(i) −
+        c(i)``, Fig. 11's wait time) for each gradient entering the
+        channel for the first time.
+        """
+        log = self._push_start_log
+        for seg in unit.segments:
+            if seg.offset <= _TOL:
+                piece = pieces[seg.grad]
+                if piece.offset <= _TOL:
+                    log[piece.grad] = now
+        if track is None:
+            return
+        trace = self.engine.trace
+        ready_log = self._ready_log
+        readies = [ready_log[pieces[seg.grad].grad] for seg in unit.segments]
+        readies = [r for r in readies if r == r]  # NaN: not ready yet
+        trace.complete(
+            f"assemble p{unit.priority}",
+            "assembly",
+            min(readies) if readies else now,
+            now,
+            f"{track}/assembly",
+            desc,
+        )
+        for seg in unit.segments:
+            if seg.offset > _TOL:
+                continue
+            piece = pieces[seg.grad]
+            ready = ready_log[piece.grad]
+            if now > ready:
+                args = {"grad": piece.grad, "iteration": self._comm_iter}
+                if shard is not None:
+                    args["part"] = piece.part
+                    args["shard"] = shard
+                trace.complete(
+                    f"wait g{piece.grad}", "wait", ready, now, f"{track}/wait", args
+                )
+
+    def _credit_pushed(
+        self,
+        pieces: tuple[ShardPiece, ...],
+        unit: TransferUnit,
+        iteration: int,
+        now: float,
+    ) -> None:
+        """Every byte of ``unit`` left this worker: credit pushed bytes and
+        mark the last push byte of each gradient it completes."""
+        if iteration != self._comm_iter:
+            raise SimulationError(
+                f"worker {self.worker_id} credited iteration {iteration} "
+                f"while communicating iteration {self._comm_iter}"
+            )
+        pushed = self._pushed
+        sizes = self._sizes
+        log = self._push_end_log
+        for seg in unit.segments:
+            grad = pieces[seg.grad].grad
+            pushed[grad] += seg.nbytes
+            if pushed[grad] >= sizes[grad] - _TOL:
+                log[grad] = now
+
+    def _credit_pulled(
+        self, pieces: tuple[ShardPiece, ...], segments, now: float
+    ) -> None:
+        """Updated parameters for ``segments`` arrived: credit pulled
+        bytes; a gradient whose every byte arrived marks ``u(i)`` and
+        releases its share of its layer's forward gate.  A forward pass
+        blocked on the gate resumes."""
+        forward_was_blocked = self._forward_blocked()
+        pulled = self._pulled
+        sizes = self._sizes
+        for seg in segments:
+            grad = pieces[seg.grad].grad
+            pulled[grad] += seg.nbytes
+            if pulled[grad] >= sizes[grad] - _TOL:
+                self._pull_end_log[grad] = now
+                layer = self._layer_of[grad]
+                self._layer_pending[layer] -= 1
+                self._pending_updates -= 1
+                if self._layer_pending[layer] < 0:
+                    raise SimulationError(
+                        f"worker {self.worker_id}: layer {layer} over-updated"
+                    )
         if forward_was_blocked and self._iter == self._comm_iter + 1:
             self._advance_forward()
         self._check_done()

@@ -41,8 +41,8 @@ _LEGS = ("push", "pull", "ack", "chunk")
 class FlappedSchedule:
     """A bandwidth schedule with flap windows layered multiplicatively.
 
-    Duck-types :class:`~repro.net.link.BandwidthSchedule` (``value`` and
-    ``mean``), so links and monitors are oblivious to the wrapping.
+    Duck-types :class:`~repro.net.link.BandwidthSchedule`'s ``value``, so
+    links and monitors are oblivious to the wrapping.
     Overlapping windows compound (two 0.5x flaps yield 0.25x).
     """
 
@@ -56,11 +56,6 @@ class FlappedSchedule:
             if flap.start <= time < flap.end:
                 value *= flap.factor
         return value
-
-    @property
-    def mean(self) -> float:
-        """Mean of the *base* schedule (summaries ignore transient flaps)."""
-        return self._base.mean
 
 
 class FaultInjector:

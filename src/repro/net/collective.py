@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.plan import retry_timeout
+from repro.faults.plan import MAX_RETRIES, retry_timeout
 from repro.net.link import BandwidthSchedule, Link, send_batch
 from repro.net.tcp import TCPParams
 from repro.net.topology import worker_link, worker_schedules
@@ -119,9 +119,6 @@ class HierarchicalTopology:
         ]
 
     # ------------------------------------------------------------------
-    def group_of(self, worker: int) -> int:
-        return worker // self.group_size
-
     def leader_of(self, group: int) -> int:
         return group * self.group_size
 
@@ -198,7 +195,8 @@ class _StepExecutor:
     * every chunk completion rolls the plan's ``push`` drop probability
       (the ``chunk`` leg); a lost chunk retransmits on the same link after
       the :func:`~repro.faults.plan.retry_timeout` backoff, without
-      releasing the step barrier;
+      releasing the step barrier, at most
+      :data:`~repro.faults.plan.MAX_RETRIES` times before the run fails;
     * a per-step watchdog detects stragglers — steps exceeding
       ``_STEP_TIMEOUT_FACTOR ×`` their launch-time estimate — and
       mitigates with bounded abort-and-resend rounds on the lagging links;
@@ -404,8 +402,14 @@ class _StepExecutor:
         step barrier."""
         faults = self._faults
         assert faults is not None
-        if faults.roll_drop("chunk", self._owner_of.get(link, -1)):
+        owner = self._owner_of.get(link, -1)
+        if faults.roll_drop("chunk", owner):
             attempt = self._chunk_attempts.get(link, 0)
+            if attempt >= MAX_RETRIES:
+                raise SimulationError(
+                    f"worker {owner} chunk of step {self._step_idx} exhausted "
+                    f"{MAX_RETRIES} retries"
+                )
             self._chunk_attempts[link] = attempt + 1
             faults.count("chunk_retries")
             self._resend_timers[link] = self.engine.schedule_after(

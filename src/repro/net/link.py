@@ -19,8 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.tcp import TCPParams, _slow_start_table, is_warm, transfer_time
 from repro.sim.engine import Engine
@@ -133,11 +131,6 @@ class BandwidthSchedule:
                 idx = 0
         self._cursor = idx
         return self._values[idx]
-
-    @property
-    def mean(self) -> float:
-        """Unweighted mean of the schedule's levels (for summaries)."""
-        return float(np.mean(self._values))
 
 
 class TransferRecord(NamedTuple):
@@ -392,27 +385,6 @@ class Link:
                 track,
                 {"busy_fraction": self._busy_accum / now},
             )
-
-    # ------------------------------------------------------------------
-    def busy_time(self, until: float | None = None) -> float:
-        """Total time the link spent transferring, up to ``until``.
-
-        O(1) for the common case: completed transfers all lie in the past,
-        so the maintained ``_busy_accum`` already is their sum.  Only a
-        horizon strictly before ``now`` (retrospective queries) needs the
-        per-transfer clamp.
-        """
-        horizon = self.engine.now if until is None else until
-        if horizon >= self.engine.now:
-            total = self._busy_accum
-        else:
-            total = sum(
-                max(0.0, min(end, horizon) - min(start, horizon))
-                for start, end, _, _ in self._log
-            )
-        if self._inflight is not None and self._inflight[_START] < horizon:
-            total += min(self._inflight[_END], horizon) - self._inflight[_START]
-        return total
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.trainer import Trainer, run_training
-from repro.faults.plan import FaultPlan, LinkFlap, MessageDrops, WorkerCrash
+from repro.errors import SimulationError
+from repro.faults.plan import MAX_RETRIES, FaultPlan, LinkFlap, MessageDrops, WorkerCrash
 from repro.workloads.presets import fifo_factory, prophet_factory
 
 
@@ -180,6 +181,24 @@ class TestChunkLoss:
         ]
         assert sum(totals) > clean_per_link * n
         assert result.end_time > clean_ring.end_time
+
+
+    @pytest.mark.parametrize("backend", ["ps", "allreduce"])
+    def test_partitioned_network_exhausts_the_retry_cap(
+        self, ring_config_module, backend
+    ):
+        """A link that drops nearly everything fails the run loudly once a
+        message has used up its retries, on the PS and the ring alike,
+        instead of retrying without bound."""
+        config = replace(
+            ring_config_module,
+            backend=backend,
+            faults=FaultPlan(drops=[MessageDrops(push=0.97)]),
+        )
+        with pytest.raises(
+            SimulationError, match=rf"worker \d+ .* exhausted {MAX_RETRIES} retries"
+        ):
+            run_training(config, prophet_factory())
 
 
 class TestStragglerWatchdog:

@@ -36,13 +36,6 @@ class TestFlappedSchedule:
         )
         assert flapped.value(1.5) == pytest.approx(0.25 * Gbps)
 
-    def test_mean_ignores_transient_flaps(self):
-        base = BandwidthSchedule.constant(3 * Gbps)
-        flapped = FlappedSchedule(
-            base, (LinkFlap(start=0.0, duration=1.0, factor=0.1),)
-        )
-        assert flapped.mean == pytest.approx(base.mean)
-
 
 class TestRollDrop:
     def test_zero_probability_never_drops(self):

@@ -81,7 +81,6 @@ def test_hierarchical_topology_shape():
     assert topo.n_groups == 2
     assert len(topo.local_links) == 6
     assert len(topo.global_links) == 2
-    assert topo.group_of(4) == 1
     assert topo.leader_of(1) == 3
     # Leaders carry local + global; followers local only.
     assert topo.worker_uplinks(3) == [topo.local_links[3], topo.global_links[1]]

@@ -178,7 +178,7 @@ def _world(setup):
 
 
 def _observed(links):
-    return [(link.records, link.total_bytes, link.busy_time()) for link in links]
+    return [(link.records, link.total_bytes, link._busy_accum) for link in links]
 
 
 @given(setup=batch_setups())

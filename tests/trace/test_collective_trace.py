@@ -3,8 +3,9 @@
 A traced ring run and a traced hierarchical run (4 workers, groups of 2)
 on the tiny model export byte-stable Chrome trace JSON.  Their SHA-256
 digests are pinned here, so any change to the per-link transfer spans,
-the link utilization counters, or the ``comm`` spans of the collective
-tier (event order, timestamps, arguments) shows up as a digest mismatch.
+the link utilization counters, or the ``comm``, ``assembly`` and
+``wait`` spans of the collective tier (event order, timestamps,
+arguments) shows up as a digest mismatch.
 
 Both shapes are also pinned through an elastic shrink: worker 1 crashes
 mid-operation, the collective re-plans over the three survivors and
@@ -28,8 +29,8 @@ from repro.trace import chrome_trace_dict
 
 #: Digests of :func:`trace_digest` for each collective shape.
 PINNED = {
-    "ring": "63c4086c52854acf1a7bf9e4aa6daecb3d69b1bda7fa957f2667fe9b5beaa18a",
-    "hierarchical": "c4dc9333367d2cae6c55041056306e2db35cf8f60997593ad7c44f1cd12028ff",
+    "ring": "07095aace737789e5fa17e5f96e9e2949c190b01d10b8af944e8e059171138ad",
+    "hierarchical": "85fc1aea2ac91e6901da764f79abbdf0d9c8ff3fa27cf6d50b5a1f8096b43dd7",
 }
 
 #: Crash of worker 1 at 1.1 s (restart refused at 1.6 s) and a link flap
@@ -45,11 +46,11 @@ SHRINK_PLAN = default_plan(
 #: (digest, end time) of each collective shape through :data:`SHRINK_PLAN`.
 PINNED_SHRINK = {
     "ring": (
-        "8f02021e040a63e45299bfc42b31a63d788bfb5e27539a52ca020574f0d34d1b",
+        "157879904e1bd262c42fec717f8718d289f6f15f4cc934dda9b6324afae785e5",
         3.9848341513958263,
     ),
     "hierarchical": (
-        "b4d293d6527885351048712ed1c08adce2ccb8f4c0ccfbee6aa911e71e8089a3",
+        "b66dc926c6874339d0d87d879abdad5428e7ab0ac9b3461ae9445d58737ff921",
         3.982328578430889,
     ),
 }

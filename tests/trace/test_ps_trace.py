@@ -38,11 +38,11 @@ SHAPES = {
 PINNED = {
     ("bytescheduler", "duplex"): "c0750c7e3bce3eb161d9e7a475bb6fe5fa974f5ba4e1c037615cca9dbdb23336",
     ("bytescheduler", "sharded"): "516f7a56fa81fc6528e578506b8eeec7456215a6e66d1e45b244de32500aae64",
-    ("bytescheduler", "sharded-chaos"): "bc7a1f6b1814e280d8828a9984054c2aea81a0c8d55392345e334cbcca805ce8",
+    ("bytescheduler", "sharded-chaos"): "e8a864087d1f791e7d7bfc4abe13c4bb2515512d1b9e305379519e5eec4eae7f",
     ("bytescheduler", "star"): "27df13f7ecafb485111fc8e6ab84a67baf109819179fe9e0b74869cdc9230461",
     ("prophet", "duplex"): "2a9afe96c80419cad5f3f988406d6da8fd681d51a265f28cfae459d0b296e7d0",
     ("prophet", "sharded"): "27cb9279cd03e37ca3fb3f75a41e0a144ba4501dc2715577b4c50a63076b928b",
-    ("prophet", "sharded-chaos"): "15478a329ff55859b0aab3f96036063355d8a0037e76ce5d5ae17be5372ae39f",
+    ("prophet", "sharded-chaos"): "108d8cbe4f78c7c52803ae1da1d031426c4aeedac0471afdc443ac2af53b7068",
     ("prophet", "star"): "511da160695ecdcfb104b109f772aa9bd280f17726a16f29c8082f79765c0f49",
 }
 
